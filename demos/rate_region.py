@@ -27,12 +27,13 @@ print(f"sum comm rate: {corner.rate_c:.6f} bits/s/Hz")
 
 frontier = fdsac_frontier(cfg, p, grid_n=41)
 print()
-print(f"=== Frequency-division sweep: {len(frontier.points)} splits, "
-      f"{len(frontier.pareto)} Pareto-maximal ===")
+print(f"=== Frequency-division sweep: {frontier.kappa.size} splits, "
+      f"{frontier.pareto.size} Pareto-maximal ===")
 print(f"{'kappa':>6} {'mu':>6} | {'rate_s':>9} {'rate_c':>9}")
-step = max(1, len(frontier.pareto) // 12)
-for pt in frontier.pareto[::step]:
-    print(f"{pt.kappa:6.3f} {pt.mu:6.3f} | {pt.rate_s:9.5f} {pt.rate_c:9.5f}")
+step = max(1, frontier.pareto.size // 12)
+for i in frontier.pareto[::step]:
+    print(f"{frontier.kappa[i]:6.3f} {frontier.mu[i]:6.3f} | "
+          f"{frontier.rate_s[i]:9.5f} {frontier.rate_c[i]:9.5f}")
 
 print()
 print("Boundary splits recover the corner coordinates:")
@@ -41,7 +42,7 @@ print(f"  (kappa, mu) = (1, 1): sum rate   {sum_rate(cfg, fdsac(1.0, 1.0), p):.9
 print(f"  (kappa, mu) = (0, 0): sensing    {sensing_rate(cfg, fdsac(0.0, 0.0), p):.9f}"
       f"  vs corner {corner.rate_s:.9f}")
 
-report = containment_check(cfg, p, grid_n=101)
+report = containment_check(corner, fdsac_frontier(cfg, p, grid_n=101))
 verdict = "contained" if report.holds else "NOT contained"
 print()
 print(f"Containment on the 101x101 grid: {verdict} "

@@ -33,7 +33,7 @@ from .montecarlo import (
     sensing_mi_bruteforce,
     sensing_mi_reduced,
 )
-from .region import containment_check, isac_corner
+from .region import containment_check, fdsac_frontier, isac_corner
 from .specfun import EULER_GAMMA, exp_int_ei, log2_det_i_plus_scaled
 
 DEFAULT_SEED = 20240801
@@ -215,8 +215,8 @@ def check_sensing_slopes(cfg: SystemConfig) -> CheckResult:
 def check_region_containment(cfg: SystemConfig, grid_n: int) -> CheckResult:
     """Split region sits inside the integrated rectangle; boundary cases bind."""
     p = db_to_linear(5.0)
-    report = containment_check(cfg, p, grid_n)
     corner = isac_corner(cfg, p)
+    report = containment_check(corner, fdsac_frontier(cfg, p, grid_n))
     gap_c = abs(sum_rate(cfg, fdsac(1.0, 1.0), p) - corner.rate_c)
     gap_s = abs(sensing_rate(cfg, fdsac(0.0, 0.0), p) - corner.rate_s)
     ok = report.holds and gap_c <= 1e-9 and gap_s <= 1e-9

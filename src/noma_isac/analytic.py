@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import Mode, RateTriple, SystemConfig, comm_factors
 from .specfun import EULER_GAMMA, log2_det_i_plus_scaled, psi_term
 
@@ -51,8 +53,13 @@ def chi_set(cfg: SystemConfig, mode: Mode) -> ChiSet:
         raise ValueError("chi undefined: zero communication power")
     if kappa_t == 0.0:
         raise ValueError("chi undefined: zero communication bandwidth")
+    return ChiSet(*_chis(cfg, kappa_t, mu_t))
+
+
+def _chis(cfg: SystemConfig, kappa_t, mu_t) -> tuple:
+    # chi_b = kappa_t*sigma2_c/(mu_t*rho_b), elementwise for arrays.
     scale = kappa_t * cfg.sigma2_c / mu_t
-    return ChiSet(chi1=scale / cfg.rho1, chi2=scale / cfg.rho2, chi3=scale / cfg.rho3)
+    return scale / cfg.rho1, scale / cfg.rho2, scale / cfg.rho3
 
 
 def thresholds(cfg: SystemConfig, mode: Mode) -> Thresholds:
@@ -118,23 +125,33 @@ def outage_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, f
 
 
 def ergodic_rates(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, float]:
-    """Exact ergodic rates (near user, far user) in bits/s/Hz.
+    """Exact ergodic rates (near user, far user) in bits/s/Hz."""
+    ecr_n, ecr_f = split_ergodic_rates(cfg, *comm_factors(mode), p)
+    return float(ecr_n), float(ecr_f)
 
-    R_N = kappa_t/ln2 * (psi3 - psi2 - psi1) with psi_b evaluated at scale
-    alpha_n*p; R_F subtracts the same kernel at scale p from psi3.
+
+def split_ergodic_rates(
+    cfg: SystemConfig, kappa: float | np.ndarray, mu: float | np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ergodic rates (near user, far user) with fractions kappa of the
+    band and mu of the power given to communications.
+
+    R_N = kappa/ln2 * (psi3 - psi2 - psi1) with psi_b evaluated at scale
+    alpha_n*p; R_F subtracts the same kernel at scale p from psi3.  Broadcasts
+    over arrays of kappa and mu; zero where either is zero.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
-    kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0 or mu_t == 0.0:
-        return 0.0, 0.0
-    chi = chi_set(cfg, mode)
+    kappa, mu = np.broadcast_arrays(kappa, mu)
+    ecr_n = np.zeros(kappa.shape)
+    ecr_f = np.zeros(kappa.shape)
+    on = (kappa != 0.0) & (mu != 0.0)
+    kappa_on = kappa[on]
+    chi1, chi2, chi3 = _chis(cfg, kappa_on, mu[on])
     scale_n = cfg.alpha_n * p
-    psi1 = psi_term(chi.chi1, scale_n)
-    psi2 = psi_term(chi.chi2, scale_n)
-    psi3 = psi_term(chi.chi3, scale_n)
-    ecr_n = kappa_t / _LN2 * (psi3 - psi2 - psi1)
-    ecr_f = kappa_t / _LN2 * (psi3 - psi_term(chi.chi3, p))
+    psi3 = psi_term(chi3, scale_n)
+    ecr_n[on] = kappa_on / _LN2 * (psi3 - psi_term(chi2, scale_n) - psi_term(chi1, scale_n))
+    ecr_f[on] = kappa_on / _LN2 * (psi3 - psi_term(chi3, p))
     return ecr_n, ecr_f
 
 
@@ -158,23 +175,34 @@ def ergodic_rates_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> tuple[f
 def sensing_rate(cfg: SystemConfig, mode: Mode, p: float) -> float:
     """Sensing rate in bits/s/Hz.
 
-    Integrated mode spreads the full power over the whole band:
-    (1/L) * sum_a log2(1 + p*L*lambda_a/sigma2_s).  Frequency division keeps
-    fraction (1-kappa) of the band and (1-mu) of the power for sensing; at
-    kappa = 1 the continuous limit is zero.
+    Integrated mode spreads the full power over the whole band, which is the
+    frequency-division expression with nothing given to communications
+    (kappa = mu = 0), bit for bit.
+    """
+    kappa, mu = (0.0, 0.0) if mode.is_isac else (mode.split.kappa, mode.split.mu)
+    return float(split_sensing_rate(cfg, kappa, mu, p))
+
+
+def split_sensing_rate(
+    cfg: SystemConfig, kappa: float | np.ndarray, mu: float | np.ndarray, p: float
+) -> np.ndarray:
+    """Sensing rate with fractions kappa of the band and mu of the power given
+    to communications, and the rest to sensing.
+
+    (1-kappa)/L * sum_a log2(1 + (1-mu)*p*L*lambda_a/((1-kappa)*sigma2_s)).
+    Broadcasts over arrays of kappa and mu; at kappa = 1 the continuous
+    limit is zero.
     """
     if not p > 0.0:
         raise ValueError("p must be positive")
-    lam = cfg.sensing_eigenvalues
+    kappa, mu = np.broadcast_arrays(kappa, mu)
     big_l = cfg.frame_length
-    if mode.is_isac:
-        c = p * big_l / cfg.sigma2_s
-        return log2_det_i_plus_scaled(c, lam) / big_l
-    kappa, mu = mode.split.kappa, mode.split.mu
-    if kappa == 1.0:
-        return 0.0
-    c = (1.0 - mu) * p * big_l / ((1.0 - kappa) * cfg.sigma2_s)
-    return (1.0 - kappa) * log2_det_i_plus_scaled(c, lam) / big_l
+    rate = np.zeros(kappa.shape)
+    on = kappa != 1.0
+    kappa_s = 1.0 - kappa[on]
+    c = (1.0 - mu[on]) * p * big_l / (kappa_s * cfg.sigma2_s)
+    rate[on] = kappa_s * log2_det_i_plus_scaled(c, cfg.sensing_eigenvalues) / big_l
+    return rate
 
 
 def sensing_rate_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> float:

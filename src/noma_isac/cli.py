@@ -4,7 +4,7 @@ Loads key=value configuration files, runs analytic and Monte Carlo sweeps,
 computes rate regions, and exposes the acceptance selftest.  Data goes to the
 output file or stdout; warnings go to stderr only.
 
-Exit codes: 0 success, 1 usage/config error, 2 selftest failure.
+Exit codes: 0 success, 1 usage/config/numerical error, 2 selftest failure.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _write_table(
     if fmt == "csv":
         lines = [",".join(fieldnames)]
         for row in rows:
-            lines.append(",".join(_cell(row.get(name)) for name in fieldnames))
+            lines.append(",".join([_cell(row.get(name)) for name in fieldnames]))
         if trailer:
             lines.append("# " + trailer)
         text = "\n".join(lines) + "\n"
@@ -395,19 +395,18 @@ def cmd_region(args: argparse.Namespace) -> int:
     p = db_to_linear(args.p_db)
     corner = isac_corner(cfg, p)
     frontier = fdsac_frontier(cfg, p, args.grid_n)
-    report = containment_check(cfg, p, args.grid_n)
+    report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
-    rows: list[dict] = [
-        {"kind": "corner", "kappa": None, "mu": None, "rate_s": corner.rate_s, "rate_c": corner.rate_c}
+    columns = (frontier.kappa, frontier.mu, frontier.rate_s, frontier.rate_c)
+    grid = [
+        {"kind": "grid", "kappa": kappa, "mu": mu, "rate_s": rate_s, "rate_c": rate_c}
+        for kappa, mu, rate_s, rate_c in zip(*(column.tolist() for column in columns))
     ]
-    for pt in frontier.points:
-        rows.append(
-            {"kind": "grid", "kappa": pt.kappa, "mu": pt.mu, "rate_s": pt.rate_s, "rate_c": pt.rate_c}
-        )
-    for pt in frontier.pareto:
-        rows.append(
-            {"kind": "pareto", "kappa": pt.kappa, "mu": pt.mu, "rate_s": pt.rate_s, "rate_c": pt.rate_c}
-        )
+    rows: list[dict] = [
+        {"kind": "corner", "kappa": None, "mu": None, "rate_s": corner.rate_s, "rate_c": corner.rate_c},
+        *grid,
+        *({**grid[i], "kind": "pareto"} for i in frontier.pareto.tolist()),
+    ]
     meta = _metadata(
         "region",
         cfg,
@@ -493,14 +492,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigFileError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # Overflow or non-convergence from an extreme input, such as --p-db 4000.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

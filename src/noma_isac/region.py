@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ergodic_rates, sensing_rate
-from .config import ISAC, SystemConfig, fdsac
+from .analytic import ergodic_rates, sensing_rate, split_ergodic_rates, split_sensing_rate
+from .config import ISAC, SystemConfig
 
 #: Absolute slack allowed when comparing smooth rate expressions.
 CONTAINMENT_EPS = 1e-9
@@ -32,21 +32,18 @@ class RatePoint:
 
 
 @dataclass(frozen=True)
-class FrontierPoint:
-    """Rate pair achieved by one (kappa, mu) resource split."""
-
-    kappa: float
-    mu: float
-    rate_s: float
-    rate_c: float
-
-
-@dataclass(frozen=True)
 class RegionFrontier:
-    """Grid of achievable split points and its Pareto-maximal subset."""
+    """Rate pairs of a (kappa, mu) split grid and its Pareto-maximal subset.
 
-    points: tuple[FrontierPoint, ...]
-    pareto: tuple[FrontierPoint, ...]
+    Grid point i has kappa[i], mu[i], rate_s[i] and rate_c[i], kappa varying
+    slowest.  pareto indexes the Pareto-maximal points, highest rate_s first.
+    """
+
+    kappa: np.ndarray
+    mu: np.ndarray
+    rate_s: np.ndarray
+    rate_c: np.ndarray
+    pareto: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,53 +73,34 @@ def fdsac_frontier(cfg: SystemConfig, p: float, grid_n: int) -> RegionFrontier:
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     fractions = np.linspace(0.0, 1.0, grid_n)
-    points = []
-    for kappa in fractions:
-        for mu in fractions:
-            mode = fdsac(float(kappa), float(mu))
-            ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
-            points.append(
-                FrontierPoint(
-                    kappa=float(kappa),
-                    mu=float(mu),
-                    rate_s=sensing_rate(cfg, mode, p),
-                    rate_c=ecr_n + ecr_f,
-                )
-            )
-    return RegionFrontier(points=tuple(points), pareto=tuple(_pareto_subset(points)))
+    kappa = np.repeat(fractions, grid_n)
+    mu = np.tile(fractions, grid_n)
+    ecr_n, ecr_f = split_ergodic_rates(cfg, kappa, mu, p)
+    rate_s = split_sensing_rate(cfg, kappa, mu, p)
+    rate_c = ecr_n + ecr_f
+    return RegionFrontier(kappa, mu, rate_s, rate_c, _pareto_subset(rate_s, rate_c))
 
 
-def _pareto_subset(points: list[FrontierPoint]) -> list[FrontierPoint]:
-    # Sweep in decreasing rate_s; a point survives iff it strictly improves
-    # the best rate_c seen so far.  Exact duplicates collapse to one point.
-    seen: set[tuple[float, float]] = set()
-    unique = []
-    for pt in points:
-        key = (pt.rate_s, pt.rate_c)
-        if key not in seen:
-            seen.add(key)
-            unique.append(pt)
-    unique.sort(key=lambda pt: (-pt.rate_s, -pt.rate_c))
-    best_c = -math.inf
-    kept = []
-    for pt in unique:
-        if pt.rate_c > best_c:
-            kept.append(pt)
-            best_c = pt.rate_c
-    return kept
+def _pareto_subset(rate_s: np.ndarray, rate_c: np.ndarray) -> np.ndarray:
+    # Sweep in decreasing rate_s, ties by decreasing rate_c, then by index (a
+    # stable sort); a point survives iff it strictly improves the best rate_c
+    # seen so far, so exact duplicates collapse to their first grid point.
+    order = np.lexsort((-rate_c, -rate_s))
+    swept = rate_c[order]
+    best_before = np.maximum.accumulate(np.concatenate(([-math.inf], swept[:-1])))
+    return order[swept > best_before]
 
 
-def containment_check(cfg: SystemConfig, p: float, grid_n: int) -> ContainmentReport:
+def containment_check(corner: RatePoint, frontier: RegionFrontier) -> ContainmentReport:
     """Check that every split grid point is dominated by the integrated corner.
 
     max_violation is the largest coordinate excess over the corner across
     the grid (negative when all points are strictly inside).
     """
-    corner = isac_corner(cfg, p)
-    frontier = fdsac_frontier(cfg, p, grid_n)
-    worst = -math.inf
-    for pt in frontier.points:
-        worst = max(worst, pt.rate_s - corner.rate_s, pt.rate_c - corner.rate_c)
+    worst = max(
+        float(np.max(frontier.rate_s - corner.rate_s)),
+        float(np.max(frontier.rate_c - corner.rate_c)),
+    )
     return ContainmentReport(holds=worst <= CONTAINMENT_EPS, max_violation=worst)
 
 

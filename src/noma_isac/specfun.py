@@ -1,7 +1,8 @@
 """Special-function kernels behind the closed-form rate expressions.
 
 Only the negative real axis of the exponential integral is ever needed:
-every closed form evaluates Ei(-chi/scale) with chi, scale > 0.
+every closed form evaluates Ei(-chi/scale) with chi, scale > 0.  One array
+kernel evaluates it elementwise; the scalar entry points wrap that kernel.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import numpy as np
 #: Euler-Mascheroni constant gamma = 0.5772156649015329...
 EULER_GAMMA = float(np.euler_gamma)
 
-# Branch switch for Ei(-z): ascending series below, continued fraction above.
-# The two branches agree to better than 1e-12 relative at the crossover.
+# Branch switches for Ei(-z): ascending series up to _SERIES_CUTOFF,
+# continued fraction above it, asymptotic expansion from _ASYMPTOTIC_CUTOFF.
+# The series and the continued fraction agree to better than 1e-12 relative
+# at their crossover; the asymptotic expansion's first omitted term is below
+# 6/z**3 relative there, so it matches the continued fraction to rounding.
 _SERIES_CUTOFF = 5.0
+_ASYMPTOTIC_CUTOFF = 1e16
 _MAX_ITER = 500
 
 
@@ -28,71 +33,114 @@ def exp_int_ei(x: float) -> float:
     """
     if not x < 0.0:
         raise ValueError(f"exp_int_ei requires x < 0, got {x!r}")
-    z = -x
-    if z <= _SERIES_CUTOFF:
-        return _ei_neg_series(z)
-    return -math.exp(-z) * _e1_scaled_cf(z)
+    return float(_ei_neg(np.array([-x]), scaled=False)[0])
 
 
-def psi_term(chi: float, scale: float) -> float:
+def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.ndarray:
     """Fading-average kernel Ei(-chi/scale) * exp(chi/scale).
 
     Strictly negative for all positive inputs. Large ratios are evaluated in
-    pre-scaled form so the product never overflows.
+    pre-scaled form so the product never overflows.  Broadcasts over arrays
+    of chi and scale; scalar inputs give a float.
     """
-    if not chi > 0.0:
+    chi = np.asarray(chi, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    if not np.all(chi > 0.0):
         raise ValueError("psi_term requires chi > 0")
-    if not scale > 0.0:
+    if not np.all(scale > 0.0):
         raise ValueError("psi_term requires scale > 0")
     z = chi / scale
-    if z <= _SERIES_CUTOFF:
-        return _ei_neg_series(z) * math.exp(z)
-    return -_e1_scaled_cf(z)
+    out = _ei_neg(z.ravel(), scaled=True).reshape(z.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def log2_det_i_plus_scaled(c: float, eigenvalues: Sequence[float]) -> float:
+def log2_det_i_plus_scaled(
+    c: float | np.ndarray, eigenvalues: Sequence[float]
+) -> float | np.ndarray:
     """log2 det(I + c*R) for a Hermitian PSD R given through its spectrum.
 
     Equals sum_a log2(1 + c*lambda_a). Terms are accumulated in ascending
     eigenvalue order with exact (fsum) summation, so the result does not
-    depend on the ordering of the input list.
+    depend on the ordering of the input list.  Broadcasts over an array of
+    c; a scalar c gives a float.
     """
-    if c < 0.0:
+    c = np.asarray(c, dtype=float)
+    if np.any(c < 0.0):
         raise ValueError("c must be nonnegative")
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    if lam.size == 0:
-        return 0.0
-    if lam[0] < 0.0:
+    if lam.size and lam[0] < 0.0:
         raise ValueError("eigenvalues must be nonnegative")
-    return math.fsum(np.log1p(c * lam)) / math.log(2.0)
+    terms = np.log1p(c.reshape(-1, 1) * lam)
+    sums = np.array([math.fsum(row) for row in terms.tolist()]) / math.log(2.0)
+    return float(sums[0]) if c.ndim == 0 else sums.reshape(c.shape)
 
 
-def _ei_neg_series(z: float) -> float:
-    # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!)
-    total = EULER_GAMMA + math.log(z)
-    c = 1.0
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    # libm through the math module: numpy's vectorised exp/log may differ
+    # from it in the last place, and the scalar results are the reference.
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _ei_neg(z: np.ndarray, scaled: bool) -> np.ndarray:
+    # Ei(-z) for a 1-D array of z > 0, times e^z when scaled.  Above the
+    # series branch the pieces are e^z * E1(z) = -e^z * Ei(-z): by continued
+    # fraction, or, where Lentz's iteration stalls because z + 2i rounds to
+    # z, by Abramowitz & Stegun 5.1.51, 1/z * sum_k (-1)^k k!/z^k.
+    low = z <= _SERIES_CUTOFF
+    big = z >= _ASYMPTOTIC_CUTOFF
+    mid = ~low & ~big
+    z_low, z_big = z[low], z[big]
+    out = np.empty_like(z)
+    out[low] = _ei_neg_series(z_low)
+    out[mid] = -_e1_scaled_cf(z[mid])
+    out[big] = -(1.0 - (1.0 - 2.0 / z_big) / z_big) / z_big
+    if scaled:
+        out[low] *= _elementwise(math.exp, z_low)
+    else:
+        out[~low] *= _elementwise(math.exp, -z[~low])
+    return out
+
+
+def _ei_neg_series(z: np.ndarray) -> np.ndarray:
+    # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!), per element
+    # until its term falls below 1e-17 of its running total.
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    total = EULER_GAMMA + _elementwise(math.log, z)
+    c = np.ones_like(z)
     for k in range(1, _MAX_ITER):
-        c *= -z / k
+        c = c * (-z / k)
         term = c / k
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise ArithmeticError(f"Ei series did not converge at z={z!r}")
+        total = total + term
+        done = np.abs(term) <= 1e-17 * np.abs(total)
+        out[idx[done]] = total[done]
+        live = ~done
+        idx, z, c, total = idx[live], z[live], c[live], total[live]
+        if not idx.size:
+            return out
+    raise ArithmeticError(f"Ei series did not converge at z={z[0]!r}")
 
 
-def _e1_scaled_cf(z: float) -> float:
-    # e^z * E1(z) by modified Lentz continued fraction; E1(z) = -Ei(-z).
+def _e1_scaled_cf(z: np.ndarray) -> np.ndarray:
+    # e^z * E1(z) by modified Lentz continued fraction, per element until
+    # its update factor rounds to 1.
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
     b = z + 1.0
-    c = 1.0 / 1e-300
+    c = np.full_like(z, 1.0 / 1e-300)
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         a = -float(i) * float(i)
-        b += 2.0
+        b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise ArithmeticError(f"E1 continued fraction did not converge at z={z!r}")
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        out[idx[done]] = h[done]
+        live = ~done
+        idx, z, b, c, d, h = idx[live], z[live], b[live], c[live], d[live], h[live]
+        if not idx.size:
+            return out
+    raise ArithmeticError(f"E1 continued fraction did not converge at z={z[0]!r}")

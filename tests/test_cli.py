@@ -107,6 +107,26 @@ def test_usage_error_exits_one(capsys):
     capsys.readouterr()
 
 
+def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
+    # 10**(4000/10) overflows a float.
+    out = tmp_path / "region.csv"
+    rc = main(["region", "--config", cfg_file, "--p-db", "4000", "--grid-n", "5", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+
+def test_region_at_tiny_power_succeeds(cfg_file, tmp_path):
+    # At -300 dB the exponential-integral arguments reach ~1e31, beyond the
+    # continued fraction's reach; the asymptotic branch takes them.
+    out = tmp_path / "region.csv"
+    rc = main(["region", "--config", cfg_file, "--p-db", "-300", "--grid-n", "5", "--output", str(out)])
+    assert rc == 0
+    _, rows, trailer = _read_csv(out)
+    assert len(rows) > 1 + 25
+    assert trailer is not None and "containment: contained" in trailer
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_outage_table_analytic_only(cfg_file, tmp_path):

@@ -82,9 +82,62 @@ def test_ei_branches_agree_at_crossover():
     from noma_isac.specfun import _e1_scaled_cf, _ei_neg_series
 
     for z in (4.0, 4.5, 5.0):
-        series = _ei_neg_series(z)
-        cf = -math.exp(-z) * _e1_scaled_cf(z)
+        series = _ei_neg_series(np.array([z]))[0]
+        cf = -math.exp(-z) * _e1_scaled_cf(np.array([z]))[0]
         assert series == pytest.approx(cf, rel=1e-12)
+
+
+def test_psi_term_pinned_at_series_cutoff_neighbours():
+    # Recorded from the scalar per-call kernel this array kernel replaced, at
+    # the last series point, the cutoff itself and the first continued-fraction point.
+    z = np.array([np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, np.inf)])
+    pinned = [-0.17042217628456174, -0.17042217628477485, -0.17042217628473239]
+    assert psi_term(z, 1.0).tolist() == pinned
+    assert [psi_term(float(v), 1.0) for v in z] == pinned
+    assert [exp_int_ei(-float(v)) for v in z] == [
+        -0.0011482955912741784,
+        -0.0011482955912756132,
+        -0.001148295591275326,
+    ]
+
+
+def test_psi_term_array_matches_scalar_calls():
+    rng = np.random.default_rng(8)
+    chi = 10.0 ** rng.uniform(-6.0, 6.0, size=(40, 3))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+    got = psi_term(chi, scale)
+    assert got.shape == (40, 3)
+    assert got.tolist() == [[psi_term(float(c), float(s)) for c, s in zip(row, scale)] for row in chi]
+
+
+def test_psi_term_pinned_below_asymptotic_cutoff():
+    # Recorded from the scalar per-call kernel; the asymptotic branch must
+    # leave every continued-fraction value below its cutoff unchanged.
+    pinned = {
+        7.5: -0.11902504720841102,
+        1e3: -0.0009990019940238808,
+        1e10: -9.999999999e-11,
+        1e15: -9.999999999999989e-16,
+        9.9e15: -1.0101010101010101e-16,
+    }
+    assert psi_term(np.array(list(pinned)), 1.0).tolist() == list(pinned.values())
+
+
+def test_psi_term_asymptotic_branch_continues_the_fraction():
+    from noma_isac.specfun import _ASYMPTOTIC_CUTOFF, _e1_scaled_cf
+
+    z = np.array([_ASYMPTOTIC_CUTOFF, np.nextafter(_ASYMPTOTIC_CUTOFF, np.inf)])
+    assert psi_term(z, 1.0) == pytest.approx(-_e1_scaled_cf(z), rel=1e-15)
+    below = np.nextafter(_ASYMPTOTIC_CUTOFF, 0.0)
+    assert psi_term(_ASYMPTOTIC_CUTOFF, 1.0) == pytest.approx(psi_term(below, 1.0), rel=1e-15)
+
+
+def test_psi_term_large_ratio_limit():
+    # e^z * E1(z) ~ 1/z, so -z * psi -> 1 where the continued fraction stalls.
+    for z in (1e16, 1e21, 1e100, 1e300):
+        assert abs(-z * psi_term(z, 1.0) - 1.0) <= 2e-16
+    assert psi_term(1e21, 1.0) == pytest.approx(-1e-21, rel=1e-15)
+    assert psi_term(1.0, 1e-300) == pytest.approx(-1e-300, rel=1e-15)
 
 
 def test_psi_term_reference_value():
