@@ -14,7 +14,6 @@ from noma_isac import (
     db_to_linear,
     estimate_outage,
     gain_samples,
-    sample_draw,
 )
 
 cfg = baseline_config()
@@ -23,8 +22,8 @@ seed = 42
 print("=== Per-trial substreams are pure functions of (seed, index) ===")
 gn, gf = gain_samples(cfg, seed, start=0, count=10)
 for i in (0, 3, 7):
-    draw = sample_draw(cfg, seed, index=i)
-    print(f"trial {i}: batch ({gn[i]:.6f}, {gf[i]:.6f})  single ({draw.gain_n:.6f}, {draw.gain_f:.6f})")
+    single_n, single_f = gain_samples(cfg, seed, i, 1)
+    print(f"trial {i}: batch ({gn[i]:.6f}, {gf[i]:.6f})  single ({single_n[0]:.6f}, {single_f[0]:.6f})")
 
 print()
 print("Arbitrary chunk boundaries splice to the same stream:")

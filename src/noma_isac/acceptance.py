@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -289,7 +290,7 @@ def check_determinism(cfg: SystemConfig, seed: int) -> CheckResult:
         rc0 = cli.main(base + ["--output", outs[0], "--workers", "1"])
         rc1 = cli.main(base + ["--output", outs[1], "--workers", "1"])
         rc2 = cli.main(base + ["--output", outs[2], "--workers", "2"])
-        blobs = [open(path, "rb").read() for path in outs]
+        blobs = [Path(path).read_bytes() for path in outs]
         regions = []
         for i in range(2):
             out = os.path.join(tmp, f"region{i}.csv")
@@ -297,7 +298,7 @@ def check_determinism(cfg: SystemConfig, seed: int) -> CheckResult:
                 "region", "--config", cfg_path, "--p-db", "5", "--grid-n", "11",
                 "--output", out,
             ])
-            regions.append(open(out, "rb").read())
+            regions.append(Path(out).read_bytes())
     ok = (
         rc0 == rc1 == rc2 == 0
         and blobs[0] == blobs[1] == blobs[2]

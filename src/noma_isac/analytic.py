@@ -14,29 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Mode, RateTriple, SystemConfig, comm_factors
+from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 from .specfun import EULER_GAMMA, log2_det_i_plus_scaled, psi_term
 
 _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class ChiSet:
-    """Normalized inverse channel strengths chi_b = kappa_t*sigma2_c/(mu_t*rho_b)."""
-
-    chi1: float
-    chi2: float
-    chi3: float
-
-
-@dataclass(frozen=True)
 class Thresholds:
     """SINR thresholds and outage feasibility for one mode.
 
-    gamma_bar_n/f   SINR targets 2^(rate/kappa_t) - 1
+    gamma_bar_n/f   SINR targets 2^(rate/kappa_t) - 1; 0 at a zero rate and
+                    +inf where the power overflows or kappa_t = 0
     vartheta        far-user gain threshold; +inf when allocation infeasible
     theta           near-user gain threshold max(gamma_bar_n/alpha_n, vartheta)
-    feasible        True iff alpha_f > gamma_bar_f * alpha_n
+    feasible        True iff kappa_t, mu_t > 0 and alpha_f > gamma_bar_f * alpha_n
     """
 
     gamma_bar_n: float
@@ -46,16 +38,6 @@ class Thresholds:
     feasible: bool
 
 
-def chi_set(cfg: SystemConfig, mode: Mode) -> ChiSet:
-    """chi coefficients of the outage/rate closed forms for the given mode."""
-    kappa_t, mu_t = comm_factors(mode)
-    if mu_t == 0.0:
-        raise ValueError("chi undefined: zero communication power")
-    if kappa_t == 0.0:
-        raise ValueError("chi undefined: zero communication bandwidth")
-    return ChiSet(*_chis(cfg, kappa_t, mu_t))
-
-
 def _chis(cfg: SystemConfig, kappa_t, mu_t) -> tuple:
     # chi_b = kappa_t*sigma2_c/(mu_t*rho_b), elementwise for arrays.
     scale = kappa_t * cfg.sigma2_c / mu_t
@@ -63,17 +45,24 @@ def _chis(cfg: SystemConfig, kappa_t, mu_t) -> tuple:
 
 
 def thresholds(cfg: SystemConfig, mode: Mode) -> Thresholds:
-    """Decoding thresholds for both users under the given mode."""
-    kappa_t, _ = comm_factors(mode)
-    if kappa_t == 0.0:
-        if cfg.target_rate_n > 0.0 or cfg.target_rate_f > 0.0:
-            raise ValueError("threshold undefined: zero communication bandwidth")
-        gbar_n = 0.0
-        gbar_f = 0.0
-    else:
-        gbar_n = 2.0 ** (cfg.target_rate_n / kappa_t) - 1.0
-        gbar_f = 2.0 ** (cfg.target_rate_f / kappa_t) - 1.0
-    feasible = cfg.alpha_f > gbar_f * cfg.alpha_n
+    """Decoding thresholds for both users under the given mode.
+
+    This is the single decoding rule: outage is certain wherever `feasible`
+    is False, which includes every mode without communication resources.
+    """
+    kappa_t, mu_t = comm_factors(mode)
+
+    def gamma_bar(rate: float) -> float:
+        if rate == 0.0:
+            return 0.0
+        try:
+            return 2.0 ** (rate / kappa_t) - 1.0
+        except ArithmeticError:  # kappa_t = 0, or the power overflows
+            return math.inf
+
+    gbar_n = gamma_bar(cfg.target_rate_n)
+    gbar_f = gamma_bar(cfg.target_rate_f)
+    feasible = has_comm_resources(kappa_t, mu_t) and cfg.alpha_f > gbar_f * cfg.alpha_n
     if feasible:
         vartheta = gbar_f / (cfg.alpha_f - cfg.alpha_n * gbar_f)
     else:
@@ -94,33 +83,25 @@ def outage_probability(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, 
     P_N = (1 - e^{-chi1*theta/p})(1 - e^{-chi2*theta/p}) and
     P_F = 1 - e^{-chi3*vartheta/p} on the feasible branch; (1, 1) otherwise.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
-    kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0 or mu_t == 0.0:
-        return 1.0, 1.0
+    check_power(p)
     th = thresholds(cfg, mode)
     if not th.feasible:
         return 1.0, 1.0
-    chi = chi_set(cfg, mode)
-    p_out_n = -math.expm1(-chi.chi1 * th.theta / p) * -math.expm1(-chi.chi2 * th.theta / p)
-    p_out_f = -math.expm1(-chi.chi3 * th.vartheta / p)
+    chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
+    p_out_n = -math.expm1(-chi1 * th.theta / p) * -math.expm1(-chi2 * th.theta / p)
+    p_out_f = -math.expm1(-chi3 * th.vartheta / p)
     return p_out_n, p_out_f
 
 
 def outage_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, float]:
     """High-SNR outage approximations chi1*chi2*theta^2/p^2 and chi3*vartheta/p."""
-    if not p > 0.0:
-        raise ValueError("p must be positive")
-    kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0 or mu_t == 0.0:
-        raise ValueError("asymptote undefined")
+    check_power(p)
     th = thresholds(cfg, mode)
     if not th.feasible:
         raise ValueError("asymptote undefined")
-    chi = chi_set(cfg, mode)
-    p_out_n = chi.chi1 * chi.chi2 * th.theta**2 / p**2
-    p_out_f = chi.chi3 * th.vartheta / p
+    chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
+    p_out_n = chi1 * chi2 * th.theta**2 / p**2
+    p_out_f = chi3 * th.vartheta / p
     return p_out_n, p_out_f
 
 
@@ -140,12 +121,11 @@ def split_ergodic_rates(
     alpha_n*p; R_F subtracts the same kernel at scale p from psi3.  Broadcasts
     over arrays of kappa and mu; zero where either is zero.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     kappa, mu = np.broadcast_arrays(kappa, mu)
     ecr_n = np.zeros(kappa.shape)
     ecr_f = np.zeros(kappa.shape)
-    on = (kappa != 0.0) & (mu != 0.0)
+    on = has_comm_resources(kappa, mu)
     kappa_on = kappa[on]
     chi1, chi2, chi3 = _chis(cfg, kappa_on, mu[on])
     scale_n = cfg.alpha_n * p
@@ -161,10 +141,9 @@ def ergodic_rates_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> tuple[f
     The near-user asymptote grows like kappa_t*log2(p); the far-user one is
     the constant interference ceiling -kappa_t*log2(alpha_n).
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0 or mu_t == 0.0:
+    if not has_comm_resources(kappa_t, mu_t):
         return 0.0, 0.0
     offset = kappa_t * cfg.sigma2_c / (mu_t * cfg.alpha_n * (cfg.rho1 + cfg.rho2))
     ecr_n = kappa_t * math.log2(p) - kappa_t * EULER_GAMMA / _LN2 - kappa_t * math.log2(offset)
@@ -193,8 +172,7 @@ def split_sensing_rate(
     Broadcasts over arrays of kappa and mu; at kappa = 1 the continuous
     limit is zero.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     kappa, mu = np.broadcast_arrays(kappa, mu)
     big_l = cfg.frame_length
     rate = np.zeros(kappa.shape)
@@ -212,8 +190,7 @@ def sensing_rate_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> float:
     frequency division.  Degenerate splits with no sensing resource return
     the exact zero rate.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     lam = [v for v in cfg.sensing_eigenvalues if v > 0.0]
     r = len(lam)
     big_l = cfg.frame_length
@@ -236,12 +213,6 @@ def sum_rate(cfg: SystemConfig, mode: Mode, p: float) -> float:
     """Sum ergodic communication rate of the user pair."""
     ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
     return ecr_n + ecr_f
-
-
-def rate_triple(cfg: SystemConfig, mode: Mode, p: float) -> RateTriple:
-    """All three rates at one operating point."""
-    ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
-    return RateTriple(rate_n=ecr_n, rate_f=ecr_f, rate_s=sensing_rate(cfg, mode, p))
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,6 @@ ArrayLike = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the ordered channel gains, |h_N|^2 >= |h_F|^2."""
-
-    gain_n: float
-    gain_f: float
-
-    def __post_init__(self) -> None:
-        if not (self.gain_n >= self.gain_f >= 0.0):
-            raise ValueError("ordered gains require gain_n >= gain_f >= 0")
-
-
-@dataclass(frozen=True)
 class Target:
     """Point target: average reflection strength and angle of arrival (rad)."""
 
@@ -106,12 +94,6 @@ def gain_samples(
     e1 = -cfg.rho1 * np.log1p(-u[:, 0])
     e2 = -cfg.rho2 * np.log1p(-u[:, 1])
     return np.maximum(e1, e2), np.minimum(e1, e2)
-
-
-def sample_draw(cfg: SystemConfig, seed: int, index: int) -> ChannelDraw:
-    """Draw the ordered gain pair for one trial of the (seed, index) stream."""
-    gn, gf = gain_samples(cfg, seed, index, 1)
-    return ChannelDraw(gain_n=float(gn[0]), gain_f=float(gf[0]))
 
 
 def _check_nonnegative(x: np.ndarray) -> None:

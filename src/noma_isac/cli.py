@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .analytic import (
@@ -28,9 +28,11 @@ from .analytic import (
 )
 from .channel import Target, TargetScene, scene_eigenvalues
 from .config import (
+    FLOAT_FIELDS,
     ISAC,
     Mode,
     SystemConfig,
+    check_power,
     comm_factors,
     db_to_linear,
     fdsac,
@@ -39,45 +41,11 @@ from .config import (
 from .montecarlo import estimate_ecr, estimate_outage
 from .region import containment_check, fdsac_frontier, isac_corner
 
-_FLOAT_FIELDS = (
-    "rho1",
-    "rho2",
-    "alpha_n",
-    "alpha_f",
-    "sigma2_c",
-    "sigma2_s",
-    "target_rate_n",
-    "target_rate_f",
-)
 _INT_FIELDS = ("num_rx_antennas", "frame_length")
 
 
 class ConfigFileError(ValueError):
     """Raised when a configuration file cannot be parsed or validated."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """dB power grid plus Monte Carlo controls for one sweep command."""
-
-    snr_db_min: float
-    snr_db_max: float
-    snr_db_step: float
-    trials: int
-    seed: int
-    mode: Mode
-
-    def __post_init__(self) -> None:
-        if self.snr_db_min > self.snr_db_max:
-            raise ValueError("snr-db-min must not exceed snr-db-max")
-        if not self.snr_db_step > 0.0:
-            raise ValueError("snr-db-step must be positive")
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
-
-    def grid(self) -> list[float]:
-        count = int(math.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9)) + 1
-        return [self.snr_db_min + i * self.snr_db_step for i in range(count)]
 
 
 def load_config_file(path: str) -> tuple[SystemConfig, Optional[TargetScene]]:
@@ -125,13 +93,13 @@ def load_config_file(path: str) -> tuple[SystemConfig, Optional[TargetScene]]:
         except ValueError as exc:
             raise ConfigFileError(f"{path}: {exc}") from exc
 
-    known = set(_FLOAT_FIELDS) | set(_INT_FIELDS) | {"sensing_eigenvalues"}
+    known = set(FLOAT_FIELDS) | set(_INT_FIELDS) | {"sensing_eigenvalues"}
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigFileError(f"{path}: unknown keys {', '.join(unknown)}")
 
     fields: dict[str, object] = {}
-    for key in _FLOAT_FIELDS:
+    for key in FLOAT_FIELDS:
         if key not in values:
             raise ConfigFileError(f"{path}: missing key {key!r}")
         fields[key] = _parse_float(path, 0, key, values[key])
@@ -171,7 +139,7 @@ def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
 def dump_config(cfg: SystemConfig, scene: Optional[TargetScene] = None) -> str:
     """Serialize a SystemConfig (and optional scene) back to key=value text."""
     lines = []
-    for key in _FLOAT_FIELDS:
+    for key in FLOAT_FIELDS:
         lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
     for key in _INT_FIELDS:
         lines.append(f"{key} = {getattr(cfg, key)}")
@@ -243,27 +211,47 @@ def _map_rows(worker, tasks, workers: int) -> list[dict]:
         return list(pool.map(worker, tasks))
 
 
+def _linear_power(option: str, db: float) -> float:
+    """Linear power of a dB option, which must be a positive finite float."""
+    try:
+        p = db_to_linear(db)
+        check_power(p)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{option} {db:g} dB is not a positive finite power") from None
+    return p
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"--seed {seed} must lie in [0, 2**64)")
+
+
+def _snr_grid(args: argparse.Namespace) -> list[float]:
+    """dB power grid from --snr-db-min to --snr-db-max in steps of --snr-db-step."""
+    _linear_power("--snr-db-min", args.snr_db_min)
+    _linear_power("--snr-db-max", args.snr_db_max)
+    if args.snr_db_min > args.snr_db_max:
+        raise ValueError("--snr-db-min must not exceed --snr-db-max")
+    if not 0.0 < args.snr_db_step < math.inf:
+        raise ValueError("--snr-db-step must be positive and finite")
+    count = int(math.floor((args.snr_db_max - args.snr_db_min) / args.snr_db_step + 1e-9)) + 1
+    return [args.snr_db_min + i * args.snr_db_step for i in range(count)]
+
+
 def _mode_from_args(args: argparse.Namespace) -> Mode:
     if args.mode == "isac":
         return ISAC
     return fdsac(args.kappa, args.mu)
 
 
-def _comm_feasible(cfg: SystemConfig, mode: Mode) -> bool:
-    kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0 or mu_t == 0.0:
-        return False
-    return thresholds(cfg, mode).feasible
-
-
 def _outage_row(task) -> dict:
-    cfg, mode, snr_db, trials, seed, feasible = task
+    cfg, mode, snr_db, trials, seed = task
     p = db_to_linear(snr_db)
     row: dict[str, object] = {"snr_db": snr_db}
     pn, pf = outage_probability(cfg, mode, p)
     row["pout_n_analytic"] = pn
     row["pout_f_analytic"] = pf
-    if feasible:
+    if thresholds(cfg, mode).feasible:
         an, af = outage_asymptotic(cfg, mode, p)
     else:
         an, af = 1.0, 1.0
@@ -279,7 +267,7 @@ def _outage_row(task) -> dict:
 
 
 def _ecr_row(task) -> dict:
-    cfg, mode, snr_db, trials, seed, _ = task
+    cfg, mode, snr_db, trials, seed = task
     p = db_to_linear(snr_db)
     row: dict[str, object] = {"snr_db": snr_db}
     ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
@@ -315,27 +303,22 @@ _MC_COLUMNS = {
 def _sweep_command(command: str, args: argparse.Namespace) -> int:
     cfg, _ = load_config_file(args.config)
     mode = _mode_from_args(args)
-    spec = SweepSpec(
-        snr_db_min=args.snr_db_min,
-        snr_db_max=args.snr_db_max,
-        snr_db_step=args.snr_db_step,
-        trials=args.trials,
-        seed=args.seed,
-        mode=mode,
-    )
-    feasible = _comm_feasible(cfg, mode)
-    if command == "outage" and not feasible:
+    grid = _snr_grid(args)
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
+    _check_seed(args.seed)
+    if command == "outage" and not thresholds(cfg, mode).feasible:
         print(
             "warning: infeasible power allocation (alpha_f <= gamma_bar_f * alpha_n "
             "or zero communication resources); outage probability is 1",
             file=sys.stderr,
         )
     worker = _outage_row if command == "outage" else _ecr_row
-    tasks = [(cfg, mode, snr_db, spec.trials, spec.seed, feasible) for snr_db in spec.grid()]
+    tasks = [(cfg, mode, snr_db, args.trials, args.seed) for snr_db in grid]
     rows = _map_rows(worker, tasks, args.workers)
     fieldnames = ["snr_db"]
     fieldnames += list(_OUTAGE_COLUMNS if command == "outage" else _ECR_COLUMNS)
-    if spec.trials > 0:
+    if args.trials > 0:
         fieldnames += list(_MC_COLUMNS[command])
     meta = _metadata(
         command,
@@ -343,9 +326,9 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
         mode=mode.tag,
         kappa=comm_factors(mode)[0],
         mu=comm_factors(mode)[1],
-        snr_db=spec.grid(),
-        trials=spec.trials,
-        seed=spec.seed,
+        snr_db=grid,
+        trials=args.trials,
+        seed=args.seed,
     )
     _write_table(args.output, args.format, fieldnames, rows, meta)
     return 0
@@ -362,16 +345,9 @@ def cmd_ecr(args: argparse.Namespace) -> int:
 def cmd_sensing(args: argparse.Namespace) -> int:
     cfg, _ = load_config_file(args.config)
     split = fdsac(args.kappa, args.mu)
-    spec = SweepSpec(
-        snr_db_min=args.snr_db_min,
-        snr_db_max=args.snr_db_max,
-        snr_db_step=args.snr_db_step,
-        trials=args.trials,
-        seed=args.seed,
-        mode=split,
-    )
+    grid = _snr_grid(args)
     rows = []
-    for snr_db in spec.grid():
+    for snr_db in grid:
         p = db_to_linear(snr_db)
         rows.append(
             {
@@ -383,16 +359,14 @@ def cmd_sensing(args: argparse.Namespace) -> int:
             }
         )
     fieldnames = ["snr_db", "sr_isac", "sr_isac_asym", "sr_fdsac", "sr_fdsac_asym"]
-    meta = _metadata(
-        "sensing", cfg, kappa=args.kappa, mu=args.mu, snr_db=spec.grid(), seed=spec.seed
-    )
+    meta = _metadata("sensing", cfg, kappa=args.kappa, mu=args.mu, snr_db=grid)
     _write_table(args.output, args.format, fieldnames, rows, meta)
     return 0
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     cfg, _ = load_config_file(args.config)
-    p = db_to_linear(args.p_db)
+    p = _linear_power("--p-db", args.p_db)
     corner = isac_corner(cfg, p)
     frontier = fdsac_frontier(cfg, p, args.grid_n)
     report = containment_check(corner, frontier)
@@ -425,6 +399,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
     cfg, _ = load_config_file(args.config)
+    _check_seed(args.seed)
     results = run_all(cfg, trials=args.trials, seed=args.seed, grid_n=101)
     width = max(len(res.name) for res in results)
     for res in results:
@@ -449,16 +424,12 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db-min", type=float, default=0.0)
     parser.add_argument("--snr-db-max", type=float, default=40.0)
     parser.add_argument("--snr-db-step", type=float, default=5.0)
-    parser.add_argument("--trials", type=int, default=0, help="0 = analytic only")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
     parser.add_argument("--kappa", type=float, default=0.5, help="fdsac bandwidth fraction")
     parser.add_argument("--mu", type=float, default=0.5, help="fdsac power fraction")
-    parser.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("outage", cmd_outage), ("ecr", cmd_ecr), ("sensing", cmd_sensing)):
         sp = sub.add_parser(name, help=f"{name} sweep table")
         _add_io_flags(sp)
-        _add_sweep_flags(sp)
+        _add_grid_flags(sp)
+        if name != "sensing":
+            sp.add_argument("--trials", type=int, default=0, help="0 = analytic only")
+            sp.add_argument("--seed", type=int, default=1)
+            sp.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
+            sp.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("region", help="rate region and containment check")

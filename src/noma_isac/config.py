@@ -12,6 +12,19 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
+#: The scalar float fields of SystemConfig, in config-file order.
+FLOAT_FIELDS = (
+    "rho1",
+    "rho2",
+    "alpha_n",
+    "alpha_f",
+    "sigma2_c",
+    "sigma2_s",
+    "target_rate_n",
+    "target_rate_f",
+)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the two-user downlink with a co-located sensing array.
@@ -95,17 +108,19 @@ def comm_factors(mode: Mode) -> tuple[float, float]:
     return mode.split.kappa, mode.split.mu
 
 
-@dataclass(frozen=True)
-class RateTriple:
-    """Near-user, far-user and sensing rates at one operating point, bits/s/Hz."""
+def has_comm_resources(kappa, mu):
+    """True where communications get both bandwidth and power; elementwise for arrays.
 
-    rate_n: float
-    rate_f: float
-    rate_s: float
+    Without either (kappa = 0 or mu = 0) outage is certain and the ergodic
+    rates are zero.
+    """
+    return (kappa != 0.0) & (mu != 0.0)
 
-    def __post_init__(self) -> None:
-        if self.rate_n < 0.0 or self.rate_f < 0.0 or self.rate_s < 0.0:
-            raise ValueError("rates must be nonnegative")
+
+def check_power(p: float) -> None:
+    """Raise ValueError unless the transmit power p is positive and finite."""
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -113,6 +128,11 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 
     Raises ValueError naming the first violated invariant.
     """
+    for name in FLOAT_FIELDS:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite")
+    if not all(math.isfinite(lam) for lam in cfg.sensing_eigenvalues):
+        raise ValueError("sensing_eigenvalues must be finite")
     if not cfg.rho1 > 0.0:
         raise ValueError("rho1 must be positive")
     if not cfg.rho2 > 0.0:

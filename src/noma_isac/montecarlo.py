@@ -14,23 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelDraw, CorrelationMatrix, gain_samples
-from .config import Mode, SystemConfig, comm_factors
+from .analytic import thresholds
+from .channel import CorrelationMatrix, gain_samples
+from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 
 _CHUNK = 1 << 20
 _LN2 = math.log(2.0)
 
 #: Largest dense identity-check problem, in total matrix dimension L*M.
 BRUTE_FORCE_LIMIT = 256
-
-
-@dataclass(frozen=True)
-class TrialSinrs:
-    """Per-trial link qualities: SIC stage, near-user own message, far user."""
-
-    sinr_sic: float
-    snr_n: float
-    sinr_f: float
 
 
 @dataclass(frozen=True)
@@ -42,16 +34,6 @@ class EstimateWithError:
     trials: int
 
 
-def _gamma_bars(cfg: SystemConfig, kappa_t: float) -> tuple[float, float]:
-    # Event-level thresholds; a vanished sub-band with a positive target rate
-    # makes the decoding event impossible (threshold +inf).
-    if kappa_t == 0.0:
-        gbar_n = math.inf if cfg.target_rate_n > 0.0 else 0.0
-        gbar_f = math.inf if cfg.target_rate_f > 0.0 else 0.0
-        return gbar_n, gbar_f
-    return 2.0 ** (cfg.target_rate_n / kappa_t) - 1.0, 2.0 ** (cfg.target_rate_f / kappa_t) - 1.0
-
-
 def _sinr_arrays(
     cfg: SystemConfig,
     kappa_t: float,
@@ -60,6 +42,8 @@ def _sinr_arrays(
     gain_n: np.ndarray,
     gain_f: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Per-trial SINRs of the SIC stage, the near user's own message and the
+    # far user, for kappa_t > 0.
     noise = kappa_t * cfg.sigma2_c
     sig_n = mu_t * p * gain_n
     sig_f = mu_t * p * gain_f
@@ -67,19 +51,6 @@ def _sinr_arrays(
     snr_n = sig_n * cfg.alpha_n / noise
     sinr_f = sig_f * cfg.alpha_f / (noise + sig_f * cfg.alpha_n)
     return sinr_sic, snr_n, sinr_f
-
-
-def trial_sinrs(cfg: SystemConfig, mode: Mode, p: float, draw: ChannelDraw) -> TrialSinrs:
-    """Evaluate the three SINR expressions for one channel draw."""
-    if not p > 0.0:
-        raise ValueError("p must be positive")
-    kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0:
-        return TrialSinrs(sinr_sic=0.0, snr_n=0.0, sinr_f=0.0)
-    gn = np.asarray([draw.gain_n])
-    gf = np.asarray([draw.gain_f])
-    sic, snr_n, sinr_f = _sinr_arrays(cfg, kappa_t, mu_t, p, gn, gf)
-    return TrialSinrs(sinr_sic=float(sic[0]), snr_n=float(snr_n[0]), sinr_f=float(sinr_f[0]))
 
 
 def estimate_outage(
@@ -93,22 +64,21 @@ def estimate_outage(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0:
-        # No sub-band to decode in: every trial is an outage.
+    if not has_comm_resources(kappa_t, mu_t):
+        # No sub-band or no power to decode with: every trial is an outage.
         return _binomial_estimate(trials, trials), _binomial_estimate(trials, trials)
-    gbar_n, gbar_f = _gamma_bars(cfg, kappa_t)
+    th = thresholds(cfg, mode)
     out_n = 0
     out_f = 0
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
         gain_n, gain_f = gain_samples(cfg, seed, start, n)
         sic, snr_n, sinr_f = _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n, gain_f)
-        ok_n = (sic > gbar_f) & (snr_n > gbar_n)
+        ok_n = (sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n)
         out_n += n - int(np.count_nonzero(ok_n))
-        out_f += int(np.count_nonzero(sinr_f < gbar_f))
+        out_f += int(np.count_nonzero(sinr_f < th.gamma_bar_f))
     return (
         _binomial_estimate(out_n, trials),
         _binomial_estimate(out_f, trials),
@@ -130,10 +100,9 @@ def estimate_ecr(
     """Empirical ergodic rates, sample means of kappa_t*log2(1 + SINR)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     kappa_t, mu_t = comm_factors(mode)
-    if kappa_t == 0.0:
+    if not has_comm_resources(kappa_t, mu_t):
         zero = EstimateWithError(value=0.0, std_error=0.0, trials=trials)
         return zero, zero
     sums_n: list[float] = []
@@ -224,8 +193,7 @@ def orthogonal_streams(seed: int, length: int) -> np.ndarray:
 
 def dual_function_signal(p: float, alpha_n: float, alpha_f: float, streams: np.ndarray) -> np.ndarray:
     """Superimposed transmit vector sqrt(p)*(sqrt(alpha_n), sqrt(alpha_f)) @ S."""
-    if not p > 0.0:
-        raise ValueError("p must be positive")
+    check_power(p)
     weights = np.asarray([math.sqrt(alpha_n), math.sqrt(alpha_f)])
     return math.sqrt(p) * weights @ streams
 

@@ -56,8 +56,6 @@ class ContainmentReport:
 
 def isac_corner(cfg: SystemConfig, p: float) -> RatePoint:
     """Corner of the integrated-mode rectangle: full sensing and sum rate."""
-    if not p > 0.0:
-        raise ValueError("p must be positive")
     ecr_n, ecr_f = ergodic_rates(cfg, ISAC, p)
     return RatePoint(rate_s=sensing_rate(cfg, ISAC, p), rate_c=ecr_n + ecr_f)
 
@@ -68,8 +66,6 @@ def fdsac_frontier(cfg: SystemConfig, p: float, grid_n: int) -> RegionFrontier:
     The grid includes the exact endpoints 0 and 1 on both axes so the
     boundary equality cases are hit exactly.
     """
-    if not p > 0.0:
-        raise ValueError("p must be positive")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     fractions = np.linspace(0.0, 1.0, grid_n)

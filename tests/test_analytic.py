@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from noma_isac.analytic import (
-    chi_set,
+    _chis,
     ergodic_rates,
     ergodic_rates_asymptotic,
     outage_asymptotic,
     outage_probability,
-    rate_triple,
     reference_table,
     sensing_rate,
     sensing_rate_asymptotic,
     sum_rate,
     thresholds,
 )
-from noma_isac.config import ISAC, baseline_config, db_to_linear, fdsac
+from noma_isac.config import ISAC, baseline_config, comm_factors, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr, estimate_outage, estimate_slope
+from noma_isac.region import fdsac_frontier, isac_corner
 
 CFG = baseline_config()
 HALF_SPLIT = fdsac(0.5, 0.5)
@@ -55,20 +55,37 @@ def test_thresholds_bandwidth_squeeze():
 
 
 def test_thresholds_zero_bandwidth_errors():
-    with pytest.raises(ValueError, match="zero communication bandwidth"):
-        thresholds(CFG, fdsac(0.0, 0.5))
+    # Zero bandwidth: a positive rate needs an infinite SINR, a zero rate
+    # none; either way nothing is decoded, so the mode is infeasible.
+    th = thresholds(CFG, fdsac(0.0, 0.5))
+    assert th.gamma_bar_n == math.inf and th.gamma_bar_f == math.inf
+    assert not th.feasible and th.vartheta == math.inf and th.theta == math.inf
     cfg = dataclasses.replace(CFG, target_rate_n=0.0, target_rate_f=0.0)
     th = thresholds(cfg, fdsac(0.0, 0.5))
-    assert th.gamma_bar_n == 0.0 and th.feasible
+    assert th.gamma_bar_n == 0.0 and th.gamma_bar_f == 0.0
+    assert not th.feasible
+    # Zero power keeps the thresholds but is infeasible too.
+    th = thresholds(cfg, fdsac(0.5, 0.0))
+    assert th.gamma_bar_n == 0.0 and th.gamma_bar_f == 0.0
+    assert not th.feasible and th.theta == math.inf
+
+
+def test_thresholds_overflow_to_infinity():
+    # 2**(2/0.001) overflows a float: the threshold is +inf, not an error.
+    cfg = dataclasses.replace(CFG, target_rate_f=2.0)
+    th = thresholds(cfg, fdsac(0.001, 0.5))
+    assert th.gamma_bar_f == math.inf and not th.feasible
+    assert th.gamma_bar_n == 2.0 ** (0.8 / 0.001) - 1.0
+    assert outage_probability(cfg, fdsac(0.001, 0.5), 1e6) == (1.0, 1.0)
 
 
 def test_chi_set_values():
-    chi = chi_set(CFG, ISAC)
-    assert chi.chi1 == pytest.approx(1.0 / 0.9, rel=1e-15)
-    assert chi.chi2 == pytest.approx(1.0 / 0.2, rel=1e-15)
-    assert chi.chi3 == pytest.approx(1.1 / 0.18, rel=1e-15)
-    half = chi_set(CFG, HALF_SPLIT)
-    assert half.chi1 == pytest.approx(chi.chi1, rel=1e-15)
+    chi1, chi2, chi3 = _chis(CFG, *comm_factors(ISAC))
+    assert chi1 == pytest.approx(1.0 / 0.9, rel=1e-15)
+    assert chi2 == pytest.approx(1.0 / 0.2, rel=1e-15)
+    assert chi3 == pytest.approx(1.1 / 0.18, rel=1e-15)
+    half = _chis(CFG, *comm_factors(HALF_SPLIT))
+    assert half[0] == pytest.approx(chi1, rel=1e-15)
 
 
 # ------------------------------------------------------------------- outage
@@ -105,6 +122,39 @@ def test_outage_rejects_nonpositive_power():
         outage_asymptotic(CFG, ISAC, -1.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: outage_probability(CFG, HALF_SPLIT, p),
+        lambda p: outage_asymptotic(CFG, HALF_SPLIT, p),
+        lambda p: ergodic_rates(CFG, HALF_SPLIT, p),
+        lambda p: ergodic_rates_asymptotic(CFG, HALF_SPLIT, p),
+        lambda p: sensing_rate(CFG, HALF_SPLIT, p),
+        lambda p: sensing_rate_asymptotic(CFG, HALF_SPLIT, p),
+        lambda p: isac_corner(CFG, p),
+        lambda p: fdsac_frontier(CFG, p, 3),
+        lambda p: estimate_outage(CFG, HALF_SPLIT, p, trials=10, seed=1),
+        lambda p: estimate_ecr(CFG, HALF_SPLIT, p, trials=10, seed=1),
+    ],
+    ids=[
+        "outage_probability",
+        "outage_asymptotic",
+        "ergodic_rates",
+        "ergodic_rates_asymptotic",
+        "sensing_rate",
+        "sensing_rate_asymptotic",
+        "isac_corner",
+        "fdsac_frontier",
+        "estimate_outage",
+        "estimate_ecr",
+    ],
+)
+def test_power_must_be_finite(call, p):
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        call(p)
+
+
 def test_outage_asymptote_scaling_is_exact():
     for mode in (ISAC, HALF_SPLIT):
         for p in (10.0, 250.0, 4096.0):
@@ -123,12 +173,15 @@ def test_outage_asymptote_tracks_exact_at_40db():
 
 
 def test_fdsac_asymptote_is_a_formula_substitution():
+    # chi_b = kappa*sigma2_c/(mu*rho_b): the same for the integrated mode and
+    # the even split, with rho3 = 0.18/1.1.
+    chi1, chi2, chi3 = 1.0 / 0.9, 1.0 / 0.2, 1.1 / 0.18
     p = 500.0
-    chi = chi_set(CFG, HALF_SPLIT)
-    th = thresholds(CFG, HALF_SPLIT)
-    an, af = outage_asymptotic(CFG, HALF_SPLIT, p)
-    assert an == pytest.approx(chi.chi1 * chi.chi2 * th.theta**2 / p**2, rel=1e-15)
-    assert af == pytest.approx(chi.chi3 * th.vartheta / p, rel=1e-15)
+    for mode in (ISAC, HALF_SPLIT):
+        th = thresholds(CFG, mode)
+        an, af = outage_asymptotic(CFG, mode, p)
+        assert an == pytest.approx(chi1 * chi2 * th.theta**2 / p**2, rel=1e-15)
+        assert af == pytest.approx(chi3 * th.vartheta / p, rel=1e-15)
 
 
 def test_outage_strictly_decreasing_in_power():
@@ -335,12 +388,10 @@ def test_closed_forms_hold_away_from_the_baseline():
             assert abs(value - emp.value) <= max(3.5 * emp.std_error, 1e-2)
 
 
-def test_rate_triple_and_sum_rate():
+def test_sum_rate_adds_ergodic_rates():
     p = db_to_linear(10.0)
-    triple = rate_triple(CFG, ISAC, p)
     ecr_n, ecr_f = ergodic_rates(CFG, ISAC, p)
-    assert triple.rate_n == ecr_n and triple.rate_f == ecr_f
-    assert triple.rate_s == sensing_rate(CFG, ISAC, p)
+    assert ecr_n > 0.0 and ecr_f > 0.0 and sensing_rate(CFG, ISAC, p) > 0.0
     assert sum_rate(CFG, ISAC, p) == ecr_n + ecr_f
 
 

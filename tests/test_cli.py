@@ -113,7 +113,31 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
     rc = main(["region", "--config", cfg_file, "--p-db", "4000", "--grid-n", "5", "--output", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: OverflowError") and err.count("\n") == 1
+    assert err.startswith("error: --p-db") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["outage", "--seed", "-1", "--trials", "10"], "--seed"),
+        (["ecr", "--seed", str(2**64)], "--seed"),
+        (["selftest", "--seed", "-1"], "--seed"),
+        (["region", "--p-db", "inf"], "--p-db"),
+        (["region", "--p-db", "nan"], "--p-db"),
+        (["region", "--p-db", "-4000"], "--p-db"),
+        (["outage", "--snr-db-max", "nan"], "--snr-db-max"),
+        (["ecr", "--snr-db-min=-inf"], "--snr-db-min"),
+        (["sensing", "--snr-db-max", "4000"], "--snr-db-max"),
+        (["sensing", "--snr-db-step", "inf"], "--snr-db-step"),
+        (["outage", "--snr-db-step", "nan"], "--snr-db-step"),
+        (["outage", "--trials", "-1"], "--trials"),
+    ],
+)
+def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
+    rc = main([argv[0], "--config", cfg_file, *argv[1:]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
 
 
 def test_region_at_tiny_power_succeeds(cfg_file, tmp_path):
@@ -201,6 +225,22 @@ def test_infeasible_allocation_warns_and_emits_ones(tmp_path, capsys):
         assert float(row["pout_n_asym"]) == 1.0
 
 
+@pytest.mark.parametrize("trials", ["0", "2000"])
+def test_overflowing_threshold_warns_and_emits_ones(tmp_path, capsys, trials):
+    # With target_rate_f = 2, kappa = 0.001 asks for an SINR of 2**2000 - 1.
+    path = tmp_path / "rate2.cfg"
+    path.write_text(dump_config(CFG).replace("target_rate_f = 0.8", "target_rate_f = 2"), encoding="utf-8")
+    out = tmp_path / "outage.csv"
+    argv = ["outage", "--config", str(path), "--output", str(out), "--mode", "fdsac", "--kappa", "0.001"]
+    rc = main(argv + ["--trials", trials, "--snr-db-max", "10"])
+    assert rc == 0
+    assert "infeasible" in capsys.readouterr().err
+    header, rows, _ = _read_csv(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert all(row[name] == "1" for name in header if name.startswith("pout_"))
+
+
 def test_ecr_table_and_flattening(cfg_file, tmp_path):
     out = tmp_path / "ecr.csv"
     rc = main(["ecr", "--config", cfg_file, "--output", str(out)])
@@ -246,6 +286,14 @@ def test_sensing_table(cfg_file, tmp_path):
         assert float(row["sr_isac"]) >= float(row["sr_fdsac"])
     last = rows[-1]
     assert abs(float(last["sr_isac"]) - float(last["sr_isac_asym"])) < 1e-3
+
+
+@pytest.mark.parametrize("flag", ["--mode", "--workers", "--trials", "--seed"])
+def test_sensing_takes_no_sweep_controls(cfg_file, capsys, flag):
+    # The sensing rate is closed form only; these flags belong to outage/ecr.
+    value = "isac" if flag == "--mode" else "2"
+    assert main(["sensing", "--config", cfg_file, flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_sensing_zero_split_equals_integrated(cfg_file, tmp_path):

@@ -6,9 +6,9 @@ import math
 import pytest
 
 from noma_isac.config import (
+    FLOAT_FIELDS,
     ISAC,
     Mode,
-    RateTriple,
     ResourceSplit,
     baseline_config,
     comm_factors,
@@ -67,6 +67,20 @@ def test_field_invariants(field, value, message):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        *((name, bad) for name in FLOAT_FIELDS for bad in (math.nan, math.inf, -math.inf)),
+        ("sensing_eigenvalues", (1.0, math.nan)),
+        ("sensing_eigenvalues", (math.inf,)),
+    ],
+)
+def test_non_finite_values_rejected(field, value):
+    cfg = dataclasses.replace(baseline_config(), **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        validate_config(cfg)
+
+
 def test_allocation_must_sum_to_one():
     cfg = dataclasses.replace(baseline_config(), alpha_n=0.2, alpha_f=0.7)
     with pytest.raises(ValueError, match="must equal 1"):
@@ -106,12 +120,6 @@ def test_mode_tags_and_factors():
     assert not mode.is_isac and mode.tag == "fdsac"
     assert comm_factors(mode) == (0.25, 0.75)
     assert mode == Mode(ResourceSplit(0.25, 0.75))
-
-
-def test_rate_triple_nonnegative():
-    RateTriple(rate_n=1.0, rate_f=0.0, rate_s=2.0)
-    with pytest.raises(ValueError):
-        RateTriple(rate_n=-0.1, rate_f=0.0, rate_s=0.0)
 
 
 def test_make_config_casts_and_validates():

@@ -9,7 +9,7 @@ import pytest
 
 import noma_isac.montecarlo as mc
 from noma_isac.analytic import outage_probability, sensing_rate, thresholds
-from noma_isac.channel import ChannelDraw, CorrelationMatrix, gain_samples
+from noma_isac.channel import CorrelationMatrix, gain_samples
 from noma_isac.config import ISAC, baseline_config, db_to_linear, fdsac
 from noma_isac.montecarlo import (
     dual_function_signal,
@@ -19,7 +19,6 @@ from noma_isac.montecarlo import (
     orthogonal_streams,
     sensing_mi_bruteforce,
     sensing_mi_reduced,
-    trial_sinrs,
 )
 
 CFG = baseline_config()
@@ -28,41 +27,45 @@ HALF_SPLIT = fdsac(0.5, 0.5)
 
 # -------------------------------------------------------------------- sinrs
 
+def _trial_sinrs(kappa_t, mu_t, p, gain_n, gain_f):
+    # The estimators' SINR kernel on a single draw: (sinr_sic, snr_n, sinr_f).
+    arrays = mc._sinr_arrays(CFG, kappa_t, mu_t, p, np.array([gain_n]), np.array([gain_f]))
+    return tuple(float(a[0]) for a in arrays)
+
+
 def test_trial_sinrs_zero_draw():
-    s = trial_sinrs(CFG, ISAC, 10.0, ChannelDraw(gain_n=0.0, gain_f=0.0))
-    assert (s.sinr_sic, s.snr_n, s.sinr_f) == (0.0, 0.0, 0.0)
+    assert _trial_sinrs(1.0, 1.0, 10.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_trial_sinrs_interference_ceiling():
-    s = trial_sinrs(CFG, ISAC, 10.0, ChannelDraw(gain_n=1e12, gain_f=1e12))
+    sinr_sic, _, sinr_f = _trial_sinrs(1.0, 1.0, 10.0, 1e12, 1e12)
     ceiling = CFG.alpha_f / CFG.alpha_n
     assert ceiling == 4.0
-    assert s.sinr_sic == pytest.approx(ceiling, rel=1e-10)
-    assert s.sinr_sic < ceiling
-    assert s.sinr_f < ceiling
+    assert sinr_sic == pytest.approx(ceiling, rel=1e-10)
+    assert sinr_sic < ceiling
+    assert sinr_f < ceiling
 
 
 def test_trial_sinrs_formula_point():
-    s = trial_sinrs(CFG, ISAC, 10.0, ChannelDraw(gain_n=1.0, gain_f=0.1))
-    assert s.snr_n == pytest.approx(10.0 * 1.0 * 0.2 / CFG.sigma2_c, rel=1e-15)
-    assert s.sinr_sic == pytest.approx(10.0 * 0.8 / (1.0 + 10.0 * 0.2), rel=1e-15)
-    assert s.sinr_f == pytest.approx(10.0 * 0.1 * 0.8 / (1.0 + 10.0 * 0.1 * 0.2), rel=1e-15)
+    sinr_sic, snr_n, sinr_f = _trial_sinrs(1.0, 1.0, 10.0, 1.0, 0.1)
+    assert snr_n == pytest.approx(10.0 * 1.0 * 0.2 / CFG.sigma2_c, rel=1e-15)
+    assert sinr_sic == pytest.approx(10.0 * 0.8 / (1.0 + 10.0 * 0.2), rel=1e-15)
+    assert sinr_f == pytest.approx(10.0 * 0.1 * 0.8 / (1.0 + 10.0 * 0.1 * 0.2), rel=1e-15)
 
 
 def test_trial_sinrs_split_mode_scaling():
-    s = trial_sinrs(CFG, HALF_SPLIT, 10.0, ChannelDraw(gain_n=1.0, gain_f=0.1))
+    _, snr_n, _ = _trial_sinrs(0.5, 0.5, 10.0, 1.0, 0.1)
     noise = 0.5 * CFG.sigma2_c
-    assert s.snr_n == pytest.approx(0.5 * 10.0 * 0.2 / noise, rel=1e-15)
+    assert snr_n == pytest.approx(0.5 * 10.0 * 0.2 / noise, rel=1e-15)
 
 
 def test_sinr_ceilings_hold_on_random_draws():
     gn, gf = gain_samples(CFG, seed=23, start=0, count=10_000)
     ceiling = CFG.alpha_f / CFG.alpha_n
-    for mode in (ISAC, HALF_SPLIT):
-        for i in (0, 17, 4096, 9999):
-            s = trial_sinrs(CFG, mode, 100.0, ChannelDraw(float(gn[i]), float(gf[i])))
-            assert 0.0 <= s.sinr_sic < ceiling
-            assert 0.0 <= s.sinr_f < ceiling
+    for kappa_t, mu_t in ((1.0, 1.0), (0.5, 0.5)):
+        sinr_sic, _, sinr_f = mc._sinr_arrays(CFG, kappa_t, mu_t, 100.0, gn, gf)
+        assert np.all((0.0 <= sinr_sic) & (sinr_sic < ceiling))
+        assert np.all((0.0 <= sinr_f) & (sinr_f < ceiling))
 
 
 # --------------------------------------------------------------- estimators
@@ -85,6 +88,26 @@ def test_estimate_outage_infeasible_is_exactly_one():
         est_n, est_f = estimate_outage(cfg, ISAC, db_to_linear(20.0), trials=20_000, seed=seed)
         assert est_n.value == 1.0 and est_n.std_error == 0.0
         assert est_f.value == 1.0 and est_f.std_error == 0.0
+
+
+def test_estimate_outage_zero_power_split_is_exactly_one():
+    # No communication power: outage is certain even when both target rates
+    # are zero, as in the closed form.
+    cfg = dataclasses.replace(CFG, target_rate_n=0.0, target_rate_f=0.0)
+    mode = fdsac(0.5, 0.0)
+    est_n, est_f = estimate_outage(cfg, mode, db_to_linear(10.0), trials=5_000, seed=3)
+    assert (est_n.value, est_f.value) == (1.0, 1.0)
+    assert est_n.std_error == 0.0 and est_f.std_error == 0.0
+    assert (est_n.value, est_f.value) == outage_probability(cfg, mode, db_to_linear(10.0))
+
+
+def test_estimate_outage_overflowing_threshold_is_exactly_one():
+    # 2**(2/0.001) overflows: the threshold is +inf and the estimator still
+    # evaluates every decoding event against it.
+    cfg = dataclasses.replace(CFG, target_rate_f=2.0)
+    est_n, est_f = estimate_outage(cfg, fdsac(0.001, 0.5), 1e6, trials=5_000, seed=3)
+    assert (est_n.value, est_f.value) == (1.0, 1.0)
+    assert est_n.std_error == 0.0 and est_f.std_error == 0.0
 
 
 def test_estimate_outage_binomial_stderr():
