@@ -62,12 +62,10 @@ def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> Check
     """
     worst = 0.0
     checks = 0
+    powers = [db_to_linear(snr_db) for snr_db in SNR_GRID_DB]
     for _, mode in _modes():
-        for snr_db in SNR_GRID_DB:
-            p = db_to_linear(snr_db)
-            exact = outage_probability(cfg, mode, p)
-            est = estimate_outage(cfg, mode, p, trials, seed)
-            for value, emp in zip(exact, est):
+        for p, est in zip(powers, estimate_outage(cfg, mode, powers, trials, seed)):
+            for value, emp in zip(outage_probability(cfg, mode, p), est):
                 se = math.sqrt(value * (1.0 - value) / trials)
                 worst = max(worst, abs(value - emp.value) / se)
                 checks += 1
@@ -82,12 +80,10 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
     """Closed-form ergodic rates against sample means, max(3 SE, 1e-2) bands."""
     worst = -math.inf
     checks = 0
+    powers = [db_to_linear(snr_db) for snr_db in SNR_GRID_DB]
     for _, mode in _modes():
-        for snr_db in SNR_GRID_DB:
-            p = db_to_linear(snr_db)
-            exact = ergodic_rates(cfg, mode, p)
-            est = estimate_ecr(cfg, mode, p, trials, seed)
-            for value, emp in zip(exact, est):
+        for p, est in zip(powers, estimate_ecr(cfg, mode, powers, trials, seed)):
+            for value, emp in zip(ergodic_rates(cfg, mode, p), est):
                 tol = max(3.0 * emp.std_error, 1e-2)
                 worst = max(worst, abs(value - emp.value) - tol)
                 checks += 1

@@ -170,7 +170,7 @@ def split_sensing_rate(
 
     (1-kappa)/L * sum_a log2(1 + (1-mu)*p*L*lambda_a/((1-kappa)*sigma2_s)).
     Broadcasts over arrays of kappa and mu; at kappa = 1 the continuous
-    limit is zero.
+    limit is zero.  Raises FloatingPointError where the sensing SNR overflows.
     """
     check_power(p)
     kappa, mu = np.broadcast_arrays(kappa, mu)
@@ -178,8 +178,9 @@ def split_sensing_rate(
     rate = np.zeros(kappa.shape)
     on = kappa != 1.0
     kappa_s = 1.0 - kappa[on]
-    c = (1.0 - mu[on]) * p * big_l / (kappa_s * cfg.sigma2_s)
-    rate[on] = kappa_s * log2_det_i_plus_scaled(c, cfg.sensing_eigenvalues) / big_l
+    with np.errstate(over="raise"):
+        c = (1.0 - mu[on]) * p * big_l / (kappa_s * cfg.sigma2_s)
+        rate[on] = kappa_s * log2_det_i_plus_scaled(c, cfg.sensing_eigenvalues) / big_l
     return rate
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Optional, Sequence
 
@@ -204,13 +205,6 @@ def _metadata(command: str, cfg: SystemConfig, **extra: object) -> dict:
     return meta
 
 
-def _map_rows(worker, tasks, workers: int) -> list[dict]:
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _linear_power(option: str, db: float) -> float:
     """Linear power of a dB option, which must be a positive finite float."""
     try:
@@ -219,6 +213,15 @@ def _linear_power(option: str, db: float) -> float:
     except (OverflowError, ValueError):
         raise ValueError(f"{option} {db:g} dB is not a positive finite power") from None
     return p
+
+
+@contextmanager
+def _named_power(option: str, db: float):
+    """Report an overflow of the closed forms as a fault of the dB option."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise ValueError(f"{option} {db:g} dB is out of range: {exc}") from None
 
 
 def _check_seed(seed: int) -> None:
@@ -244,60 +247,44 @@ def _mode_from_args(args: argparse.Namespace) -> Mode:
     return fdsac(args.kappa, args.mu)
 
 
-def _outage_row(task) -> dict:
-    cfg, mode, snr_db, trials, seed = task
-    p = db_to_linear(snr_db)
-    row: dict[str, object] = {"snr_db": snr_db}
+def _outage_closed_forms(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, ...]:
     pn, pf = outage_probability(cfg, mode, p)
-    row["pout_n_analytic"] = pn
-    row["pout_f_analytic"] = pf
-    if thresholds(cfg, mode).feasible:
-        an, af = outage_asymptotic(cfg, mode, p)
-    else:
-        an, af = 1.0, 1.0
-    row["pout_n_asym"] = an
-    row["pout_f_asym"] = af
-    if trials > 0:
-        est_n, est_f = estimate_outage(cfg, mode, p, trials, seed)
-        row["pout_n_mc"] = est_n.value
-        row["pout_f_mc"] = est_f.value
-        row["mc_stderr_n"] = est_n.std_error
-        row["mc_stderr_f"] = est_f.std_error
-    return row
+    an, af = outage_asymptotic(cfg, mode, p) if thresholds(cfg, mode).feasible else (1.0, 1.0)
+    return pn, pf, an, af
 
 
-def _ecr_row(task) -> dict:
-    cfg, mode, snr_db, trials, seed = task
-    p = db_to_linear(snr_db)
-    row: dict[str, object] = {"snr_db": snr_db}
+def _ecr_closed_forms(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, ...]:
     ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
-    asym_n, asym_f = ergodic_rates_asymptotic(cfg, mode, p)
-    row["ecr_n_analytic"] = ecr_n
-    row["ecr_f_analytic"] = ecr_f
-    row["ecr_sum_analytic"] = ecr_n + ecr_f
-    row["ecr_n_asym"] = asym_n
-    row["ecr_f_asym"] = asym_f
-    if trials > 0:
-        est_n, est_f = estimate_ecr(cfg, mode, p, trials, seed)
-        row["ecr_n_mc"] = est_n.value
-        row["ecr_f_mc"] = est_f.value
-        row["mc_stderr_n"] = est_n.std_error
-        row["mc_stderr_f"] = est_f.std_error
-    return row
+    return (ecr_n, ecr_f, ecr_n + ecr_f, *ergodic_rates_asymptotic(cfg, mode, p))
 
 
-_OUTAGE_COLUMNS = ("pout_n_analytic", "pout_f_analytic", "pout_n_asym", "pout_f_asym")
-_ECR_COLUMNS = (
-    "ecr_n_analytic",
-    "ecr_f_analytic",
-    "ecr_sum_analytic",
-    "ecr_n_asym",
-    "ecr_f_asym",
-)
+_CLOSED_COLUMNS = {
+    "outage": ("pout_n_analytic", "pout_f_analytic", "pout_n_asym", "pout_f_asym"),
+    "ecr": ("ecr_n_analytic", "ecr_f_analytic", "ecr_sum_analytic", "ecr_n_asym", "ecr_f_asym"),
+}
 _MC_COLUMNS = {
     "outage": ("pout_n_mc", "pout_f_mc", "mc_stderr_n", "mc_stderr_f"),
     "ecr": ("ecr_n_mc", "ecr_f_mc", "mc_stderr_n", "mc_stderr_f"),
 }
+
+
+def _sweep_rows(task) -> list[dict]:
+    """Rows of one contiguous slice of the dB grid: closed forms point by
+    point, Monte Carlo columns from one estimator call over the slice."""
+    command, cfg, mode, grid, trials, seed = task
+    powers = [db_to_linear(snr_db) for snr_db in grid]
+    closed_forms = _outage_closed_forms if command == "outage" else _ecr_closed_forms
+    columns = _CLOSED_COLUMNS[command]
+    rows = [
+        {"snr_db": snr_db, **dict(zip(columns, closed_forms(cfg, mode, p)))}
+        for snr_db, p in zip(grid, powers)
+    ]
+    if trials > 0:
+        estimator = estimate_outage if command == "outage" else estimate_ecr
+        for row, (est_n, est_f) in zip(rows, estimator(cfg, mode, powers, trials, seed)):
+            mc = (est_n.value, est_f.value, est_n.std_error, est_f.std_error)
+            row.update(zip(_MC_COLUMNS[command], mc))
+    return rows
 
 
 def _sweep_command(command: str, args: argparse.Namespace) -> int:
@@ -306,6 +293,8 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
     grid = _snr_grid(args)
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
+    if args.workers < 1:
+        raise ValueError(f"--workers {args.workers} must be at least 1")
     _check_seed(args.seed)
     if command == "outage" and not thresholds(cfg, mode).feasible:
         print(
@@ -313,11 +302,19 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
             "or zero communication resources); outage probability is 1",
             file=sys.stderr,
         )
-    worker = _outage_row if command == "outage" else _ecr_row
-    tasks = [(cfg, mode, snr_db, args.trials, args.seed) for snr_db in grid]
-    rows = _map_rows(worker, tasks, args.workers)
-    fieldnames = ["snr_db"]
-    fieldnames += list(_OUTAGE_COLUMNS if command == "outage" else _ECR_COLUMNS)
+    # At most --workers contiguous slices of the grid, one process each.
+    n_slices = min(args.workers, len(grid))
+    bounds = [len(grid) * i // n_slices for i in range(n_slices + 1)]
+    tasks = [
+        (command, cfg, mode, grid[lo:hi], args.trials, args.seed)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    if n_slices == 1:
+        rows = _sweep_rows(tasks[0])
+    else:
+        with ProcessPoolExecutor(max_workers=n_slices) as pool:
+            rows = [row for part in pool.map(_sweep_rows, tasks) for row in part]
+    fieldnames = ["snr_db", *_CLOSED_COLUMNS[command]]
     if args.trials > 0:
         fieldnames += list(_MC_COLUMNS[command])
     meta = _metadata(
@@ -349,15 +346,16 @@ def cmd_sensing(args: argparse.Namespace) -> int:
     rows = []
     for snr_db in grid:
         p = db_to_linear(snr_db)
-        rows.append(
-            {
-                "snr_db": snr_db,
-                "sr_isac": sensing_rate(cfg, ISAC, p),
-                "sr_isac_asym": sensing_rate_asymptotic(cfg, ISAC, p),
-                "sr_fdsac": sensing_rate(cfg, split, p),
-                "sr_fdsac_asym": sensing_rate_asymptotic(cfg, split, p),
-            }
-        )
+        with _named_power("--snr-db-max", args.snr_db_max):
+            rows.append(
+                {
+                    "snr_db": snr_db,
+                    "sr_isac": sensing_rate(cfg, ISAC, p),
+                    "sr_isac_asym": sensing_rate_asymptotic(cfg, ISAC, p),
+                    "sr_fdsac": sensing_rate(cfg, split, p),
+                    "sr_fdsac_asym": sensing_rate_asymptotic(cfg, split, p),
+                }
+            )
     fieldnames = ["snr_db", "sr_isac", "sr_isac_asym", "sr_fdsac", "sr_fdsac_asym"]
     meta = _metadata("sensing", cfg, kappa=args.kappa, mu=args.mu, snr_db=grid)
     _write_table(args.output, args.format, fieldnames, rows, meta)
@@ -367,8 +365,9 @@ def cmd_sensing(args: argparse.Namespace) -> int:
 def cmd_region(args: argparse.Namespace) -> int:
     cfg, _ = load_config_file(args.config)
     p = _linear_power("--p-db", args.p_db)
-    corner = isac_corner(cfg, p)
-    frontier = fdsac_frontier(cfg, p, args.grid_n)
+    with _named_power("--p-db", args.p_db):
+        corner = isac_corner(cfg, p)
+        frontier = fdsac_frontier(cfg, p, args.grid_n)
     report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
     columns = (frontier.kappa, frontier.mu, frontier.rate_s, frontier.rate_c)
@@ -399,6 +398,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
     cfg, _ = load_config_file(args.config)
+    if args.trials < 1:
+        raise ValueError(f"--trials {args.trials} must be at least 1")
     _check_seed(args.seed)
     results = run_all(cfg, trials=args.trials, seed=args.seed, grid_n=101)
     width = max(len(res.name) for res in results)
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--trials", type=int, default=0, help="0 = analytic only")
             sp.add_argument("--seed", type=int, default=1)
             sp.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
-            sp.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+            sp.add_argument("--workers", type=int, default=1, help="grid slices run in parallel")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("region", help="rate region and containment check")

@@ -1,9 +1,10 @@
 """Simulation-side oracles: per-trial SINRs, empirical outage/rate estimators,
 the dense sensing mutual-information identity check, and slope fitting.
 
-Estimates are pure functions of (cfg, mode, p, trials, seed).  Trials are
-processed in fixed-size blocks whose partial sums are combined in block
-order, so results do not depend on scheduling or worker count.
+Estimates are pure functions of (cfg, mode, powers, trials, seed).  Trials
+are processed in fixed-size blocks, each drawn once and shared by every power
+of the call; partial sums are combined in block order, so the estimate at one
+power depends neither on the other powers nor on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -53,36 +54,58 @@ def _sinr_arrays(
     return sinr_sic, snr_n, sinr_f
 
 
+def _per_block(
+    cfg: SystemConfig,
+    mode: Mode,
+    powers: Sequence[float],
+    trials: int,
+    seed: int,
+    kernel,
+    no_resources,
+) -> list[list]:
+    # kernel(p, gain_n, gain_f) for every power against each trial block,
+    # indexed [power][block].  Each block is drawn once, and each kernel call
+    # frees its per-power arrays before the next power's are made.  Without
+    # communication resources nothing is drawn: each power gets the one
+    # all-trials result `no_resources`.
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    for p in powers:
+        check_power(p)
+    if not has_comm_resources(*comm_factors(mode)):
+        return [[no_resources] for _ in powers]
+    results: list[list] = [[] for _ in powers]
+    for start in range(0, trials, _CHUNK):
+        gain_n, gain_f = gain_samples(cfg, seed, start, min(_CHUNK, trials - start))
+        for per_block, p in zip(results, powers):
+            per_block.append(kernel(p, gain_n, gain_f))
+    return results
+
+
 def estimate_outage(
-    cfg: SystemConfig, mode: Mode, p: float, trials: int, seed: int
-) -> tuple[EstimateWithError, EstimateWithError]:
-    """Empirical outage probabilities from the per-trial decoding events.
+    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int
+) -> list[tuple[EstimateWithError, EstimateWithError]]:
+    """Empirical outage probabilities (near, far) at each of `powers`.
 
     A near-user trial is in outage unless both the SIC stage and its own
     message clear their thresholds; a far-user trial is in outage when its
-    SINR falls below the far-user threshold.
+    SINR falls below the far-user threshold.  Without a sub-band or power to
+    decode with, every trial is an outage.  Every power sees the same trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    check_power(p)
     kappa_t, mu_t = comm_factors(mode)
-    if not has_comm_resources(kappa_t, mu_t):
-        # No sub-band or no power to decode with: every trial is an outage.
-        return _binomial_estimate(trials, trials), _binomial_estimate(trials, trials)
     th = thresholds(cfg, mode)
-    out_n = 0
-    out_f = 0
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        gain_n, gain_f = gain_samples(cfg, seed, start, n)
+
+    def outages(p: float, gain_n: np.ndarray, gain_f: np.ndarray) -> tuple[int, int]:
         sic, snr_n, sinr_f = _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n, gain_f)
         ok_n = (sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n)
-        out_n += n - int(np.count_nonzero(ok_n))
-        out_f += int(np.count_nonzero(sinr_f < th.gamma_bar_f))
-    return (
-        _binomial_estimate(out_n, trials),
-        _binomial_estimate(out_f, trials),
-    )
+        out_f = int(np.count_nonzero(sinr_f < th.gamma_bar_f))
+        return gain_n.size - int(np.count_nonzero(ok_n)), out_f
+
+    estimates = []
+    for blocks in _per_block(cfg, mode, powers, trials, seed, outages, (trials, trials)):
+        out_n, out_f = (sum(column) for column in zip(*blocks))
+        estimates.append((_binomial_estimate(out_n, trials), _binomial_estimate(out_f, trials)))
+    return estimates
 
 
 def _binomial_estimate(successes: int, trials: int) -> EstimateWithError:
@@ -95,34 +118,24 @@ def _binomial_estimate(successes: int, trials: int) -> EstimateWithError:
 
 
 def estimate_ecr(
-    cfg: SystemConfig, mode: Mode, p: float, trials: int, seed: int
-) -> tuple[EstimateWithError, EstimateWithError]:
-    """Empirical ergodic rates, sample means of kappa_t*log2(1 + SINR)."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    check_power(p)
+    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int
+) -> list[tuple[EstimateWithError, EstimateWithError]]:
+    """Empirical ergodic rates (near, far) at each of `powers`, sample means
+    of kappa_t*log2(1 + SINR) over the same trials; zero without resources."""
     kappa_t, mu_t = comm_factors(mode)
-    if not has_comm_resources(kappa_t, mu_t):
-        zero = EstimateWithError(value=0.0, std_error=0.0, trials=trials)
-        return zero, zero
-    sums_n: list[float] = []
-    sums_f: list[float] = []
-    sqsums_n: list[float] = []
-    sqsums_f: list[float] = []
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        gain_n, gain_f = gain_samples(cfg, seed, start, n)
+
+    def rate_sums(p: float, gain_n: np.ndarray, gain_f: np.ndarray) -> tuple[float, ...]:
         _, snr_n, sinr_f = _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n, gain_f)
         val_n = kappa_t * np.log1p(snr_n) / _LN2
         val_f = kappa_t * np.log1p(sinr_f) / _LN2
-        sums_n.append(float(np.sum(val_n)))
-        sums_f.append(float(np.sum(val_f)))
-        sqsums_n.append(float(np.sum(val_n * val_n)))
-        sqsums_f.append(float(np.sum(val_f * val_f)))
-    return (
-        _mean_estimate(math.fsum(sums_n), math.fsum(sqsums_n), trials),
-        _mean_estimate(math.fsum(sums_f), math.fsum(sqsums_f), trials),
-    )
+        sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
+        return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
+
+    estimates = []
+    for blocks in _per_block(cfg, mode, powers, trials, seed, rate_sums, (0.0,) * 4):
+        sum_n, sum_f, sq_n, sq_f = (math.fsum(column) for column in zip(*blocks))
+        estimates.append((_mean_estimate(sum_n, sq_n, trials), _mean_estimate(sum_f, sq_f, trials)))
+    return estimates
 
 
 def _mean_estimate(total: float, sq_total: float, trials: int) -> EstimateWithError:

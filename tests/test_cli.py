@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from noma_isac import cli
 from noma_isac.cli import dump_config, load_config_file, main
 from noma_isac.config import baseline_config
 
@@ -131,13 +132,30 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         (["sensing", "--snr-db-step", "inf"], "--snr-db-step"),
         (["outage", "--snr-db-step", "nan"], "--snr-db-step"),
         (["outage", "--trials", "-1"], "--trials"),
+        (["selftest", "--trials", "0"], "--trials"),
+        (["outage", "--workers", "0"], "--workers"),
+        (["ecr", "--workers", "-3", "--trials", "10"], "--workers"),
+        # 10**308 is finite, but the sensing SNR (1 - mu) * p * L overflows.
+        (["sensing", "--snr-db-min", "3080", "--snr-db-max", "3080"], "--snr-db-max"),
+        (["sensing", "--snr-db-min", "3000", "--snr-db-step", "40", "--snr-db-max", "3080"],
+         "--snr-db-max"),
+        (["region", "--p-db", "3080", "--grid-n", "5"], "--p-db"),
     ],
 )
 def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
     rc = main([argv[0], "--config", cfg_file, *argv[1:]])
     assert rc == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+def test_ecr_at_largest_finite_power_succeeds(cfg_file, tmp_path):
+    out = tmp_path / "ecr.csv"
+    argv = ["ecr", "--config", cfg_file, "--snr-db-min", "3080", "--snr-db-max", "3080"]
+    assert main(argv + ["--output", str(out)]) == 0
+    _, rows, _ = _read_csv(out)
+    assert all(math.isfinite(float(v)) for v in rows[0].values())
 
 
 def test_region_at_tiny_power_succeeds(cfg_file, tmp_path):
@@ -338,27 +356,61 @@ def test_region_json_document(cfg_file, tmp_path):
 # -------------------------------------------------------------- determinism
 
 def test_outputs_are_byte_deterministic(cfg_file, tmp_path):
+    # Seven points: two and four workers give uneven slices of the grid.
     args = [
         "outage", "--config", cfg_file, "--trials", "30000", "--seed", "4",
-        "--snr-db-max", "15",
+        "--snr-db-max", "30",
     ]
-    paths = [tmp_path / f"o{i}.csv" for i in range(3)]
-    main(args + ["--output", str(paths[0]), "--workers", "1"])
-    main(args + ["--output", str(paths[1]), "--workers", "1"])
-    main(args + ["--output", str(paths[2]), "--workers", "3"])
+    paths = [tmp_path / f"o{i}.csv" for i in range(4)]
+    for path, workers in zip(paths, ("1", "1", "2", "4")):
+        assert main(args + ["--output", str(path), "--workers", workers]) == 0
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0].count(b"\n") == 1 + 7
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
 def test_json_outputs_are_byte_deterministic(cfg_file, tmp_path):
     args = [
         "ecr", "--config", cfg_file, "--trials", "10000", "--seed", "12",
-        "--snr-db-max", "10", "--format", "json",
+        "--snr-db-max", "30", "--format", "json",
     ]
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    main(args + ["--output", str(p1)])
-    main(args + ["--output", str(p2), "--workers", "2"])
-    assert p1.read_bytes() == p2.read_bytes()
+    paths = [tmp_path / f"e{workers}.json" for workers in ("1", "2", "4")]
+    for path, workers in zip(paths, ("1", "2", "4")):
+        assert main(args + ["--output", str(path), "--workers", workers]) == 0
+    assert len(json.loads(paths[0].read_text(encoding="utf-8"))["rows"]) == 7
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+class _InlinePool:
+    # Stands in for ProcessPoolExecutor: records max_workers, starts nothing.
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,started", [(1, []), (2, [2]), (3, [3]), (50, [3])])
+def test_workers_start_at_most_one_process_per_point(
+    cfg_file, tmp_path, monkeypatch, workers, started
+):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    args = ["ecr", "--config", cfg_file, "--trials", "2000", "--snr-db-max", "10"]
+    serial, sliced = tmp_path / "serial.csv", tmp_path / "sliced.csv"
+    assert main(args + ["--output", str(serial)]) == 0
+    assert _InlinePool.sizes == []
+    assert main(args + ["--output", str(sliced), "--workers", str(workers)]) == 0
+    assert _InlinePool.sizes == started
+    assert sliced.read_bytes() == serial.read_bytes()
 
 
 def test_csv_uses_twelve_significant_digits(cfg_file, tmp_path):

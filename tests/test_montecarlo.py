@@ -71,11 +71,10 @@ def test_sinr_ceilings_hold_on_random_draws():
 # --------------------------------------------------------------- estimators
 
 def test_estimate_outage_matches_closed_form():
-    for snr_db in (0.0, 10.0, 20.0, 30.0):
-        p = db_to_linear(snr_db)
-        for mode in (ISAC, HALF_SPLIT):
+    powers = [db_to_linear(snr_db) for snr_db in (0.0, 10.0, 20.0, 30.0)]
+    for mode in (ISAC, HALF_SPLIT):
+        for p, est in zip(powers, estimate_outage(CFG, mode, powers, trials=1_000_000, seed=404)):
             exact = outage_probability(CFG, mode, p)
-            est = estimate_outage(CFG, mode, p, trials=1_000_000, seed=404)
             for value, emp in zip(exact, est):
                 se = math.sqrt(value * (1.0 - value) / emp.trials)
                 assert abs(value - emp.value) <= 3.0 * se
@@ -85,7 +84,8 @@ def test_estimate_outage_infeasible_is_exactly_one():
     cfg = dataclasses.replace(CFG, alpha_n=0.45, alpha_f=0.55, target_rate_f=2.0)
     assert not thresholds(cfg, ISAC).feasible
     for seed in (1, 2, 3):
-        est_n, est_f = estimate_outage(cfg, ISAC, db_to_linear(20.0), trials=20_000, seed=seed)
+        p = db_to_linear(20.0)
+        [(est_n, est_f)] = estimate_outage(cfg, ISAC, [p], trials=20_000, seed=seed)
         assert est_n.value == 1.0 and est_n.std_error == 0.0
         assert est_f.value == 1.0 and est_f.std_error == 0.0
 
@@ -95,7 +95,7 @@ def test_estimate_outage_zero_power_split_is_exactly_one():
     # are zero, as in the closed form.
     cfg = dataclasses.replace(CFG, target_rate_n=0.0, target_rate_f=0.0)
     mode = fdsac(0.5, 0.0)
-    est_n, est_f = estimate_outage(cfg, mode, db_to_linear(10.0), trials=5_000, seed=3)
+    [(est_n, est_f)] = estimate_outage(cfg, mode, [db_to_linear(10.0)], trials=5_000, seed=3)
     assert (est_n.value, est_f.value) == (1.0, 1.0)
     assert est_n.std_error == 0.0 and est_f.std_error == 0.0
     assert (est_n.value, est_f.value) == outage_probability(cfg, mode, db_to_linear(10.0))
@@ -105,13 +105,13 @@ def test_estimate_outage_overflowing_threshold_is_exactly_one():
     # 2**(2/0.001) overflows: the threshold is +inf and the estimator still
     # evaluates every decoding event against it.
     cfg = dataclasses.replace(CFG, target_rate_f=2.0)
-    est_n, est_f = estimate_outage(cfg, fdsac(0.001, 0.5), 1e6, trials=5_000, seed=3)
+    [(est_n, est_f)] = estimate_outage(cfg, fdsac(0.001, 0.5), [1e6], trials=5_000, seed=3)
     assert (est_n.value, est_f.value) == (1.0, 1.0)
     assert est_n.std_error == 0.0 and est_f.std_error == 0.0
 
 
 def test_estimate_outage_binomial_stderr():
-    est_n, est_f = estimate_outage(CFG, ISAC, db_to_linear(10.0), trials=50_000, seed=5)
+    [(est_n, est_f)] = estimate_outage(CFG, ISAC, [db_to_linear(10.0)], trials=50_000, seed=5)
     for est in (est_n, est_f):
         assert est.trials == 50_000
         assert est.std_error == pytest.approx(
@@ -121,12 +121,40 @@ def test_estimate_outage_binomial_stderr():
 
 def test_estimate_outage_deterministic_and_chunk_invariant(monkeypatch):
     p = db_to_linear(15.0)
-    ref = estimate_outage(CFG, ISAC, p, trials=123_457, seed=77)
-    again = estimate_outage(CFG, ISAC, p, trials=123_457, seed=77)
+    ref = estimate_outage(CFG, ISAC, [p], trials=123_457, seed=77)
+    again = estimate_outage(CFG, ISAC, [p], trials=123_457, seed=77)
     assert ref == again
     monkeypatch.setattr(mc, "_CHUNK", 1000)
-    chunked = estimate_outage(CFG, ISAC, p, trials=123_457, seed=77)
+    chunked = estimate_outage(CFG, ISAC, [p], trials=123_457, seed=77)
     assert chunked == ref
+
+
+@pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
+@pytest.mark.parametrize(
+    "mode", [ISAC, HALF_SPLIT, fdsac(0.5, 0.0)], ids=["isac", "split", "no_power"]
+)
+def test_grid_call_equals_per_power_calls(monkeypatch, estimator, mode):
+    # 2500 trials in blocks of 1000: three blocks, the last one partial.
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    powers = [db_to_linear(snr_db) for snr_db in (0.0, 7.5, 15.0, 40.0)]
+    grid = estimator(CFG, mode, powers, trials=2500, seed=19)
+    assert grid == [estimator(CFG, mode, [p], trials=2500, seed=19)[0] for p in powers]
+    assert estimator(CFG, mode, powers[::-1], trials=2500, seed=19) == grid[::-1]
+
+
+@pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
+@pytest.mark.parametrize("mode,blocks", [(ISAC, 3), (HALF_SPLIT, 3), (fdsac(0.0, 0.5), 0)])
+def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks):
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    draws = []
+
+    def counting(cfg, seed, start, count):
+        draws.append((start, count))
+        return gain_samples(cfg, seed, start, count)
+
+    monkeypatch.setattr(mc, "gain_samples", counting)
+    estimator(CFG, mode, [db_to_linear(snr_db) for snr_db in range(0, 45, 5)], trials=2500, seed=3)
+    assert draws == [(0, 1000), (1000, 1000), (2000, 500)][:blocks]
 
 
 def test_estimate_outage_single_threshold_reduction():
@@ -147,7 +175,7 @@ def test_estimate_ecr_matches_closed_form_and_ceiling():
     from noma_isac.analytic import ergodic_rates
 
     p = db_to_linear(20.0)
-    est_n, est_f = estimate_ecr(CFG, ISAC, p, trials=500_000, seed=505)
+    [(est_n, est_f)] = estimate_ecr(CFG, ISAC, [p], trials=500_000, seed=505)
     exact_n, exact_f = ergodic_rates(CFG, ISAC, p)
     assert abs(est_n.value - exact_n) <= max(3.0 * est_n.std_error, 1e-2)
     assert abs(est_f.value - exact_f) <= max(3.0 * est_f.std_error, 1e-2)
@@ -155,40 +183,40 @@ def test_estimate_ecr_matches_closed_form_and_ceiling():
 
 
 def test_estimate_ecr_vanishes_at_low_power():
-    est_n, est_f = estimate_ecr(CFG, ISAC, 1e-9, trials=10_000, seed=6)
+    [(est_n, est_f)] = estimate_ecr(CFG, ISAC, [1e-9], trials=10_000, seed=6)
     assert 0.0 < est_n.value < 1e-7
     assert 0.0 < est_f.value < 1e-7
 
 
 def test_estimate_ecr_deterministic(monkeypatch):
     p = db_to_linear(20.0)
-    ref = estimate_ecr(CFG, ISAC, p, trials=100_000, seed=88)
-    assert estimate_ecr(CFG, ISAC, p, trials=100_000, seed=88) == ref
+    [ref] = estimate_ecr(CFG, ISAC, [p], trials=100_000, seed=88)
+    assert estimate_ecr(CFG, ISAC, [p], trials=100_000, seed=88) == [ref]
     monkeypatch.setattr(mc, "_CHUNK", 9973)
-    chunked = estimate_ecr(CFG, ISAC, p, trials=100_000, seed=88)
+    [chunked] = estimate_ecr(CFG, ISAC, [p], trials=100_000, seed=88)
     for a, b in zip(ref, chunked):
         assert b.value == pytest.approx(a.value, rel=1e-12)
         assert b.std_error == pytest.approx(a.std_error, rel=1e-9)
 
 
 def test_estimators_with_degenerate_splits():
-    est_n, est_f = estimate_outage(CFG, fdsac(0.0, 0.5), 10.0, trials=100, seed=1)
+    [(est_n, est_f)] = estimate_outage(CFG, fdsac(0.0, 0.5), [10.0], trials=100, seed=1)
     assert est_n.value == 1.0 and est_f.value == 1.0
-    est_n, est_f = estimate_ecr(CFG, fdsac(0.0, 0.5), 10.0, trials=100, seed=1)
+    [(est_n, est_f)] = estimate_ecr(CFG, fdsac(0.0, 0.5), [10.0], trials=100, seed=1)
     assert est_n.value == 0.0 and est_f.value == 0.0
-    est_n, est_f = estimate_outage(CFG, fdsac(0.5, 0.0), 10.0, trials=100, seed=1)
+    [(est_n, est_f)] = estimate_outage(CFG, fdsac(0.5, 0.0), [10.0], trials=100, seed=1)
     assert est_n.value == 1.0 and est_f.value == 1.0
-    est_n, est_f = estimate_ecr(CFG, fdsac(0.5, 0.0), 10.0, trials=100, seed=1)
+    [(est_n, est_f)] = estimate_ecr(CFG, fdsac(0.5, 0.0), [10.0], trials=100, seed=1)
     assert est_n.value == 0.0 and est_f.value == 0.0
 
 
 def test_estimator_argument_errors():
     with pytest.raises(ValueError):
-        estimate_outage(CFG, ISAC, 10.0, trials=0, seed=1)
+        estimate_outage(CFG, ISAC, [10.0], trials=0, seed=1)
     with pytest.raises(ValueError):
-        estimate_ecr(CFG, ISAC, 10.0, trials=0, seed=1)
+        estimate_ecr(CFG, ISAC, [10.0], trials=0, seed=1)
     with pytest.raises(ValueError):
-        estimate_outage(CFG, ISAC, 0.0, trials=10, seed=1)
+        estimate_outage(CFG, ISAC, [0.0], trials=10, seed=1)
 
 
 # ----------------------------------------------------- sensing MI identity

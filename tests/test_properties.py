@@ -71,6 +71,6 @@ def test_no_communication_resources_means_certain_outage(cfg, fraction, no_bandw
     p = db_to_linear(snr_db)
     assert not thresholds(cfg, mode).feasible
     assert outage_probability(cfg, mode, p) == (1.0, 1.0)
-    est_n, est_f = estimate_outage(cfg, mode, p, trials=200, seed=7)
+    [(est_n, est_f)] = estimate_outage(cfg, mode, [p], trials=200, seed=7)
     assert (est_n.value, est_f.value) == (1.0, 1.0)
     assert est_n.std_error == est_f.std_error == 0.0
