@@ -35,7 +35,7 @@ from .montecarlo import (
     sensing_mi_reduced,
 )
 from .region import containment_check, fdsac_frontier, isac_corner
-from .specfun import EULER_GAMMA, exp_int_ei, log2_det_i_plus_scaled
+from .specfun import EULER_GAMMA, _elementwise, exp_int_ei, log2_det_i_plus_scaled
 
 DEFAULT_SEED = 20240801
 SNR_GRID_DB = tuple(range(0, 45, 5))
@@ -54,6 +54,11 @@ def _modes():
     return (("isac", ISAC), ("fdsac", fdsac(SPLIT_KAPPA, SPLIT_MU)))
 
 
+def _estimate_fields(estimates, field: str) -> np.ndarray:
+    # One field of per-power (near, far) estimates, as a (2, powers) array.
+    return np.array([[getattr(e, field) for e in pair] for pair in estimates]).T
+
+
 def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckResult:
     """Closed-form outage against the event-level estimator, 3-sigma bands.
 
@@ -62,13 +67,14 @@ def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> Check
     """
     worst = 0.0
     checks = 0
-    powers = [db_to_linear(snr_db) for snr_db in SNR_GRID_DB]
+    powers = db_to_linear(SNR_GRID_DB)
     for _, mode in _modes():
-        for p, est in zip(powers, estimate_outage(cfg, mode, powers, trials, seed)):
-            for value, emp in zip(outage_probability(cfg, mode, p), est):
-                se = math.sqrt(value * (1.0 - value) / trials)
-                worst = max(worst, abs(value - emp.value) / se)
-                checks += 1
+        value = np.array(outage_probability(cfg, mode, powers))
+        emp = _estimate_fields(estimate_outage(cfg, mode, powers.tolist(), trials, seed), "value")
+        se = np.sqrt(value * (1.0 - value) / trials)
+        with np.errstate(divide="raise", invalid="raise"):  # a certain outage has se = 0
+            worst = max(worst, float(np.max(np.abs(value - emp) / se)))
+        checks += value.size
     return CheckResult(
         name="outage closed form vs monte carlo",
         passed=worst <= 3.0,
@@ -80,13 +86,13 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
     """Closed-form ergodic rates against sample means, max(3 SE, 1e-2) bands."""
     worst = -math.inf
     checks = 0
-    powers = [db_to_linear(snr_db) for snr_db in SNR_GRID_DB]
+    powers = db_to_linear(SNR_GRID_DB)
     for _, mode in _modes():
-        for p, est in zip(powers, estimate_ecr(cfg, mode, powers, trials, seed)):
-            for value, emp in zip(ergodic_rates(cfg, mode, p), est):
-                tol = max(3.0 * emp.std_error, 1e-2)
-                worst = max(worst, abs(value - emp.value) - tol)
-                checks += 1
+        value = np.array(ergodic_rates(cfg, mode, powers))
+        estimates = estimate_ecr(cfg, mode, powers.tolist(), trials, seed)
+        tol = np.maximum(3.0 * _estimate_fields(estimates, "std_error"), 1e-2)
+        worst = max(worst, float(np.max(np.abs(value - _estimate_fields(estimates, "value")) - tol)))
+        checks += value.size
     return CheckResult(
         name="ergodic rate closed form vs monte carlo",
         passed=worst <= 0.0,
@@ -96,17 +102,14 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
 
 def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
     """Log-log outage slopes over 30-40 dB match diversity orders 2 and 1."""
-    grid_db = [30.0 + i for i in range(11)]
+    grid_db = 30.0 + np.arange(11.0)
     results = []
     for _, mode in _modes():
-        pts_n = []
-        pts_f = []
-        for snr_db in grid_db:
-            p = db_to_linear(snr_db)
-            pn, pf = outage_probability(cfg, mode, p)
-            pts_n.append((snr_db / 10.0, math.log10(pn)))
-            pts_f.append((snr_db / 10.0, math.log10(pf)))
-        results.append((estimate_slope(pts_n), estimate_slope(pts_f)))
+        pn, pf = outage_probability(cfg, mode, db_to_linear(grid_db))
+        results.append(tuple(
+            estimate_slope(np.column_stack((grid_db / 10.0, _elementwise(math.log10, pout))))
+            for pout in (pn, pf)
+        ))
     ok = all(
         -2.15 <= slope_n <= -1.85 and -1.1 <= slope_f <= -0.9
         for slope_n, slope_f in results
@@ -121,17 +124,11 @@ def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
 
 def check_high_snr_slopes(cfg: SystemConfig) -> CheckResult:
     """Rate gains over a 4x power step at 34->40 dB match the slope table."""
-    p_lo = db_to_linear(34.0)
-    p_hi = db_to_linear(40.0)
+    powers = db_to_linear([34.0, 40.0])
     slopes = {}
     for tag, mode in _modes():
-        lo = ergodic_rates(cfg, mode, p_lo)
-        hi = ergodic_rates(cfg, mode, p_hi)
-        slopes[tag] = (
-            (hi[0] - lo[0]) / 2.0,
-            (hi[1] - lo[1]) / 2.0,
-            (sum(hi) - sum(lo)) / 2.0,
-        )
+        ecr_n, ecr_f = ergodic_rates(cfg, mode, powers)
+        slopes[tag] = tuple(float(hi - lo) / 2.0 for lo, hi in (ecr_n, ecr_f, ecr_n + ecr_f))
     ok = (
         0.95 <= slopes["isac"][0] <= 1.05
         and 0.45 <= slopes["fdsac"][0] <= 0.55

@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
-from .specfun import EULER_GAMMA, log2_det_i_plus_scaled, psi_term
+from .specfun import EULER_GAMMA, _elementwise, _float_or_array, log2_det_i_plus_scaled, psi_term
 
 _LN2 = math.log(2.0)
+
+#: A float, or an array of them that the result follows elementwise.
+_Floats = float | np.ndarray
+
+# libm per element; numpy's vectorised versions may differ in the last place.
+_expm1 = partial(_elementwise, math.expm1)
+_log2 = partial(_elementwise, math.log2)
 
 
 @dataclass(frozen=True)
@@ -77,140 +85,139 @@ def thresholds(cfg: SystemConfig, mode: Mode) -> Thresholds:
     )
 
 
-def outage_probability(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, float]:
+def outage_probability(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floats, _Floats]:
     """Exact outage probabilities (near user, far user) at transmit power p.
 
     P_N = (1 - e^{-chi1*theta/p})(1 - e^{-chi2*theta/p}) and
     P_F = 1 - e^{-chi3*vartheta/p} on the feasible branch; (1, 1) otherwise.
+    Elementwise over an array of powers; a float p gives floats.
     """
-    check_power(p)
+    p = check_power(p)
     th = thresholds(cfg, mode)
     if not th.feasible:
-        return 1.0, 1.0
+        return _float_or_array(np.ones(p.shape)), _float_or_array(np.ones(p.shape))
     chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
-    p_out_n = -math.expm1(-chi1 * th.theta / p) * -math.expm1(-chi2 * th.theta / p)
-    p_out_f = -math.expm1(-chi3 * th.vartheta / p)
-    return p_out_n, p_out_f
+    p_out_n = -_expm1(-chi1 * th.theta / p) * -_expm1(-chi2 * th.theta / p)
+    p_out_f = -_expm1(-chi3 * th.vartheta / p)
+    return _float_or_array(p_out_n), _float_or_array(p_out_f)
 
 
-def outage_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, float]:
-    """High-SNR outage approximations chi1*chi2*theta^2/p^2 and chi3*vartheta/p."""
-    check_power(p)
+def outage_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floats, _Floats]:
+    """High-SNR outage approximations chi1*chi2*theta^2/p^2 and chi3*vartheta/p.
+
+    Raises OverflowError where p^2 overflows."""
+    p = check_power(p)
     th = thresholds(cfg, mode)
     if not th.feasible:
         raise ValueError("asymptote undefined")
     chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
-    p_out_n = chi1 * chi2 * th.theta**2 / p**2
+    p_out_n = chi1 * chi2 * th.theta**2 / _elementwise(lambda x: x**2, p)
     p_out_f = chi3 * th.vartheta / p
-    return p_out_n, p_out_f
+    return _float_or_array(p_out_n), _float_or_array(p_out_f)
 
 
-def ergodic_rates(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, float]:
+def ergodic_rates(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floats, _Floats]:
     """Exact ergodic rates (near user, far user) in bits/s/Hz."""
     ecr_n, ecr_f = split_ergodic_rates(cfg, *comm_factors(mode), p)
-    return float(ecr_n), float(ecr_f)
+    return _float_or_array(ecr_n), _float_or_array(ecr_f)
 
 
 def split_ergodic_rates(
-    cfg: SystemConfig, kappa: float | np.ndarray, mu: float | np.ndarray, p: float
+    cfg: SystemConfig, kappa: _Floats, mu: _Floats, p: _Floats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ergodic rates (near user, far user) with fractions kappa of the
     band and mu of the power given to communications.
 
     R_N = kappa/ln2 * (psi3 - psi2 - psi1) with psi_b evaluated at scale
     alpha_n*p; R_F subtracts the same kernel at scale p from psi3.  Broadcasts
-    over arrays of kappa and mu; zero where either is zero.
+    over arrays of kappa, mu and p; zero where kappa or mu is zero.
     """
-    check_power(p)
-    kappa, mu = np.broadcast_arrays(kappa, mu)
+    kappa, mu, p = np.broadcast_arrays(kappa, mu, check_power(p))
     ecr_n = np.zeros(kappa.shape)
     ecr_f = np.zeros(kappa.shape)
     on = has_comm_resources(kappa, mu)
-    kappa_on = kappa[on]
+    kappa_on, p_on = kappa[on], p[on]
     chi1, chi2, chi3 = _chis(cfg, kappa_on, mu[on])
-    scale_n = cfg.alpha_n * p
+    scale_n = cfg.alpha_n * p_on
     psi3 = psi_term(chi3, scale_n)
     ecr_n[on] = kappa_on / _LN2 * (psi3 - psi_term(chi2, scale_n) - psi_term(chi1, scale_n))
-    ecr_f[on] = kappa_on / _LN2 * (psi3 - psi_term(chi3, p))
+    ecr_f[on] = kappa_on / _LN2 * (psi3 - psi_term(chi3, p_on))
     return ecr_n, ecr_f
 
 
-def ergodic_rates_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, float]:
+def ergodic_rates_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floats, _Floats]:
     """High-SNR ergodic-rate approximations.
 
     The near-user asymptote grows like kappa_t*log2(p); the far-user one is
     the constant interference ceiling -kappa_t*log2(alpha_n).
     """
-    check_power(p)
+    p = check_power(p)
     kappa_t, mu_t = comm_factors(mode)
     if not has_comm_resources(kappa_t, mu_t):
-        return 0.0, 0.0
+        return _float_or_array(np.zeros(p.shape)), _float_or_array(np.zeros(p.shape))
     offset = kappa_t * cfg.sigma2_c / (mu_t * cfg.alpha_n * (cfg.rho1 + cfg.rho2))
-    ecr_n = kappa_t * math.log2(p) - kappa_t * EULER_GAMMA / _LN2 - kappa_t * math.log2(offset)
-    ecr_f = -kappa_t * math.log2(cfg.alpha_n)
-    return ecr_n, ecr_f
+    ecr_n = kappa_t * _log2(p) - kappa_t * EULER_GAMMA / _LN2 - kappa_t * math.log2(offset)
+    ecr_f = np.full(p.shape, -kappa_t * math.log2(cfg.alpha_n))
+    return _float_or_array(ecr_n), _float_or_array(ecr_f)
 
 
-def sensing_rate(cfg: SystemConfig, mode: Mode, p: float) -> float:
+def _sensing_split(mode: Mode) -> tuple[float, float]:
+    # Integrated mode spreads the full power over the whole band: the
+    # frequency-division expressions with nothing given to communications.
+    return (0.0, 0.0) if mode.is_isac else (mode.split.kappa, mode.split.mu)
+
+
+def sensing_rate(cfg: SystemConfig, mode: Mode, p: _Floats) -> _Floats:
     """Sensing rate in bits/s/Hz.
 
-    Integrated mode spreads the full power over the whole band, which is the
-    frequency-division expression with nothing given to communications
-    (kappa = mu = 0), bit for bit.
+    Integrated mode is the frequency-division expression at kappa = mu = 0,
+    bit for bit.
     """
-    kappa, mu = (0.0, 0.0) if mode.is_isac else (mode.split.kappa, mode.split.mu)
-    return float(split_sensing_rate(cfg, kappa, mu, p))
+    return _float_or_array(split_sensing_rate(cfg, *_sensing_split(mode), p))
 
 
-def split_sensing_rate(
-    cfg: SystemConfig, kappa: float | np.ndarray, mu: float | np.ndarray, p: float
-) -> np.ndarray:
+def split_sensing_rate(cfg: SystemConfig, kappa: _Floats, mu: _Floats, p: _Floats) -> np.ndarray:
     """Sensing rate with fractions kappa of the band and mu of the power given
     to communications, and the rest to sensing.
 
     (1-kappa)/L * sum_a log2(1 + (1-mu)*p*L*lambda_a/((1-kappa)*sigma2_s)).
-    Broadcasts over arrays of kappa and mu; at kappa = 1 the continuous
+    Broadcasts over arrays of kappa, mu and p; at kappa = 1 the continuous
     limit is zero.  Raises FloatingPointError where the sensing SNR overflows.
     """
-    check_power(p)
-    kappa, mu = np.broadcast_arrays(kappa, mu)
+    kappa, mu, p = np.broadcast_arrays(kappa, mu, check_power(p))
     big_l = cfg.frame_length
     rate = np.zeros(kappa.shape)
     on = kappa != 1.0
     kappa_s = 1.0 - kappa[on]
     with np.errstate(over="raise"):
-        c = (1.0 - mu[on]) * p * big_l / (kappa_s * cfg.sigma2_s)
+        c = (1.0 - mu[on]) * p[on] * big_l / (kappa_s * cfg.sigma2_s)
         rate[on] = kappa_s * log2_det_i_plus_scaled(c, cfg.sensing_eigenvalues) / big_l
     return rate
 
 
-def sensing_rate_asymptotic(cfg: SystemConfig, mode: Mode, p: float) -> float:
+def sensing_rate_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> _Floats:
     """High-SNR sensing-rate approximation over the positive eigenvalues.
 
-    Slope in log2(p) is r/L for the integrated mode and (1-kappa)*r/L under
-    frequency division.  Degenerate splits with no sensing resource return
-    the exact zero rate.
+    Slope in log2(p) is (1-kappa)*r/L, which is r/L for the integrated mode
+    (kappa = mu = 0).  Degenerate splits with no sensing resource return the
+    exact zero rate.
     """
-    check_power(p)
+    p = check_power(p)
+    kappa, mu = _sensing_split(mode)
     lam = [v for v in cfg.sensing_eigenvalues if v > 0.0]
     r = len(lam)
     big_l = cfg.frame_length
-    if r == 0:
-        return 0.0
-    if mode.is_isac:
-        const = math.fsum(math.log2(big_l * v / cfg.sigma2_s) for v in sorted(lam))
-        return r / big_l * math.log2(p) + const / big_l
-    kappa, mu = mode.split.kappa, mode.split.mu
-    if kappa == 1.0 or mu == 1.0:
-        return 0.0
+    if r == 0 or kappa == 1.0 or mu == 1.0:
+        return _float_or_array(np.zeros(p.shape))
     const = math.fsum(
         math.log2((1.0 - mu) * v * big_l / ((1.0 - kappa) * cfg.sigma2_s))
         for v in sorted(lam)
     )
-    return (1.0 - kappa) * r / big_l * math.log2(p) + (1.0 - kappa) * const / big_l
+    slope = (1.0 - kappa) * r / big_l
+    return _float_or_array(slope * _log2(p) + (1.0 - kappa) * const / big_l)
 
 
-def sum_rate(cfg: SystemConfig, mode: Mode, p: float) -> float:
+def sum_rate(cfg: SystemConfig, mode: Mode, p: _Floats) -> _Floats:
     """Sum ergodic communication rate of the user pair."""
     ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
     return ecr_n + ecr_f

@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .analytic import (
     ergodic_rates,
     ergodic_rates_asymptotic,
@@ -166,31 +168,22 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _json_ready(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    return value
-
-
 def _write_table(
     output: str,
     fmt: str,
-    fieldnames: Sequence[str],
-    rows: Sequence[dict],
+    columns: dict[str, Sequence | np.ndarray],
     metadata: dict,
     trailer: Optional[str] = None,
 ) -> None:
+    """Write equal-length named columns as a CSV or JSON table, in key order."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
     if fmt == "csv":
-        lines = [",".join(fieldnames)]
-        for row in rows:
-            lines.append(",".join([_cell(row.get(name)) for name in fieldnames]))
+        lines = [",".join(columns), *(",".join(map(_cell, row)) for row in rows)]
         if trailer:
             lines.append("# " + trailer)
         text = "\n".join(lines) + "\n"
     else:
-        doc = {"metadata": _json_ready(metadata), "rows": [_json_ready(r) for r in rows]}
+        doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output == "-":
         sys.stdout.write(text)
@@ -238,7 +231,7 @@ def _snr_grid(args: argparse.Namespace) -> list[float]:
     if not 0.0 < args.snr_db_step < math.inf:
         raise ValueError("--snr-db-step must be positive and finite")
     count = int(math.floor((args.snr_db_max - args.snr_db_min) / args.snr_db_step + 1e-9)) + 1
-    return [args.snr_db_min + i * args.snr_db_step for i in range(count)]
+    return (args.snr_db_min + np.arange(count) * args.snr_db_step).tolist()
 
 
 def _mode_from_args(args: argparse.Namespace) -> Mode:
@@ -247,44 +240,31 @@ def _mode_from_args(args: argparse.Namespace) -> Mode:
     return fdsac(args.kappa, args.mu)
 
 
-def _outage_closed_forms(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, ...]:
-    pn, pf = outage_probability(cfg, mode, p)
-    an, af = outage_asymptotic(cfg, mode, p) if thresholds(cfg, mode).feasible else (1.0, 1.0)
-    return pn, pf, an, af
-
-
-def _ecr_closed_forms(cfg: SystemConfig, mode: Mode, p: float) -> tuple[float, ...]:
-    ecr_n, ecr_f = ergodic_rates(cfg, mode, p)
-    return (ecr_n, ecr_f, ecr_n + ecr_f, *ergodic_rates_asymptotic(cfg, mode, p))
-
-
-_CLOSED_COLUMNS = {
-    "outage": ("pout_n_analytic", "pout_f_analytic", "pout_n_asym", "pout_f_asym"),
-    "ecr": ("ecr_n_analytic", "ecr_f_analytic", "ecr_sum_analytic", "ecr_n_asym", "ecr_f_asym"),
-}
 _MC_COLUMNS = {
     "outage": ("pout_n_mc", "pout_f_mc", "mc_stderr_n", "mc_stderr_f"),
     "ecr": ("ecr_n_mc", "ecr_f_mc", "mc_stderr_n", "mc_stderr_f"),
 }
 
 
-def _sweep_rows(task) -> list[dict]:
-    """Rows of one contiguous slice of the dB grid: closed forms point by
-    point, Monte Carlo columns from one estimator call over the slice."""
-    command, cfg, mode, grid, trials, seed = task
-    powers = [db_to_linear(snr_db) for snr_db in grid]
-    closed_forms = _outage_closed_forms if command == "outage" else _ecr_closed_forms
-    columns = _CLOSED_COLUMNS[command]
-    rows = [
-        {"snr_db": snr_db, **dict(zip(columns, closed_forms(cfg, mode, p)))}
-        for snr_db, p in zip(grid, powers)
-    ]
-    if trials > 0:
-        estimator = estimate_outage if command == "outage" else estimate_ecr
-        for row, (est_n, est_f) in zip(rows, estimator(cfg, mode, powers, trials, seed)):
-            mc = (est_n.value, est_f.value, est_n.std_error, est_f.std_error)
-            row.update(zip(_MC_COLUMNS[command], mc))
-    return rows
+def _mc_cells(task) -> list[tuple[float, float, float, float]]:
+    """(near, far, near SE, far SE) Monte Carlo cells of one contiguous slice
+    of the power grid, from one estimator call."""
+    command, cfg, mode, powers, trials, seed = task
+    estimator = estimate_outage if command == "outage" else estimate_ecr
+    estimates = estimator(cfg, mode, powers, trials, seed)
+    return [(n.value, f.value, n.std_error, f.std_error) for n, f in estimates]
+
+
+def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np.ndarray) -> dict:
+    if command == "outage":
+        feasible = thresholds(cfg, mode).feasible
+        asym = outage_asymptotic(cfg, mode, powers) if feasible else (np.ones(powers.size),) * 2
+        names = ("pout_n_analytic", "pout_f_analytic", "pout_n_asym", "pout_f_asym")
+        return dict(zip(names, (*outage_probability(cfg, mode, powers), *asym)))
+    ecr_n, ecr_f = ergodic_rates(cfg, mode, powers)
+    asym = ergodic_rates_asymptotic(cfg, mode, powers)
+    names = ("ecr_n_analytic", "ecr_f_analytic", "ecr_sum_analytic", "ecr_n_asym", "ecr_f_asym")
+    return dict(zip(names, (ecr_n, ecr_f, ecr_n + ecr_f, *asym)))
 
 
 def _sweep_command(command: str, args: argparse.Namespace) -> int:
@@ -302,32 +282,28 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
             "or zero communication resources); outage probability is 1",
             file=sys.stderr,
         )
-    # At most --workers contiguous slices of the grid, one process each.
-    n_slices = min(args.workers, len(grid))
-    bounds = [len(grid) * i // n_slices for i in range(n_slices + 1)]
-    tasks = [
-        (command, cfg, mode, grid[lo:hi], args.trials, args.seed)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    if n_slices == 1:
-        rows = _sweep_rows(tasks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=n_slices) as pool:
-            rows = [row for part in pool.map(_sweep_rows, tasks) for row in part]
-    fieldnames = ["snr_db", *_CLOSED_COLUMNS[command]]
-    if args.trials > 0:
-        fieldnames += list(_MC_COLUMNS[command])
+    powers = db_to_linear(grid)
+    with _named_power("--snr-db-max", args.snr_db_max):
+        columns = {"snr_db": grid, **_closed_form_columns(command, cfg, mode, powers)}
+        if args.trials > 0:
+            # At most --workers contiguous slices of the grid, one process each.
+            n_slices = min(args.workers, len(grid))
+            bounds = [len(grid) * i // n_slices for i in range(n_slices + 1)]
+            tasks = [
+                (command, cfg, mode, powers[lo:hi].tolist(), args.trials, args.seed)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            if n_slices == 1:
+                cells = _mc_cells(tasks[0])
+            else:
+                with ProcessPoolExecutor(max_workers=n_slices) as pool:
+                    cells = [row for part in pool.map(_mc_cells, tasks) for row in part]
+            columns.update(zip(_MC_COLUMNS[command], zip(*cells)))
+    kappa, mu = comm_factors(mode)
     meta = _metadata(
-        command,
-        cfg,
-        mode=mode.tag,
-        kappa=comm_factors(mode)[0],
-        mu=comm_factors(mode)[1],
-        snr_db=grid,
-        trials=args.trials,
-        seed=args.seed,
+        command, cfg, mode=mode.tag, kappa=kappa, mu=mu, snr_db=grid, trials=args.trials, seed=args.seed
     )
-    _write_table(args.output, args.format, fieldnames, rows, meta)
+    _write_table(args.output, args.format, columns, meta)
     return 0
 
 
@@ -343,22 +319,17 @@ def cmd_sensing(args: argparse.Namespace) -> int:
     cfg, _ = load_config_file(args.config)
     split = fdsac(args.kappa, args.mu)
     grid = _snr_grid(args)
-    rows = []
-    for snr_db in grid:
-        p = db_to_linear(snr_db)
-        with _named_power("--snr-db-max", args.snr_db_max):
-            rows.append(
-                {
-                    "snr_db": snr_db,
-                    "sr_isac": sensing_rate(cfg, ISAC, p),
-                    "sr_isac_asym": sensing_rate_asymptotic(cfg, ISAC, p),
-                    "sr_fdsac": sensing_rate(cfg, split, p),
-                    "sr_fdsac_asym": sensing_rate_asymptotic(cfg, split, p),
-                }
-            )
-    fieldnames = ["snr_db", "sr_isac", "sr_isac_asym", "sr_fdsac", "sr_fdsac_asym"]
+    powers = db_to_linear(grid)
+    with _named_power("--snr-db-max", args.snr_db_max):
+        columns = {
+            "snr_db": grid,
+            "sr_isac": sensing_rate(cfg, ISAC, powers),
+            "sr_isac_asym": sensing_rate_asymptotic(cfg, ISAC, powers),
+            "sr_fdsac": sensing_rate(cfg, split, powers),
+            "sr_fdsac_asym": sensing_rate_asymptotic(cfg, split, powers),
+        }
     meta = _metadata("sensing", cfg, kappa=args.kappa, mu=args.mu, snr_db=grid)
-    _write_table(args.output, args.format, fieldnames, rows, meta)
+    _write_table(args.output, args.format, columns, meta)
     return 0
 
 
@@ -370,16 +341,19 @@ def cmd_region(args: argparse.Namespace) -> int:
         frontier = fdsac_frontier(cfg, p, args.grid_n)
     report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
-    columns = (frontier.kappa, frontier.mu, frontier.rate_s, frontier.rate_c)
-    grid = [
-        {"kind": "grid", "kappa": kappa, "mu": mu, "rate_s": rate_s, "rate_c": rate_c}
-        for kappa, mu, rate_s, rate_c in zip(*(column.tolist() for column in columns))
-    ]
-    rows: list[dict] = [
-        {"kind": "corner", "kappa": None, "mu": None, "rate_s": corner.rate_s, "rate_c": corner.rate_c},
-        *grid,
-        *({**grid[i], "kind": "pareto"} for i in frontier.pareto.tolist()),
-    ]
+    # The corner row, every grid point, then the Pareto points again.
+    pareto = frontier.pareto
+
+    def column(values: np.ndarray, at_corner: Optional[float]) -> list:
+        return [at_corner, *values.tolist(), *values[pareto].tolist()]
+
+    columns = {
+        "kind": ["corner", *["grid"] * frontier.kappa.size, *["pareto"] * pareto.size],
+        "kappa": column(frontier.kappa, None),
+        "mu": column(frontier.mu, None),
+        "rate_s": column(frontier.rate_s, corner.rate_s),
+        "rate_c": column(frontier.rate_c, corner.rate_c),
+    }
     meta = _metadata(
         "region",
         cfg,
@@ -388,9 +362,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         containment={"verdict": verdict, "max_violation": report.max_violation},
     )
     trailer = f"containment: {verdict}, max_violation = {_fmt(report.max_violation)}"
-    _write_table(
-        args.output, args.format, ["kind", "kappa", "mu", "rate_s", "rate_c"], rows, meta, trailer
-    )
+    _write_table(args.output, args.format, columns, meta, trailer)
     return 0
 
 

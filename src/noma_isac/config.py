@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
+from .specfun import _elementwise, _float_or_array
 
 #: The scalar float fields of SystemConfig, in config-file order.
 FLOAT_FIELDS = (
@@ -117,10 +120,13 @@ def has_comm_resources(kappa, mu):
     return (kappa != 0.0) & (mu != 0.0)
 
 
-def check_power(p: float) -> None:
-    """Raise ValueError unless the transmit power p is positive and finite."""
-    if not 0.0 < p < math.inf:
+def check_power(p: float | np.ndarray) -> np.ndarray:
+    """Return p as an array, raising ValueError unless every power in it is
+    positive and finite."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 < p) & (p < math.inf)):
         raise ValueError("p must be positive and finite")
+    return p
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -164,9 +170,10 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to a linear power ratio, 10**(x_db/10)."""
-    return 10.0 ** (x_db / 10.0)
+def db_to_linear(x_db: float | Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Convert dB values to linear power ratios, 10**(x_db/10), elementwise;
+    a float gives a float."""
+    return _float_or_array(_elementwise(lambda x: 10.0 ** (x / 10.0), np.asarray(x_db, dtype=float)))
 
 
 def make_config(

@@ -44,13 +44,15 @@ def _sinr_arrays(
     gain_f: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Per-trial SINRs of the SIC stage, the near user's own message and the
-    # far user, for kappa_t > 0.
+    # far user, for kappa_t > 0.  Raises FloatingPointError where a received
+    # power overflows, rather than passing on inf or nan.
     noise = kappa_t * cfg.sigma2_c
-    sig_n = mu_t * p * gain_n
-    sig_f = mu_t * p * gain_f
-    sinr_sic = sig_n * cfg.alpha_f / (noise + sig_n * cfg.alpha_n)
-    snr_n = sig_n * cfg.alpha_n / noise
-    sinr_f = sig_f * cfg.alpha_f / (noise + sig_f * cfg.alpha_n)
+    with np.errstate(over="raise", invalid="raise"):
+        sig_n = mu_t * p * gain_n
+        sig_f = mu_t * p * gain_f
+        sinr_sic = sig_n * cfg.alpha_f / (noise + sig_n * cfg.alpha_n)
+        snr_n = sig_n * cfg.alpha_n / noise
+        sinr_f = sig_f * cfg.alpha_f / (noise + sig_f * cfg.alpha_n)
     return sinr_sic, snr_n, sinr_f
 
 
@@ -70,8 +72,7 @@ def _per_block(
     # all-trials result `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    for p in powers:
-        check_power(p)
+    check_power(powers)
     if not has_comm_resources(*comm_factors(mode)):
         return [[no_resources] for _ in powers]
     results: list[list] = [[] for _ in powers]

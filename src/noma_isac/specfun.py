@@ -50,8 +50,7 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     if not np.all(scale > 0.0):
         raise ValueError("psi_term requires scale > 0")
     z = chi / scale
-    out = _ei_neg(z.ravel(), scaled=True).reshape(z.shape)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(_ei_neg(z.ravel(), scaled=True).reshape(z.shape))
 
 
 def log2_det_i_plus_scaled(
@@ -72,13 +71,19 @@ def log2_det_i_plus_scaled(
         raise ValueError("eigenvalues must be nonnegative")
     terms = np.log1p(c.reshape(-1, 1) * lam)
     sums = np.array([math.fsum(row) for row in terms.tolist()]) / math.log(2.0)
-    return float(sums[0]) if c.ndim == 0 else sums.reshape(c.shape)
+    return _float_or_array(sums.reshape(c.shape))
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    # libm through the math module: numpy's vectorised exp/log may differ
-    # from it in the last place, and the scalar results are the reference.
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    # libm through the math module, per element, in the shape of x: numpy's
+    # vectorised exp, log, expm1, log2 and power may differ from it in the
+    # last place, and the scalar results are the reference.
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
+def _float_or_array(x: np.ndarray) -> float | np.ndarray:
+    # Float in, float out: a 0-d result is returned as a Python float.
+    return float(x) if x.ndim == 0 else x
 
 
 def _ei_neg(z: np.ndarray, scaled: bool) -> np.ndarray:

@@ -155,6 +155,30 @@ def test_power_must_be_finite(call, p):
         call(p)
 
 
+def test_closed_forms_follow_the_shape_of_the_powers():
+    powers = db_to_linear(np.array([[0.0, 10.0, 20.0], [25.0, 30.0, 40.0]]))
+    for mode in (ISAC, HALF_SPLIT):
+        for pair in (outage_probability, outage_asymptotic, ergodic_rates, ergodic_rates_asymptotic):
+            for column in pair(CFG, mode, powers):
+                assert column.shape == powers.shape
+        for single in (sensing_rate, sensing_rate_asymptotic, sum_rate):
+            assert single(CFG, mode, powers).shape == powers.shape
+            assert isinstance(single(CFG, mode, 10.0), float)
+
+
+def test_one_bad_power_in_a_grid_is_rejected():
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        ergodic_rates(CFG, ISAC, np.array([1.0, 10.0, math.inf]))
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        outage_probability(CFG, HALF_SPLIT, [1.0, 0.0])
+
+
+def test_outage_asymptote_overflows_beyond_1541_db():
+    assert math.isfinite(outage_asymptotic(CFG, ISAC, db_to_linear(1540.0))[0])
+    with pytest.raises(OverflowError):
+        outage_asymptotic(CFG, ISAC, db_to_linear([1540.0, 1545.0]))
+
+
 def test_outage_asymptote_scaling_is_exact():
     for mode in (ISAC, HALF_SPLIT):
         for p in (10.0, 250.0, 4096.0):

@@ -140,6 +140,10 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         (["sensing", "--snr-db-min", "3000", "--snr-db-step", "40", "--snr-db-max", "3080"],
          "--snr-db-max"),
         (["region", "--p-db", "3080", "--grid-n", "5"], "--p-db"),
+        # p**2 in the outage asymptote overflows above about 1541 dB.
+        (["outage", "--snr-db-min", "1545", "--snr-db-max", "1545"], "--snr-db-max"),
+        (["outage", "--snr-db-min", "1545", "--snr-db-max", "1545", "--trials", "100"],
+         "--snr-db-max"),
     ],
 )
 def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
@@ -156,6 +160,23 @@ def test_ecr_at_largest_finite_power_succeeds(cfg_file, tmp_path):
     assert main(argv + ["--output", str(out)]) == 0
     _, rows, _ = _read_csv(out)
     assert all(math.isfinite(float(v)) for v in rows[0].values())
+
+
+@pytest.mark.parametrize("workers,grid", [("1", ["3080", "3080"]), ("2", ["3070", "3080"])])
+def test_monte_carlo_overflow_names_the_option(cfg_file, tmp_path, capfd, workers, grid):
+    # mu * p * gain overflows in the Monte Carlo kernel at 10**307.5 and up;
+    # the sweep fails before writing, with no numpy warning from any process.
+    out = tmp_path / "ecr.csv"
+    rc = main([
+        "ecr", "--config", cfg_file, "--snr-db-min", grid[0], "--snr-db-max", grid[1],
+        "--trials", "1000", "--workers", workers, "--output", str(out),
+    ])
+    assert rc == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --snr-db-max 3080 dB is out of range")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_region_at_tiny_power_succeeds(cfg_file, tmp_path):

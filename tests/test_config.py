@@ -98,6 +98,12 @@ def test_rho3_combines_the_unordered_variances():
     assert cfg.rho3 == pytest.approx(0.9 * 0.2 / 1.1, rel=1e-15)
 
 
+def test_db_to_linear_over_a_grid_is_libm_per_value():
+    grid = [-30.0, -2.5, 0.0, 5.0, 17.3, 40.0, 3080.0]
+    assert db_to_linear(grid).tolist() == [10.0 ** (x / 10.0) for x in grid]
+    assert isinstance(db_to_linear(5.0), float)
+
+
 def test_db_to_linear():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == 10.0

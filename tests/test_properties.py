@@ -1,12 +1,24 @@
 """Invariants of the closed forms and the Monte Carlo oracle over random
 valid configurations, not only the baseline point."""
 
+from statistics import NormalDist
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noma_isac.analytic import ergodic_rates, outage_probability, thresholds
+from noma_isac.analytic import (
+    ergodic_rates,
+    ergodic_rates_asymptotic,
+    outage_asymptotic,
+    outage_probability,
+    sensing_rate,
+    sensing_rate_asymptotic,
+    sum_rate,
+    thresholds,
+)
 from noma_isac.config import ISAC, db_to_linear, fdsac, make_config
-from noma_isac.montecarlo import estimate_outage
+from noma_isac.montecarlo import estimate_ecr, estimate_outage
 from noma_isac.region import containment_check, fdsac_frontier, isac_corner
 
 _FAST = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -74,3 +86,76 @@ def test_no_communication_resources_means_certain_outage(cfg, fraction, no_bandw
     [(est_n, est_f)] = estimate_outage(cfg, mode, [p], trials=200, seed=7)
     assert (est_n.value, est_f.value) == (1.0, 1.0)
     assert est_n.std_error == est_f.std_error == 0.0
+
+
+_CLOSED_FORMS = (
+    outage_probability,
+    outage_asymptotic,
+    ergodic_rates,
+    ergodic_rates_asymptotic,
+    sensing_rate,
+    sensing_rate_asymptotic,
+    sum_rate,
+)
+
+
+@_FAST
+@given(configs(), _MODES, st.lists(st.floats(-100.0, 300.0), min_size=1, max_size=12))
+def test_power_grid_equals_per_power_calls(cfg, mode, grid_db):
+    # One call over an array of powers gives, bit for bit, the floats that
+    # one call per power gives.
+    powers = db_to_linear(grid_db)
+    for closed_form in _CLOSED_FORMS:
+        if closed_form is outage_asymptotic and not thresholds(cfg, mode).feasible:
+            continue
+        on_grid = closed_form(cfg, mode, powers)
+        per_power = [closed_form(cfg, mode, p) for p in powers.tolist()]
+        if isinstance(on_grid, tuple):
+            assert all(isinstance(v, float) for pair in per_power for v in pair)
+            assert [column.tolist() for column in on_grid] == [list(c) for c in zip(*per_power)]
+        else:
+            assert all(isinstance(v, float) for v in per_power)
+            assert on_grid.tolist() == per_power
+
+
+@_FAST
+@given(configs(), st.lists(_SNR_DB, min_size=1, max_size=8))
+def test_integrated_sensing_is_the_empty_split(cfg, grid_db):
+    powers = db_to_linear(grid_db)
+    for closed_form in (sensing_rate, sensing_rate_asymptotic):
+        assert np.array_equal(closed_form(cfg, ISAC, powers), closed_form(cfg, fdsac(0.0, 0.0), powers))
+
+
+# Monte Carlo against the closed forms.  Each example draws one config, one
+# mode and up to four powers and compares near and far user for outage and
+# ergodic rate: at most _COMPARISONS tests over the 25 examples, each held
+# to the two-sided Bonferroni |z| bound for a family-wise error of 1e-6
+# (about 6.0).  Outage is compared only where the expected outage and
+# non-outage counts are both at least 10, so the normal approximation holds;
+# ergodic rates use the band max(z * SE, 1e-2) of acceptance criterion 2,
+# with z in place of its 3.  Fractions below 0.05 are left out: a vanishing
+# sub-band carries no rate to compare.
+_MC_TRIALS = 200_000
+_COMPARISONS = 25 * 4 * 2 * 2
+_Z_BOUND = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * _COMPARISONS))
+_MC_FRACTION = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 1.0)
+_MC_MODES = st.just(ISAC) | st.builds(fdsac, _MC_FRACTION, _MC_FRACTION)
+_MC_GRID_DB = st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=4)
+
+
+@_FAST
+@given(configs(), _MC_MODES, _MC_GRID_DB, st.integers(0, 2**32))
+def test_monte_carlo_agrees_with_the_closed_forms(cfg, mode, grid_db, seed):
+    powers = db_to_linear(grid_db)
+    outages = estimate_outage(cfg, mode, powers.tolist(), _MC_TRIALS, seed)
+    rates = estimate_ecr(cfg, mode, powers.tolist(), _MC_TRIALS, seed)
+    closed_outages = zip(*outage_probability(cfg, mode, powers))
+    closed_rates = zip(*ergodic_rates(cfg, mode, powers))
+    for closed, estimates in zip(closed_outages, outages):
+        for value, est in zip(closed, estimates):
+            if min(value, 1.0 - value) * _MC_TRIALS >= 10.0:
+                se = (value * (1.0 - value) / _MC_TRIALS) ** 0.5
+                assert abs(est.value - value) <= _Z_BOUND * se
+    for closed, estimates in zip(closed_rates, rates):
+        for value, est in zip(closed, estimates):
+            assert abs(est.value - value) <= max(_Z_BOUND * est.std_error, 1e-2)
