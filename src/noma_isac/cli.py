@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/config/numerical error, 2 selftest failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -160,14 +161,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
-
-
 def _write_table(
     output: str,
     fmt: str,
@@ -175,21 +168,29 @@ def _write_table(
     metadata: dict,
     trailer: Optional[str] = None,
 ) -> None:
-    """Write equal-length named columns as a CSV or JSON table, in key order."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    """Write equal-length named columns as a CSV or JSON table, in key order.
+
+    A CSV column whose first cell is a string is written as it is, any other
+    to 12 significant digits; rows are formatted and written one at a time.
+    """
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    rows = zip(*values)
     if fmt == "csv":
-        lines = [",".join(columns), *(",".join(map(_cell, row)) for row in rows)]
-        if trailer:
-            lines.append("# " + trailer)
-        text = "\n".join(lines) + "\n"
+        formats = ("%s" if col and isinstance(col[0], str) else "%.12g" for col in values)
+        template = ",".join(formats) + "\n"
+        lines = itertools.chain(
+            [",".join(columns) + "\n"],
+            (template % row for row in rows),
+            ["# " + trailer + "\n"] if trailer else [],
+        )
     else:
         doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        lines = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _metadata(command: str, cfg: SystemConfig, **extra: object) -> dict:
@@ -276,6 +277,10 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers {args.workers} must be at least 1")
     _check_seed(args.seed)
+    kappa, mu = comm_factors(mode)
+    if args.trials > 0 and 0.0 < kappa * cfg.sigma2_c < sys.float_info.min:
+        # The per-trial SNR, divided by a subnormal noise power, overflows.
+        raise ValueError(f"--kappa {args.kappa!r} makes the noise power kappa * sigma2_c subnormal")
     if command == "outage" and not thresholds(cfg, mode).feasible:
         print(
             "warning: infeasible power allocation (alpha_f <= gamma_bar_f * alpha_n "
@@ -299,7 +304,6 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
                 with ProcessPoolExecutor(max_workers=n_slices) as pool:
                     cells = [row for part in pool.map(_mc_cells, tasks) for row in part]
             columns.update(zip(_MC_COLUMNS[command], zip(*cells)))
-    kappa, mu = comm_factors(mode)
     meta = _metadata(
         command, cfg, mode=mode.tag, kappa=kappa, mu=mu, snr_db=grid, trials=args.trials, seed=args.seed
     )
@@ -347,10 +351,19 @@ def cmd_region(args: argparse.Namespace) -> int:
     def column(values: np.ndarray, at_corner: Optional[float]) -> list:
         return [at_corner, *values.tolist(), *values[pareto].tolist()]
 
+    def split_column(values: np.ndarray) -> list:
+        # kappa and mu take grid_n distinct values: a CSV formats each once,
+        # and leaves the corner's cell empty.
+        if args.format == "json":
+            return column(values, None)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        cells = np.array([_fmt(v) for v in distinct.tolist()], dtype=object)[inverse]
+        return column(cells, "")
+
     columns = {
         "kind": ["corner", *["grid"] * frontier.kappa.size, *["pareto"] * pareto.size],
-        "kappa": column(frontier.kappa, None),
-        "mu": column(frontier.mu, None),
+        "kappa": split_column(frontier.kappa),
+        "mu": split_column(frontier.mu),
         "rate_s": column(frontier.rate_s, corner.rate_s),
         "rate_c": column(frontier.rate_c, corner.rate_c),
     }

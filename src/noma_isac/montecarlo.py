@@ -44,16 +44,17 @@ def _sinr_arrays(
     gain_f: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Per-trial SINRs of the SIC stage, the near user's own message and the
-    # far user, for kappa_t > 0.  Raises FloatingPointError where a received
-    # power overflows, rather than passing on inf or nan.
+    # far user, for kappa_t > 0.
     noise = kappa_t * cfg.sigma2_c
-    with np.errstate(over="raise", invalid="raise"):
-        sig_n = mu_t * p * gain_n
-        sig_f = mu_t * p * gain_f
-        sinr_sic = sig_n * cfg.alpha_f / (noise + sig_n * cfg.alpha_n)
-        snr_n = sig_n * cfg.alpha_n / noise
-        sinr_f = sig_f * cfg.alpha_f / (noise + sig_f * cfg.alpha_n)
-    return sinr_sic, snr_n, sinr_f
+    sig_n = mu_t * p * gain_n
+    sinr_sic = _far_message_sinr(cfg, noise, sig_n)
+    return sinr_sic, sig_n * cfg.alpha_n / noise, _far_message_sinr(cfg, noise, mu_t * p * gain_f)
+
+
+def _far_message_sinr(cfg: SystemConfig, noise: float, sig: np.ndarray) -> np.ndarray:
+    # SINR of the far user's message at received power sig, with the near
+    # user's message as interference: the SIC stage, or the far user itself.
+    return sig * cfg.alpha_f / (noise + sig * cfg.alpha_n)
 
 
 def _per_block(
@@ -78,8 +79,11 @@ def _per_block(
     results: list[list] = [[] for _ in powers]
     for start in range(0, trials, _CHUNK):
         gain_n, gain_f = gain_samples(cfg, seed, start, min(_CHUNK, trials - start))
-        for per_block, p in zip(results, powers):
-            per_block.append(kernel(p, gain_n, gain_f))
+        # A received power that overflows raises FloatingPointError, rather
+        # than passing on inf or nan.
+        with np.errstate(over="raise", invalid="raise"):
+            for per_block, p in zip(results, powers):
+                per_block.append(kernel(p, gain_n, gain_f))
     return results
 
 
@@ -124,11 +128,12 @@ def estimate_ecr(
     """Empirical ergodic rates (near, far) at each of `powers`, sample means
     of kappa_t*log2(1 + SINR) over the same trials; zero without resources."""
     kappa_t, mu_t = comm_factors(mode)
+    noise = kappa_t * cfg.sigma2_c
 
     def rate_sums(p: float, gain_n: np.ndarray, gain_f: np.ndarray) -> tuple[float, ...]:
-        _, snr_n, sinr_f = _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n, gain_f)
-        val_n = kappa_t * np.log1p(snr_n) / _LN2
-        val_f = kappa_t * np.log1p(sinr_f) / _LN2
+        # The SIC stage sets no rate: only the users' own SINRs are formed.
+        val_n = kappa_t * np.log1p(mu_t * p * gain_n * cfg.alpha_n / noise) / _LN2
+        val_f = kappa_t * np.log1p(_far_message_sinr(cfg, noise, mu_t * p * gain_f)) / _LN2
         sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
         return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
 

@@ -41,7 +41,8 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
 
     Strictly negative for all positive inputs. Large ratios are evaluated in
     pre-scaled form so the product never overflows.  Broadcasts over arrays
-    of chi and scale; scalar inputs give a float.
+    of chi and scale; scalar inputs give a float.  The kernel sees only the
+    ratio chi/scale and evaluates each distinct ratio once.
     """
     chi = np.asarray(chi, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -50,7 +51,8 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     if not np.all(scale > 0.0):
         raise ValueError("psi_term requires scale > 0")
     z = chi / scale
-    return _float_or_array(_ei_neg(z.ravel(), scaled=True).reshape(z.shape))
+    distinct, inverse = np.unique(z, return_inverse=True)
+    return _float_or_array(_ei_neg(distinct, scaled=True)[inverse].reshape(z.shape))
 
 
 def log2_det_i_plus_scaled(
@@ -58,10 +60,20 @@ def log2_det_i_plus_scaled(
 ) -> float | np.ndarray:
     """log2 det(I + c*R) for a Hermitian PSD R given through its spectrum.
 
-    Equals sum_a log2(1 + c*lambda_a). Terms are accumulated in ascending
-    eigenvalue order with exact (fsum) summation, so the result does not
-    depend on the ordering of the input list.  Broadcasts over an array of
-    c; a scalar c gives a float.
+    Equals fsum_a ln(1 + c*lambda_a) / ln 2: the natural-log terms are summed
+    exactly and rounded once, so the result does not depend on the ordering
+    of the input list.  Broadcasts over an array of c; a scalar c gives a
+    float.
+
+    Each row's terms t_1 <= ... <= t_m are summed by a TwoSum cascade
+    (Knuth; Ogita, Rump & Oishi 2005): s_i + q_i = s_{i-1} + t_i, and the
+    errors q_i by a second one, e_i + g_i = e_{i-1} + q_i, so that
+    sum t = hi + lo + G exactly, with (hi, lo) = TwoSum(s_m, e_m) and
+    G = sum g_i.  The bound B = 2 * fl(sum |g_i|) >= |G| holds for m < 2**51.
+    hi is the correctly rounded sum when B = 0, or when
+    -d_down/2 < lo - B and lo + B < d_up/2, d being the gaps from hi to its
+    float neighbours.  Other rows, rows with non-finite terms and zero sums
+    (which take fsum's sign of zero) are summed by math.fsum.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0):
@@ -70,8 +82,38 @@ def log2_det_i_plus_scaled(
     if lam.size and lam[0] < 0.0:
         raise ValueError("eigenvalues must be nonnegative")
     terms = np.log1p(c.reshape(-1, 1) * lam)
-    sums = np.array([math.fsum(row) for row in terms.tolist()]) / math.log(2.0)
-    return _float_or_array(sums.reshape(c.shape))
+    return _float_or_array((_exact_row_sums(terms) / math.log(2.0)).reshape(c.shape))
+
+
+def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
+    # math.fsum of each row of a 2-D array, bit for bit; see
+    # log2_det_i_plus_scaled for the rule.
+    rows, m = terms.shape
+    if m == 0:
+        return np.zeros(rows)
+    s, e, bound = terms[:, 0], np.zeros(rows), np.zeros(rows)
+    with np.errstate(invalid="ignore"):  # inf - inf: those rows go to fsum
+        for i in range(1, m):
+            s, q = _two_sum(s, terms[:, i])
+            e, g = _two_sum(e, q)
+            bound += np.abs(g)
+        hi, lo = _two_sum(s, e)
+        bound *= 2.0
+        d_up = np.nextafter(hi, math.inf) - hi
+        d_down = hi - np.nextafter(hi, -math.inf)
+        # Rounding is monotone and d/2 is a float (or rounds to 0, the safe
+        # side), so a comparison that holds in floats holds exactly.
+        exact = (bound == 0.0) | ((lo + bound < d_up / 2.0) & (lo - bound > -d_down / 2.0))
+    redo = np.flatnonzero(~(exact & (hi != 0.0) & np.isfinite(hi)))
+    hi[redo] = [math.fsum(row) for row in terms[redo].tolist()]
+    return hi
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # s + err == a + b exactly, with s = fl(a + b) (Knuth's TwoSum).
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:

@@ -144,6 +144,9 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         (["outage", "--snr-db-min", "1545", "--snr-db-max", "1545"], "--snr-db-max"),
         (["outage", "--snr-db-min", "1545", "--snr-db-max", "1545", "--trials", "100"],
          "--snr-db-max"),
+        # kappa * sigma2_c is subnormal, and the per-trial SNR overflows.
+        (["ecr", "--mode", "fdsac", "--kappa", "1e-320", "--trials", "1000"], "--kappa"),
+        (["outage", "--mode", "fdsac", "--kappa", "1e-308", "--trials", "1000"], "--kappa"),
     ],
 )
 def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
@@ -152,6 +155,16 @@ def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["outage", "ecr"])
+@pytest.mark.parametrize("kappa", ["0", "1e-300"])
+def test_tiny_but_normal_noise_power_succeeds(cfg_file, tmp_path, command, kappa):
+    out = tmp_path / "table.csv"
+    argv = [command, "--config", cfg_file, "--mode", "fdsac", "--kappa", kappa, "--trials", "1000"]
+    assert main(argv + ["--output", str(out)]) == 0
+    _, rows, _ = _read_csv(out)
+    assert len(rows) == 9 and all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 def test_ecr_at_largest_finite_power_succeeds(cfg_file, tmp_path):

@@ -106,6 +106,11 @@ _TABLES = {
         ("region", "--format", "json", "--grid-n", "21"),
         "6478e22e90388c6a8cbbbfb280c01e98a360ba9770512a356a59ba4749e195df",
     ),
+    # The benchmarked region_grid output (perfbench/digests.json).
+    "region-csv-401": (
+        ("region", "--format", "csv", "--p-db", "5", "--grid-n", "401"),
+        "0c93e38331244904d726194618ca2f7f53b206c22a61080c047f34f31d1e8ed5",
+    ),
     # The largest powers whose squares, in the outage asymptote, stay finite.
     "outage-csv-1540db-0": (
         ("outage", "--snr-db-min", "1540", "--snr-db-max", "1540"),

@@ -1,11 +1,15 @@
 """Special-function kernels against independent quadrature and dense linear algebra."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from noma_isac.config import baseline_config, db_to_linear
 from noma_isac.specfun import EULER_GAMMA, exp_int_ei, log2_det_i_plus_scaled, psi_term
 
 # Frozen values of Ei(-x) = -int_x^inf e^-t/t dt from adaptive quadrature of
@@ -179,6 +183,7 @@ def test_log2_det_trivial_values():
     assert log2_det_i_plus_scaled(0.0, [3.0, 1.0, 0.5]) == 0.0
     assert log2_det_i_plus_scaled(1.0, [1.0, 1.0]) == pytest.approx(2.0, rel=1e-15)
     assert log2_det_i_plus_scaled(2.0, []) == 0.0
+    assert log2_det_i_plus_scaled(math.inf, [1.0, 2.0]) == math.inf
 
 
 def test_log2_det_domain_errors():
@@ -208,6 +213,57 @@ def test_log2_det_matches_dense_hermitian_oracle():
         _, logdet = np.linalg.slogdet(np.eye(m) + c * r)
         dense = logdet / math.log(2.0)
         assert log2_det_i_plus_scaled(c, lam) == pytest.approx(dense, rel=1e-9)
+
+
+def _fsum_oracle(c, lam):
+    # The exactly rounded sum of each row's natural-log terms, row by row.
+    lam = np.sort(np.asarray(lam, dtype=float))
+    return [math.fsum(np.log1p(row * lam)) / math.log(2.0) for row in np.asarray(c).tolist()]
+
+
+# Ties, zeros and subnormals come from the pool; the products c*lambda stay finite.
+_EIGENVALUES = st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e6)
+_SCALES = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1e12)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(_SCALES, min_size=1, max_size=16), st.lists(_EIGENVALUES, max_size=10))
+def test_log2_det_rows_equal_fsum(c, lam):
+    assert log2_det_i_plus_scaled(np.array(c), lam).tolist() == _fsum_oracle(c, lam)
+    assert log2_det_i_plus_scaled(c[0], lam) == _fsum_oracle(c[:1], lam)[0]
+
+
+def test_log2_det_midpoint_row_is_rounded_exactly():
+    # Terms 2**-200, 2**-53 and 1: their double-double sum is the midpoint
+    # 1 + 2**-53, and the 2**-200 left in the error bound makes it round up.
+    lam = [math.e - 1.0, 2.0**-53, 2.0**-200]
+    expected = (1.0 + 2.0**-52) / math.log(2.0)
+    assert _fsum_oracle([1.0], lam) == [expected]
+    assert log2_det_i_plus_scaled(1.0, lam) == expected
+
+
+def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
+    # Every sensing row of the region at 5 dB and grid 401; about one row in
+    # ten has its terms' double-double sum exactly half-way between floats.
+    cfg = baseline_config()
+    fractions = np.linspace(0.0, 1.0, 401)
+    kappa, mu = np.repeat(fractions, 401), np.tile(fractions, 401)
+    on = kappa != 1.0
+    c = (1.0 - mu[on]) * db_to_linear(5.0) * cfg.frame_length / ((1.0 - kappa[on]) * cfg.sigma2_s)
+    expected = _fsum_oracle(c, cfg.sensing_eigenvalues)
+    assert log2_det_i_plus_scaled(c, cfg.sensing_eigenvalues).tolist() == expected
+    # A plain left-to-right sum misses some of them.
+    terms = np.log1p(c.reshape(-1, 1) * np.sort(cfg.sensing_eigenvalues))
+    plain = functools.reduce(np.add, terms.T) / math.log(2.0)
+    assert np.count_nonzero(plain != np.array(expected)) > 1000
+
+
+def test_psi_term_repeated_ratios_match_scalar_calls():
+    chi = np.array([[1.0, 2.0, 1.0], [3.0, 2.0, 1.0], [1e-8, 1e20, 1e-8]])
+    scale = np.array([1.0, 2.0, 1.0])
+    assert psi_term(chi, scale).tolist() == [
+        [psi_term(float(x), float(s)) for x, s in zip(row, scale)] for row in chi
+    ]
 
 
 def test_euler_gamma_constant():
