@@ -5,127 +5,26 @@ Closed-form outage probabilities, ergodic communication rates, and sensing
 rates are implemented next to independent Monte Carlo oracles, and the
 sensing-communication rate regions of the integrated and frequency-division
 architectures can be computed and compared.
+
+Each module lists its public names in its own ``__all__``; the package
+re-exports exactly those.
 """
 
-from .analytic import (
-    ReferenceEntry,
-    Thresholds,
-    ergodic_rates,
-    ergodic_rates_asymptotic,
-    outage_asymptotic,
-    outage_probability,
-    reference_table,
-    sensing_rate,
-    sensing_rate_asymptotic,
-    split_ergodic_rates,
-    split_sensing_rate,
-    sum_rate,
-    thresholds,
-)
-from .channel import (
-    CorrelationMatrix,
-    Target,
-    TargetScene,
-    build_correlation,
-    cdf_far,
-    cdf_near,
-    gain_samples,
-    pdf_far,
-    pdf_near,
-    scene_eigenvalues,
-    steering_vector,
-    trial_uniforms,
-)
-from .config import (
-    ISAC,
-    Mode,
-    ResourceSplit,
-    SystemConfig,
-    baseline_config,
-    comm_factors,
-    db_to_linear,
-    fdsac,
-    make_config,
-    validate_config,
-)
-from .montecarlo import (
-    EstimateWithError,
-    dual_function_signal,
-    estimate_ecr,
-    estimate_outage,
-    estimate_slope,
-    orthogonal_streams,
-    sensing_mi_bruteforce,
-    sensing_mi_reduced,
-)
-from .region import (
-    ContainmentReport,
-    RatePoint,
-    RegionFrontier,
-    bandwidth_scaled_rate,
-    containment_check,
-    fdsac_frontier,
-    isac_corner,
-    log_plus_ratio,
-)
-from .specfun import EULER_GAMMA, exp_int_ei, log2_det_i_plus_scaled, psi_term
+from . import analytic, channel, config, montecarlo, region, specfun
+from .analytic import *  # noqa: F401,F403
+from .channel import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .region import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContainmentReport",
-    "CorrelationMatrix",
-    "EULER_GAMMA",
-    "EstimateWithError",
-    "ISAC",
-    "Mode",
-    "RatePoint",
-    "ReferenceEntry",
-    "RegionFrontier",
-    "ResourceSplit",
-    "SystemConfig",
-    "Target",
-    "TargetScene",
-    "Thresholds",
-    "bandwidth_scaled_rate",
-    "baseline_config",
-    "build_correlation",
-    "cdf_far",
-    "cdf_near",
-    "comm_factors",
-    "containment_check",
-    "db_to_linear",
-    "dual_function_signal",
-    "ergodic_rates",
-    "ergodic_rates_asymptotic",
-    "estimate_ecr",
-    "estimate_outage",
-    "estimate_slope",
-    "exp_int_ei",
-    "fdsac",
-    "fdsac_frontier",
-    "gain_samples",
-    "isac_corner",
-    "log2_det_i_plus_scaled",
-    "log_plus_ratio",
-    "make_config",
-    "orthogonal_streams",
-    "outage_asymptotic",
-    "outage_probability",
-    "pdf_far",
-    "pdf_near",
-    "psi_term",
-    "reference_table",
-    "scene_eigenvalues",
-    "sensing_mi_bruteforce",
-    "sensing_mi_reduced",
-    "sensing_rate",
-    "sensing_rate_asymptotic",
-    "split_ergodic_rates",
-    "split_sensing_rate",
-    "steering_vector",
-    "sum_rate",
-    "thresholds",
-    "trial_uniforms",
-    "validate_config",
+    *analytic.__all__,
+    *channel.__all__,
+    *config.__all__,
+    *montecarlo.__all__,
+    *region.__all__,
+    *specfun.__all__,
 ]

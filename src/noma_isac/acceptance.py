@@ -2,8 +2,9 @@
 oracles, and the region computation together.
 
 Each check returns a CheckResult whose detail string is deterministic for a
-given seed, so a selftest report can be diffed byte for byte.  The full-scale
-gate runs these at 1e6 trials; the CLI selftest uses 1e5.
+given seed, so a selftest report can be diffed byte for byte.  The CLI
+selftest runs them at --trials Monte Carlo trials, 1e5 by default; the test
+suite's full-scale gate runs them at 1e6 trials with its own seed.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .montecarlo import (
 from .region import containment_check, fdsac_frontier, isac_corner
 from .specfun import EULER_GAMMA, _elementwise, exp_int_ei, log2_det_i_plus_scaled
 
-DEFAULT_SEED = 20240801
 SNR_GRID_DB = tuple(range(0, 45, 5))
+#: Side of the (kappa, mu) grid of the containment check.
+REGION_GRID_N = 101
 SPLIT_KAPPA = 0.5
 SPLIT_MU = 0.5
 
@@ -206,11 +208,11 @@ def check_sensing_slopes(cfg: SystemConfig) -> CheckResult:
     )
 
 
-def check_region_containment(cfg: SystemConfig, grid_n: int) -> CheckResult:
+def check_region_containment(cfg: SystemConfig) -> CheckResult:
     """Split region sits inside the integrated rectangle; boundary cases bind."""
     p = db_to_linear(5.0)
     corner = isac_corner(cfg, p)
-    report = containment_check(corner, fdsac_frontier(cfg, p, grid_n))
+    report = containment_check(corner, fdsac_frontier(cfg, p, REGION_GRID_N))
     gap_c = abs(sum_rate(cfg, fdsac(1.0, 1.0), p) - corner.rate_c)
     gap_s = abs(sensing_rate(cfg, fdsac(0.0, 0.0), p) - corner.rate_s)
     ok = report.holds and gap_c <= 1e-9 and gap_s <= 1e-9
@@ -219,7 +221,7 @@ def check_region_containment(cfg: SystemConfig, grid_n: int) -> CheckResult:
         passed=ok,
         detail=(
             f"max violation = {report.max_violation:.3e}; "
-            f"equality gaps = ({gap_c:.1e}, {gap_s:.1e}) on {grid_n}x{grid_n} grid"
+            f"equality gaps = ({gap_c:.1e}, {gap_s:.1e}) on {REGION_GRID_N}x{REGION_GRID_N} grid"
         ),
     )
 
@@ -304,12 +306,7 @@ def check_determinism(cfg: SystemConfig, seed: int) -> CheckResult:
     )
 
 
-def run_all(
-    cfg: SystemConfig,
-    trials: int = 1_000_000,
-    seed: int = DEFAULT_SEED,
-    grid_n: int = 101,
-) -> list[CheckResult]:
+def run_all(cfg: SystemConfig, trials: int, seed: int) -> list[CheckResult]:
     """Run every acceptance check and collect the verdicts."""
     return [
         check_outage_closed_form(cfg, trials, seed),
@@ -318,7 +315,7 @@ def run_all(
         check_high_snr_slopes(cfg),
         check_sensing_identities(cfg, seed),
         check_sensing_slopes(cfg),
-        check_region_containment(cfg, grid_n),
+        check_region_containment(cfg),
         check_split_inequality(seed),
         check_special_functions(seed),
         check_determinism(cfg, seed),

@@ -1,8 +1,9 @@
 """Closed-form outage, ergodic-rate and sensing-rate expressions with their
 high-SNR asymptotics, plus the diversity/slope reference table.
 
-Conventions for degenerate frequency-division splits: zero communication
-resources (kappa = 0 or mu = 0) mean outage probability 1 and zero ergodic
+Conventions for degenerate cases: an infeasible allocation, or no
+communication resources (kappa = 0 or mu = 0), means outage probability 1,
+exact and asymptotic; no communication resources also means zero ergodic
 rate; zero sensing bandwidth (kappa = 1) means zero sensing rate, taken as
 the continuous limit of the general expression.
 """
@@ -17,6 +18,12 @@ import numpy as np
 
 from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 from .specfun import EULER_GAMMA, _elementwise, _float_or_array, log2_det_i_plus_scaled, psi_term
+
+__all__ = [
+    "ReferenceEntry", "Thresholds", "ergodic_rates", "ergodic_rates_asymptotic", "outage_asymptotic",
+    "outage_probability", "reference_table", "sensing_rate", "sensing_rate_asymptotic",
+    "split_ergodic_rates", "split_sensing_rate", "sum_rate", "thresholds",
+]
 
 _LN2 = math.log(2.0)
 
@@ -103,13 +110,14 @@ def outage_probability(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floa
 
 
 def outage_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floats, _Floats]:
-    """High-SNR outage approximations chi1*chi2*theta^2/p^2 and chi3*vartheta/p.
+    """High-SNR outage approximations chi1*chi2*theta^2/p^2 and chi3*vartheta/p
+    on the feasible branch; (1, 1) otherwise, like outage_probability.
 
     Raises OverflowError where p^2 overflows."""
     p = check_power(p)
     th = thresholds(cfg, mode)
     if not th.feasible:
-        raise ValueError("asymptote undefined")
+        return _float_or_array(np.ones(p.shape)), _float_or_array(np.ones(p.shape))
     chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
     p_out_n = chi1 * chi2 * th.theta**2 / _elementwise(lambda x: x**2, p)
     p_out_f = chi3 * th.vartheta / p

@@ -2,21 +2,22 @@
 
 The two unordered links are CN(0, rho1) and CN(0, rho2), so their squared
 magnitudes are exponential with means rho1 and rho2.  The near user takes the
-larger gain, the far user the smaller one; closed-form CDF/PDFs of the ordered
-pair live here next to the sampler that they validate.
+larger gain, the far user the smaller one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .config import SystemConfig
 
-ArrayLike = Union[float, np.ndarray]
+__all__ = [
+    "CorrelationMatrix", "Target", "TargetScene", "build_correlation", "gain_samples",
+    "scene_eigenvalues", "steering_vector", "trial_uniforms",
+]
 
 
 @dataclass(frozen=True)
@@ -94,50 +95,6 @@ def gain_samples(
     e1 = -cfg.rho1 * np.log1p(-u[:, 0])
     e2 = -cfg.rho2 * np.log1p(-u[:, 1])
     return np.maximum(e1, e2), np.minimum(e1, e2)
-
-
-def _check_nonnegative(x: np.ndarray) -> None:
-    if np.any(x < 0.0):
-        raise ValueError("x must be nonnegative")
-
-
-def cdf_near(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
-    """CDF of the near-user gain: (1 - e^{-x/rho1})(1 - e^{-x/rho2})."""
-    xv = np.asarray(x, dtype=float)
-    _check_nonnegative(xv)
-    out = -np.expm1(-xv / cfg.rho1) * -np.expm1(-xv / cfg.rho2)
-    return float(out) if np.isscalar(x) else out
-
-
-def cdf_far(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
-    """CDF of the far-user gain: 1 - e^{-x/rho3} with rho3 = rho1*rho2/(rho1+rho2)."""
-    xv = np.asarray(x, dtype=float)
-    _check_nonnegative(xv)
-    out = -np.expm1(-xv / cfg.rho3)
-    return float(out) if np.isscalar(x) else out
-
-
-def pdf_near(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
-    """Density of the near-user gain.
-
-    f_N(x) = e^{-x/rho1}/rho1 + e^{-x/rho2}/rho2 - e^{-x/rho3}/rho3.
-    """
-    xv = np.asarray(x, dtype=float)
-    _check_nonnegative(xv)
-    out = (
-        np.exp(-xv / cfg.rho1) / cfg.rho1
-        + np.exp(-xv / cfg.rho2) / cfg.rho2
-        - np.exp(-xv / cfg.rho3) / cfg.rho3
-    )
-    return float(out) if np.isscalar(x) else out
-
-
-def pdf_far(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
-    """Density of the far-user gain: e^{-x/rho3}/rho3."""
-    xv = np.asarray(x, dtype=float)
-    _check_nonnegative(xv)
-    out = np.exp(-xv / cfg.rho3) / cfg.rho3
-    return float(out) if np.isscalar(x) else out
 
 
 def steering_vector(theta: float, m: int) -> np.ndarray:

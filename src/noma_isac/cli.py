@@ -33,6 +33,7 @@ from .analytic import (
 from .channel import Target, TargetScene, scene_eigenvalues
 from .config import (
     FLOAT_FIELDS,
+    INT_FIELDS,
     ISAC,
     Mode,
     SystemConfig,
@@ -45,25 +46,19 @@ from .config import (
 from .montecarlo import estimate_ecr, estimate_outage
 from .region import containment_check, fdsac_frontier, isac_corner
 
-_INT_FIELDS = ("num_rx_antennas", "frame_length")
-
-
-class ConfigFileError(ValueError):
-    """Raised when a configuration file cannot be parsed or validated."""
-
-
-def load_config_file(path: str) -> tuple[SystemConfig, Optional[TargetScene]]:
-    """Parse a key=value config file into a validated SystemConfig and scene.
+def load_config_file(path: str) -> SystemConfig:
+    """Parse a key=value config file into a validated SystemConfig.
 
     `sensing_eigenvalues` takes a comma-separated list; a target scene is
     given as repeated `target.strength` / `target.aoa` pairs and supplies the
-    eigen-spectrum when the explicit list is omitted.
+    eigen-spectrum when the explicit list is omitted.  Raises ValueError
+    naming the file on any parse or validation error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
     except OSError as exc:
-        raise ConfigFileError(f"cannot read config file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
 
     values: dict[str, str] = {}
     strengths: list[float] = []
@@ -73,7 +68,7 @@ def load_config_file(path: str) -> tuple[SystemConfig, Optional[TargetScene]]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigFileError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
@@ -82,38 +77,38 @@ def load_config_file(path: str) -> tuple[SystemConfig, Optional[TargetScene]]:
         elif key == "target.aoa":
             aoas.append(_parse_float(path, lineno, key, value))
         elif key in values:
-            raise ConfigFileError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
             values[key] = value
 
     scene = None
     if strengths or aoas:
         if len(strengths) != len(aoas):
-            raise ConfigFileError(f"{path}: target.strength/target.aoa counts differ")
+            raise ValueError(f"{path}: target.strength/target.aoa counts differ")
         try:
             scene = TargetScene(
                 targets=tuple(Target(strength=s, aoa=a) for s, a in zip(strengths, aoas))
             )
         except ValueError as exc:
-            raise ConfigFileError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
 
-    known = set(FLOAT_FIELDS) | set(_INT_FIELDS) | {"sensing_eigenvalues"}
+    known = set(FLOAT_FIELDS) | set(INT_FIELDS) | {"sensing_eigenvalues"}
     unknown = sorted(set(values) - known)
     if unknown:
-        raise ConfigFileError(f"{path}: unknown keys {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown keys {', '.join(unknown)}")
 
     fields: dict[str, object] = {}
     for key in FLOAT_FIELDS:
         if key not in values:
-            raise ConfigFileError(f"{path}: missing key {key!r}")
+            raise ValueError(f"{path}: missing key {key!r}")
         fields[key] = _parse_float(path, 0, key, values[key])
-    for key in _INT_FIELDS:
+    for key in INT_FIELDS:
         if key not in values:
-            raise ConfigFileError(f"{path}: missing key {key!r}")
+            raise ValueError(f"{path}: missing key {key!r}")
         try:
             fields[key] = int(values[key])
         except ValueError as exc:
-            raise ConfigFileError(f"{path}: key {key!r} must be an integer") from exc
+            raise ValueError(f"{path}: key {key!r} must be an integer") from exc
 
     if "sensing_eigenvalues" in values:
         items = [v for v in values["sensing_eigenvalues"].split(",") if v.strip()]
@@ -123,13 +118,13 @@ def load_config_file(path: str) -> tuple[SystemConfig, Optional[TargetScene]]:
     elif scene is not None:
         fields["sensing_eigenvalues"] = scene_eigenvalues(scene, int(fields["num_rx_antennas"]))
     else:
-        raise ConfigFileError(f"{path}: missing key 'sensing_eigenvalues' (or a target scene)")
+        raise ValueError(f"{path}: missing key 'sensing_eigenvalues' (or a target scene)")
 
     try:
         cfg = validate_config(SystemConfig(**fields))  # type: ignore[arg-type]
     except ValueError as exc:
-        raise ConfigFileError(f"{path}: {exc}") from exc
-    return cfg, scene
+        raise ValueError(f"{path}: {exc}") from exc
+    return cfg
 
 
 def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
@@ -137,23 +132,19 @@ def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
         return float(value)
     except ValueError as exc:
         where = f"{path}:{lineno}: " if lineno else f"{path}: "
-        raise ConfigFileError(f"{where}key {key!r} must be a number, got {value!r}") from exc
+        raise ValueError(f"{where}key {key!r} must be a number, got {value!r}") from exc
 
 
-def dump_config(cfg: SystemConfig, scene: Optional[TargetScene] = None) -> str:
-    """Serialize a SystemConfig (and optional scene) back to key=value text."""
+def dump_config(cfg: SystemConfig) -> str:
+    """Serialize a SystemConfig back to key=value text."""
     lines = []
     for key in FLOAT_FIELDS:
         lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
-    for key in _INT_FIELDS:
+    for key in INT_FIELDS:
         lines.append(f"{key} = {getattr(cfg, key)}")
     lines.append(
         "sensing_eigenvalues = " + ", ".join(_fmt(v) for v in cfg.sensing_eigenvalues)
     )
-    if scene is not None:
-        for tgt in scene.targets:
-            lines.append(f"target.strength = {_fmt(tgt.strength)}")
-            lines.append(f"target.aoa = {_fmt(tgt.aoa)}")
     return "\n".join(lines) + "\n"
 
 
@@ -258,10 +249,9 @@ def _mc_cells(task) -> list[tuple[float, float, float, float]]:
 
 def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np.ndarray) -> dict:
     if command == "outage":
-        feasible = thresholds(cfg, mode).feasible
-        asym = outage_asymptotic(cfg, mode, powers) if feasible else (np.ones(powers.size),) * 2
         names = ("pout_n_analytic", "pout_f_analytic", "pout_n_asym", "pout_f_asym")
-        return dict(zip(names, (*outage_probability(cfg, mode, powers), *asym)))
+        values = (*outage_probability(cfg, mode, powers), *outage_asymptotic(cfg, mode, powers))
+        return dict(zip(names, values))
     ecr_n, ecr_f = ergodic_rates(cfg, mode, powers)
     asym = ergodic_rates_asymptotic(cfg, mode, powers)
     names = ("ecr_n_analytic", "ecr_f_analytic", "ecr_sum_analytic", "ecr_n_asym", "ecr_f_asym")
@@ -269,7 +259,7 @@ def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np
 
 
 def _sweep_command(command: str, args: argparse.Namespace) -> int:
-    cfg, _ = load_config_file(args.config)
+    cfg = load_config_file(args.config)
     mode = _mode_from_args(args)
     grid = _snr_grid(args)
     if args.trials < 0:
@@ -320,7 +310,7 @@ def cmd_ecr(args: argparse.Namespace) -> int:
 
 
 def cmd_sensing(args: argparse.Namespace) -> int:
-    cfg, _ = load_config_file(args.config)
+    cfg = load_config_file(args.config)
     split = fdsac(args.kappa, args.mu)
     grid = _snr_grid(args)
     powers = db_to_linear(grid)
@@ -338,8 +328,10 @@ def cmd_sensing(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    cfg, _ = load_config_file(args.config)
+    cfg = load_config_file(args.config)
     p = _linear_power("--p-db", args.p_db)
+    if args.grid_n < 2:
+        raise ValueError(f"--grid-n {args.grid_n} must be at least 2")
     with _named_power("--p-db", args.p_db):
         corner = isac_corner(cfg, p)
         frontier = fdsac_frontier(cfg, p, args.grid_n)
@@ -382,11 +374,11 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
-    cfg, _ = load_config_file(args.config)
+    cfg = load_config_file(args.config)
     if args.trials < 1:
         raise ValueError(f"--trials {args.trials} must be at least 1")
     _check_seed(args.seed)
-    results = run_all(cfg, trials=args.trials, seed=args.seed, grid_n=101)
+    results = run_all(cfg, args.trials, args.seed)
     width = max(len(res.name) for res in results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -460,6 +452,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArithmeticError as exc:
         # Overflow or non-convergence from an extreme input, such as --p-db 4000.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # A grid too large for this host, such as region --grid-n 50000.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,11 @@ import numpy as np
 
 from .specfun import _elementwise, _float_or_array
 
+__all__ = [
+    "ISAC", "Mode", "ResourceSplit", "SystemConfig", "baseline_config", "comm_factors",
+    "db_to_linear", "fdsac", "make_config", "validate_config",
+]
+
 #: The scalar float fields of SystemConfig, in config-file order.
 FLOAT_FIELDS = (
     "rho1",
@@ -26,6 +31,8 @@ FLOAT_FIELDS = (
     "target_rate_n",
     "target_rate_f",
 )
+#: The integer fields of SystemConfig, in config-file order.
+INT_FIELDS = ("num_rx_antennas", "frame_length")
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ValueError("alpha_n + alpha_f must equal 1")
     if not cfg.alpha_n < cfg.alpha_f:
         raise ValueError("alpha_n >= alpha_f")
-    if not (isinstance(cfg.num_rx_antennas, int) and cfg.num_rx_antennas >= 1):
-        raise ValueError("num_rx_antennas must be a positive integer")
-    if not (isinstance(cfg.frame_length, int) and cfg.frame_length >= 1):
-        raise ValueError("frame_length must be a positive integer")
+    for name in INT_FIELDS:
+        if not (isinstance(getattr(cfg, name), int) and getattr(cfg, name) >= 1):
+            raise ValueError(f"{name} must be a positive integer")
     if cfg.target_rate_n < 0.0:
         raise ValueError("target_rate_n must be nonnegative")
     if cfg.target_rate_f < 0.0:

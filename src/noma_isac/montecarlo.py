@@ -19,6 +19,11 @@ from .analytic import thresholds
 from .channel import CorrelationMatrix, gain_samples
 from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 
+__all__ = [
+    "EstimateWithError", "dual_function_signal", "estimate_ecr", "estimate_outage",
+    "estimate_slope", "orthogonal_streams", "sensing_mi_bruteforce", "sensing_mi_reduced",
+]
+
 _CHUNK = 1 << 20
 _LN2 = math.log(2.0)
 

@@ -1,7 +1,5 @@
 """Sensing-communication rate regions, Pareto frontier extraction, and the
-region-containment check, together with the scalar monotonicity kernels the
-containment argument rests on.
-"""
+region-containment check."""
 
 from __future__ import annotations
 
@@ -12,6 +10,11 @@ import numpy as np
 
 from .analytic import ergodic_rates, sensing_rate, split_ergodic_rates, split_sensing_rate
 from .config import ISAC, SystemConfig
+
+__all__ = [
+    "ContainmentReport", "RatePoint", "RegionFrontier", "containment_check", "fdsac_frontier",
+    "isac_corner",
+]
 
 #: Absolute slack allowed when comparing smooth rate expressions.
 CONTAINMENT_EPS = 1e-9
@@ -98,35 +101,3 @@ def containment_check(corner: RatePoint, frontier: RegionFrontier) -> Containmen
         float(np.max(frontier.rate_c - corner.rate_c)),
     )
     return ContainmentReport(holds=worst <= CONTAINMENT_EPS, max_violation=worst)
-
-
-def bandwidth_scaled_rate(x: float, a: float, b: float) -> float:
-    """Rate through a fractional band: x * ln(1 + a/(x + b)), nats.
-
-    Strictly increasing on x in [0, 1] for a > 0, b >= 0, which is what makes
-    shrinking a sub-band never pay off.
-    """
-    if not a > 0.0:
-        raise ValueError("a must be positive")
-    if b < 0.0:
-        raise ValueError("b must be nonnegative")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    return x * math.log1p(a / (x + b))
-
-
-def log_plus_ratio(x: float, c: float) -> float:
-    """Monotone helper ln(x + c) + c/(x + c), nondecreasing on x >= 0 for c >= 0.
-
-    The derivative of bandwidth_scaled_rate in its fraction argument equals
-    log_plus_ratio(a + b, x) - log_plus_ratio(b, x).
-    """
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x + c == 0.0:
-        raise ValueError("x + c must be positive")
-    return math.log(x + c) + c / (x + c)

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["EULER_GAMMA", "exp_int_ei", "log2_det_i_plus_scaled", "psi_term"]
+
 #: Euler-Mascheroni constant gamma = 0.5772156649015329...
 EULER_GAMMA = float(np.euler_gamma)
 

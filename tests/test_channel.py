@@ -1,10 +1,12 @@
 """Fading distributions against their sampler, plus array geometry checks.
 
-The CDF/PDF closed forms act as oracles for the Monte Carlo sampler and
-vice versa; both are checked against direct numerical integration.
+The ordered-gain CDF/PDF closed forms below act as oracles for the Monte
+Carlo sampler and vice versa; both are checked against direct numerical
+integration.
 """
 
 import math
+from typing import Union
 
 import numpy as np
 import pytest
@@ -15,18 +17,60 @@ from noma_isac.channel import (
     Target,
     TargetScene,
     build_correlation,
-    cdf_far,
-    cdf_near,
     gain_samples,
-    pdf_far,
-    pdf_near,
     scene_eigenvalues,
     steering_vector,
     trial_uniforms,
 )
-from noma_isac.config import baseline_config
+from noma_isac.config import SystemConfig, baseline_config
 
 CFG = baseline_config()
+
+ArrayLike = Union[float, np.ndarray]
+
+
+def _check_nonnegative(x: np.ndarray) -> None:
+    if np.any(x < 0.0):
+        raise ValueError("x must be nonnegative")
+
+
+def cdf_near(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
+    """CDF of the near-user gain: (1 - e^{-x/rho1})(1 - e^{-x/rho2})."""
+    xv = np.asarray(x, dtype=float)
+    _check_nonnegative(xv)
+    out = -np.expm1(-xv / cfg.rho1) * -np.expm1(-xv / cfg.rho2)
+    return float(out) if np.isscalar(x) else out
+
+
+def cdf_far(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
+    """CDF of the far-user gain: 1 - e^{-x/rho3} with rho3 = rho1*rho2/(rho1+rho2)."""
+    xv = np.asarray(x, dtype=float)
+    _check_nonnegative(xv)
+    out = -np.expm1(-xv / cfg.rho3)
+    return float(out) if np.isscalar(x) else out
+
+
+def pdf_near(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
+    """Density of the near-user gain.
+
+    f_N(x) = e^{-x/rho1}/rho1 + e^{-x/rho2}/rho2 - e^{-x/rho3}/rho3.
+    """
+    xv = np.asarray(x, dtype=float)
+    _check_nonnegative(xv)
+    out = (
+        np.exp(-xv / cfg.rho1) / cfg.rho1
+        + np.exp(-xv / cfg.rho2) / cfg.rho2
+        - np.exp(-xv / cfg.rho3) / cfg.rho3
+    )
+    return float(out) if np.isscalar(x) else out
+
+
+def pdf_far(x: ArrayLike, cfg: SystemConfig) -> ArrayLike:
+    """Density of the far-user gain: e^{-x/rho3}/rho3."""
+    xv = np.asarray(x, dtype=float)
+    _check_nonnegative(xv)
+    out = np.exp(-xv / cfg.rho3) / cfg.rho3
+    return float(out) if np.isscalar(x) else out
 
 
 def test_sampler_respects_ordering():

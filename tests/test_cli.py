@@ -38,9 +38,7 @@ def _read_csv(path):
 def test_config_roundtrip(tmp_path):
     path = tmp_path / "sys.cfg"
     path.write_text(dump_config(CFG), encoding="utf-8")
-    cfg, scene = load_config_file(str(path))
-    assert cfg == CFG
-    assert scene is None
+    assert load_config_file(str(path)) == CFG
 
 
 def test_config_with_scene_derives_spectrum(tmp_path):
@@ -64,8 +62,7 @@ def test_config_with_scene_derives_spectrum(tmp_path):
     )
     path = tmp_path / "scene.cfg"
     path.write_text(text, encoding="utf-8")
-    cfg, scene = load_config_file(str(path))
-    assert scene is not None and len(scene.targets) == 2
+    cfg = load_config_file(str(path))
     assert len(cfg.sensing_eigenvalues) == 8
     assert sum(cfg.sensing_eigenvalues) == pytest.approx(8 * 3.0, rel=1e-9)
     assert cfg.sensing_rank == 2
@@ -147,6 +144,8 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         # kappa * sigma2_c is subnormal, and the per-trial SNR overflows.
         (["ecr", "--mode", "fdsac", "--kappa", "1e-320", "--trials", "1000"], "--kappa"),
         (["outage", "--mode", "fdsac", "--kappa", "1e-308", "--trials", "1000"], "--kappa"),
+        (["region", "--grid-n", "1"], "--grid-n"),
+        (["region", "--grid-n", "-3"], "--grid-n"),
     ],
 )
 def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
@@ -155,6 +154,22 @@ def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 18.6 GiB")])
+def test_out_of_memory_exits_one_with_one_line(cfg_file, tmp_path, capsys, monkeypatch, error):
+    # A grid too large for the host; no huge grid is allocated here.
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "fdsac_frontier", fail)
+    out = tmp_path / "region.csv"
+    rc = main(["region", "--config", cfg_file, "--grid-n", "50000", "--output", str(out)])
+    assert rc == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert str(error) in err
 
 
 @pytest.mark.parametrize("command", ["outage", "ecr"])

@@ -83,6 +83,7 @@ def test_no_communication_resources_means_certain_outage(cfg, fraction, no_bandw
     p = db_to_linear(snr_db)
     assert not thresholds(cfg, mode).feasible
     assert outage_probability(cfg, mode, p) == (1.0, 1.0)
+    assert outage_asymptotic(cfg, mode, p) == (1.0, 1.0)
     [(est_n, est_f)] = estimate_outage(cfg, mode, [p], trials=200, seed=7)
     assert (est_n.value, est_f.value) == (1.0, 1.0)
     assert est_n.std_error == est_f.std_error == 0.0
@@ -106,8 +107,6 @@ def test_power_grid_equals_per_power_calls(cfg, mode, grid_db):
     # one call per power gives.
     powers = db_to_linear(grid_db)
     for closed_form in _CLOSED_FORMS:
-        if closed_form is outage_asymptotic and not thresholds(cfg, mode).feasible:
-            continue
         on_grid = closed_form(cfg, mode, powers)
         per_power = [closed_form(cfg, mode, p) for p in powers.tolist()]
         if isinstance(on_grid, tuple):

