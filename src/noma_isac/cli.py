@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -49,10 +48,10 @@ from .region import containment_check, fdsac_frontier, isac_corner
 def load_config_file(path: str) -> SystemConfig:
     """Parse a key=value config file into a validated SystemConfig.
 
-    `sensing_eigenvalues` takes a comma-separated list; a target scene is
-    given as repeated `target.strength` / `target.aoa` pairs and supplies the
-    eigen-spectrum when the explicit list is omitted.  Raises ValueError
-    naming the file on any parse or validation error.
+    `sensing_eigenvalues` takes a comma-separated list; a target scene,
+    given instead as repeated `target.strength` / `target.aoa` pairs,
+    supplies the eigen-spectrum.  Raises ValueError naming the file on any
+    parse or validation error, including a file that gives both.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,6 +109,11 @@ def load_config_file(path: str) -> SystemConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: key {key!r} must be an integer") from exc
 
+    if "sensing_eigenvalues" in values and scene is not None:
+        raise ValueError(
+            f"{path}: give either 'sensing_eigenvalues' or a target scene "
+            "('target.strength'/'target.aoa'), not both"
+        )
     if "sensing_eigenvalues" in values:
         items = [v for v in values["sensing_eigenvalues"].split(",") if v.strip()]
         fields["sensing_eigenvalues"] = tuple(
@@ -152,6 +156,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+#: Rows of a JSON table encoded per json.dumps call: enough to amortise the
+#: call, few enough that the encoded cells stay small.
+_JSON_BLOCK_ROWS = 4096
+
+
 def _write_table(
     output: str,
     fmt: str,
@@ -162,26 +171,45 @@ def _write_table(
     """Write equal-length named columns as a CSV or JSON table, in key order.
 
     A CSV column whose first cell is a string is written as it is, any other
-    to 12 significant digits; rows are formatted and written one at a time.
+    to 12 significant digits.  The JSON document is the one json.dumps writes
+    with indent=2 and sorted keys.  Either way rows are formatted from one
+    template and written one at a time.
     """
     values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    rows = zip(*values)
     if fmt == "csv":
         formats = ("%s" if col and isinstance(col[0], str) else "%.12g" for col in values)
         template = ",".join(formats) + "\n"
         lines = itertools.chain(
             [",".join(columns) + "\n"],
-            (template % row for row in rows),
+            (template % row for row in zip(*values)),
             ["# " + trailer + "\n"] if trailer else [],
         )
     else:
-        doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in rows]}
-        lines = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+        lines = _json_lines(dict(zip(columns, values)), metadata)
     if output == "-":
         sys.stdout.writelines(lines)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
+
+
+def _json_lines(columns: dict[str, Sequence], metadata: dict):
+    # json.dumps({"metadata": ..., "rows": [{key: cell}, ...]}, indent=2,
+    # sort_keys=True) + "\n", line by line.  The C encoder encodes each
+    # column a block of rows at a time, with "\0" between cells; no encoded
+    # cell holds one, as json escapes a string's control characters.
+    keys = sorted(columns)
+    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "    {\n      " + ",\n      ".join(fields) + "\n    }"
+    yield json.dumps({"metadata": metadata}, indent=2, sort_keys=True)[:-2] + ',\n  "rows": ['
+    separator = "\n"
+    for start in range(0, len(columns[keys[0]]), _JSON_BLOCK_ROWS):
+        block = (columns[key][start : start + _JSON_BLOCK_ROWS] for key in keys)
+        cells = (json.dumps(part, separators=("\0", ":"))[1:-1].split("\0") for part in block)
+        for row in zip(*cells):
+            yield separator + template % row
+            separator = ",\n"
+    yield ("]" if separator == "\n" else "\n  ]") + "\n}\n"
 
 
 def _metadata(command: str, cfg: SystemConfig, **extra: object) -> dict:
@@ -291,6 +319,8 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
             if n_slices == 1:
                 cells = _mc_cells(tasks[0])
             else:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=n_slices) as pool:
                     cells = [row for part in pool.map(_mc_cells, tasks) for row in part]
             columns.update(zip(_MC_COLUMNS[command], zip(*cells)))

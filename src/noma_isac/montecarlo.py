@@ -5,11 +5,19 @@ Estimates are pure functions of (cfg, mode, powers, trials, seed).  Trials
 are processed in fixed-size blocks, each drawn once and shared by every power
 of the call; partial sums are combined in block order, so the estimate at one
 power depends neither on the other powers nor on scheduling or worker count.
+
+A call that gets part of a power grid, one per process under the CLI's
+--workers, draws every block anew.  The outage kernel, which sorts each block
+once and then costs a few bisections per power, is dominated by that draw
+and sort, so splitting its grid gains nothing; the ecr kernel, a full pass
+over the trials per power, gains on long grids (BENCH_outage_sorted.json).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +34,7 @@ __all__ = [
 
 _CHUNK = 1 << 20
 _LN2 = math.log(2.0)
+_U = 2.0**-53  # unit roundoff of float64
 
 #: Largest dense identity-check problem, in total matrix dimension L*M.
 BRUTE_FORCE_LIMIT = 256
@@ -70,26 +79,51 @@ def _per_block(
     seed: int,
     kernel,
     no_resources,
-) -> list[list]:
-    # kernel(p, gain_n, gain_f) for every power against each trial block,
-    # indexed [power][block].  Each block is drawn once, and each kernel call
-    # frees its per-power arrays before the next power's are made.  Without
-    # communication resources nothing is drawn: each power gets the one
-    # all-trials result `no_resources`.
+) -> list[tuple]:
+    # kernel(powers, gain_n, gain_f) gives one result per power for a trial
+    # block; the results come back indexed [power][block].  Each block is
+    # drawn once.  Without communication resources nothing is drawn: each
+    # power gets the one all-trials result `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
     check_power(powers)
     if not has_comm_resources(*comm_factors(mode)):
-        return [[no_resources] for _ in powers]
-    results: list[list] = [[] for _ in powers]
+        return [(no_resources,) for _ in powers]
+    blocks = []
     for start in range(0, trials, _CHUNK):
         gain_n, gain_f = gain_samples(cfg, seed, start, min(_CHUNK, trials - start))
         # A received power that overflows raises FloatingPointError, rather
         # than passing on inf or nan.
         with np.errstate(over="raise", invalid="raise"):
-            for per_block, p in zip(results, powers):
-                per_block.append(kernel(p, gain_n, gain_f))
-    return results
+            blocks.append(kernel(powers, gain_n, gain_f))
+    return list(zip(*blocks))
+
+
+def _transition(holds, gains: np.ndarray) -> int:
+    # An index k of the ascending `gains` at which the per-trial event turns
+    # from false (at k - 1, or k = 0) to true (at k, or k = gains.size),
+    # found by bisection on one-element slices.
+    return bisect.bisect_left(
+        range(gains.size), True, key=lambda i: bool(holds(gains[i : i + 1])[0])
+    )
+
+
+def _undecided(holds, gains: np.ndarray, width) -> tuple[int, int]:
+    # Index range [lo, hi) of the ascending `gains` outside which the event
+    # is settled by monotonicity: false below lo, true from hi on.  width(g)
+    # is the window's relative half-width at gain g (see estimate_outage);
+    # from 1 up, that side of the window runs to the end of the block.
+    k = _transition(holds, gains)
+    lo, hi = 0, gains.size
+    if k > 0:
+        w = width(float(gains[k - 1]))
+        if w < 1.0:
+            lo = int(np.searchsorted(gains, gains[k - 1] * (1.0 - w)))
+    if k < gains.size:
+        w = width(float(gains[k]))
+        if w < 1.0:
+            hi = int(np.searchsorted(gains, gains[k] * (1.0 + w), side="right"))
+    return lo, hi
 
 
 def estimate_outage(
@@ -101,15 +135,72 @@ def estimate_outage(
     message clear their thresholds; a far-user trial is in outage when its
     SINR falls below the far-user threshold.  Without a sub-band or power to
     decode with, every trial is an outage.  Every power sees the same trials.
+
+    The counts equal those of evaluating every trial's SINRs, but each block
+    is sorted once and each power costs a few bisections.  The near events
+    depend only on gain_n and the far event only on gain_f, and each is
+    monotone in its gain up to rounding, with u = 2**-53, N the noise power
+    and s = fl(c*g) the received power, c = mu_t*p:
+
+    - The own SNR fl(fl(s*alpha_n)/N) is a chain of monotone roundings, so
+      its event is exactly monotone: bisection alone gives its count.
+    - The far-message SINR r = fl(fl(s*alpha_f)/fl(N + fl(s*alpha_n))), the
+      SIC stage and the far user, has |ln r - ln f(c*g)| <= 4u to first order
+      for f(s) = s*alpha_f/(N + s*alpha_n), whose elasticity in s is
+      e = N/(N + s*alpha_n).  Comparing r with a threshold can differ from
+      comparing f only in a band of half-width about 4u/e + 2u in ln g.
+      Bisection finds adjacent gains g_lo (event false) and g_hi (event
+      true).  Every gain below g_lo*(1 - w) or above g_hi*(1 + w), with
+      w = 8*(4u/e + 2u) at that gain, moves ln f by at least 16u and lies
+      outside the band; only the gains between are evaluated per trial.
+    - Where w >= 1 (e tiny: the SINR flat against its ceiling, as with an
+      infeasible allocation) or an operand is subnormal, that side of the
+      window runs to the end of the block, so the count is the per-trial
+      count on the same path.
+
+    The bisections use the per-trial formulas only, never the closed form's
+    thresholds, so the estimate stays an independent check of them.  The
+    largest gains are evaluated first: a received power that overflows on
+    any trial overflows there and raises FloatingPointError.
     """
     kappa_t, mu_t = comm_factors(mode)
+    noise = kappa_t * cfg.sigma2_c
     th = thresholds(cfg, mode)
 
-    def outages(p: float, gain_n: np.ndarray, gain_f: np.ndarray) -> tuple[int, int]:
-        sic, snr_n, sinr_f = _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n, gain_f)
-        ok_n = (sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n)
-        out_f = int(np.count_nonzero(sinr_f < th.gamma_bar_f))
-        return gain_n.size - int(np.count_nonzero(ok_n)), out_f
+    def outages(powers: Sequence[float], gain_n: np.ndarray, gain_f: np.ndarray) -> list:
+        gain_n.sort()
+        gain_f.sort()
+        n = gain_n.size
+        counts = []
+        for p in powers:
+            # If the received power overflows on any trial, it does on the largest gains.
+            _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n[-1:], gain_f[-1:])
+
+            def sic_ok(g):
+                return _sinr_arrays(cfg, kappa_t, mu_t, p, g, g[:0])[0] > th.gamma_bar_f
+
+            def own_ok(g):
+                return _sinr_arrays(cfg, kappa_t, mu_t, p, g, g[:0])[1] > th.gamma_bar_n
+
+            def far_ok(g):
+                return _sinr_arrays(cfg, kappa_t, mu_t, p, g[:0], g)[2] >= th.gamma_bar_f
+
+            def width(g: float) -> float:
+                sig = mu_t * p * g
+                if 0.0 < min(noise, sig * cfg.alpha_n, sig * cfg.alpha_f) < sys.float_info.min:
+                    return math.inf
+                e = noise / (noise + sig * cfg.alpha_n)
+                return 8.0 * (4.0 * _U / e + 2.0 * _U) if e > 0.0 else math.inf
+
+            # Both near events hold from index max(own, hi) on, and inside
+            # the SIC window at and above own.
+            own = _transition(own_ok, gain_n)
+            lo, hi = _undecided(sic_ok, gain_n, width)
+            ok_n = n - max(own, hi) + int(np.count_nonzero(sic_ok(gain_n[max(own, lo) : hi])))
+            lo, hi = _undecided(far_ok, gain_f, width)
+            out_f = hi - int(np.count_nonzero(far_ok(gain_f[lo:hi])))
+            counts.append((n - ok_n, out_f))
+        return counts
 
     estimates = []
     for blocks in _per_block(cfg, mode, powers, trials, seed, outages, (trials, trials)):
@@ -142,8 +233,12 @@ def estimate_ecr(
         sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
         return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
 
+    def block_sums(powers: Sequence[float], gain_n: np.ndarray, gain_f: np.ndarray) -> list:
+        # One call per power, so each power's arrays are freed before the next's are made.
+        return [rate_sums(p, gain_n, gain_f) for p in powers]
+
     estimates = []
-    for blocks in _per_block(cfg, mode, powers, trials, seed, rate_sums, (0.0,) * 4):
+    for blocks in _per_block(cfg, mode, powers, trials, seed, block_sums, (0.0,) * 4):
         sum_n, sum_f, sq_n, sq_f = (math.fsum(column) for column in zip(*blocks))
         estimates.append((_mean_estimate(sum_n, sq_n, trials), _mean_estimate(sum_f, sq_f, trials)))
     return estimates

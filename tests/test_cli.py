@@ -4,6 +4,7 @@ exit codes."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from noma_isac import cli
@@ -82,6 +83,17 @@ def test_config_errors(tmp_path):
     bad.write_text("rho1 = 0.9\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing key"):
         load_config_file(str(bad))
+
+
+def test_scene_with_explicit_spectrum_exits_one(tmp_path, capsys):
+    # The explicit spectrum would silently win over the scene.
+    path = tmp_path / "both.cfg"
+    path.write_text(dump_config(CFG) + "target.strength = 2.0\ntarget.aoa = 0.4\n", encoding="utf-8")
+    assert main(["sensing", "--config", str(path), "--output", str(tmp_path / "sr.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+    assert "'sensing_eigenvalues'" in err and "target.strength" in err
+    assert not (tmp_path / "sr.csv").exists()
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -430,6 +442,26 @@ def test_json_outputs_are_byte_deterministic(cfg_file, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
+@pytest.mark.parametrize("block_rows", [2, 4096])
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, block_rows):
+    # The row-template writer against the whole document dumped at once, on
+    # cells whose encodings hold separators, quotes, escapes and "%", in one
+    # block of rows or several.
+    monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", block_rows)
+    columns = {
+        "z%s key": np.array([1.5, -0.0, 1e-320])[:rows],
+        'a, "b"': ["x, y", "\0%s\n", "\u00e9"][:rows],
+        "m": [None, math.nan, 3][:rows],
+        "inf": (math.inf, -math.inf, 2.5)[:rows],
+    }
+    metadata = {"command": "t", "grid": [1.0, 2.5], "nested": {"b": None, "a": "q"}}
+    out = tmp_path / "t.json"
+    cli._write_table(str(out), "json", columns, metadata)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
 class _InlinePool:
     # Stands in for ProcessPoolExecutor: records max_workers, starts nothing.
     sizes: list = []
@@ -451,7 +483,7 @@ class _InlinePool:
 def test_workers_start_at_most_one_process_per_point(
     cfg_file, tmp_path, monkeypatch, workers, started
 ):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     args = ["ecr", "--config", cfg_file, "--trials", "2000", "--snr-db-max", "10"]
     serial, sliced = tmp_path / "serial.csv", tmp_path / "sliced.csv"

@@ -10,7 +10,14 @@ import pytest
 import noma_isac.montecarlo as mc
 from noma_isac.analytic import outage_probability, sensing_rate, thresholds
 from noma_isac.channel import CorrelationMatrix, gain_samples
-from noma_isac.config import ISAC, baseline_config, db_to_linear, fdsac
+from noma_isac.config import (
+    ISAC,
+    baseline_config,
+    comm_factors,
+    db_to_linear,
+    fdsac,
+    has_comm_resources,
+)
 from noma_isac.montecarlo import (
     dual_function_signal,
     estimate_ecr,
@@ -169,6 +176,161 @@ def test_estimate_outage_single_threshold_reduction():
         sic, snr_n, _ = mc._sinr_arrays(CFG, kappa_t, mu_t, p, gn, gf)
         joint_outage = ~((sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n))
         assert np.array_equal(joint_outage, gn < cutoff)
+
+
+# ------------------------------------------- sorted-gain outage vs per trial
+
+# The SIC stage's event is non-monotone in the gain within a few ulp of its
+# boundary here when split (alpha_n = 0.3), so the exact window matters.
+ROUNDING_CFG = dataclasses.replace(
+    CFG, alpha_n=0.3, alpha_f=0.7, target_rate_n=0.3, target_rate_f=0.6
+)
+INFEASIBLE_CFG = dataclasses.replace(CFG, alpha_n=0.45, alpha_f=0.55, target_rate_f=2.0)
+# gamma_bar_f one ulp below the far SINR's ceiling alpha_f / alpha_n: the
+# SINR's elasticity at the boundary is about 1e-16.
+CEILING_CFG = dataclasses.replace(CFG, target_rate_f=math.log2(5.0))
+# gamma_bar_f above the ceiling: infeasible, but at high power the far
+# user's SINR rounds up past the threshold on some trials.
+ROUNDED_UP_CFG = dataclasses.replace(
+    CFG, alpha_n=0.35, alpha_f=0.65, target_rate_f=math.log2(1.0 + 0.65 / 0.35)
+)
+ZERO_RATE_CFG = dataclasses.replace(CFG, target_rate_n=0.0, target_rate_f=0.0)
+OVERFLOW_THRESHOLD_CFG = dataclasses.replace(CFG, target_rate_f=2.0)
+
+
+def _per_trial_outages(cfg, mode, powers, trials, seed):
+    # The reference: every trial's SINRs against the thresholds, block by
+    # block, as (near, far) outage fractions.
+    kappa_t, mu_t = comm_factors(mode)
+    th = thresholds(cfg, mode)
+    fractions = []
+    for p in powers:
+        out_n = out_f = 0
+        if has_comm_resources(kappa_t, mu_t):
+            for start in range(0, trials, mc._CHUNK):
+                gn, gf = mc.gain_samples(cfg, seed, start, min(mc._CHUNK, trials - start))
+                sic, snr_n, sinr_f = mc._sinr_arrays(cfg, kappa_t, mu_t, p, gn, gf)
+                ok_n = (sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n)
+                out_n += gn.size - int(np.count_nonzero(ok_n))
+                out_f += int(np.count_nonzero(sinr_f < th.gamma_bar_f))
+        else:
+            out_n = out_f = trials
+        fractions.append((out_n / trials, out_f / trials))
+    return fractions
+
+
+def _estimated_fractions(cfg, mode, powers, trials, seed):
+    return [(n.value, f.value) for n, f in estimate_outage(cfg, mode, powers, trials, seed)]
+
+
+def _boundary_gains(cfg, mode, p):
+    # Gains at and next to each decision boundary of the SIC stage, the near
+    # user's own SNR and the far user: nextafter chains of 40 ulp each way,
+    # and 400 gains spread over 200 ulp each way.
+    kappa_t, mu_t = comm_factors(mode)
+    th = thresholds(cfg, mode)
+    scale = kappa_t * cfg.sigma2_c / (mu_t * p)
+    rng = np.random.default_rng(0)
+    gains = [np.zeros(1)]
+    for cut in (th.vartheta * scale, th.gamma_bar_n / cfg.alpha_n * scale):
+        chain = [cut]
+        for toward in (0.0, math.inf):
+            g = cut
+            for _ in range(40):
+                g = float(np.nextafter(g, toward))
+                chain.append(g)
+        gains += [np.array(chain), cut * (1.0 + rng.uniform(-200.0, 200.0, 400) * 2.0**-53)]
+    return rng.permutation(np.concatenate(gains))
+
+
+@pytest.mark.parametrize("cfg", [CFG, ROUNDING_CFG], ids=["baseline", "rounding"])
+@pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
+@pytest.mark.parametrize("chunk", [1 << 20, 300])
+def test_outage_counts_equal_per_trial_at_boundary_gains(monkeypatch, cfg, mode, chunk):
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    for snr_db in (0.0, 17.5, 40.0):
+        p = db_to_linear(snr_db)
+        gains = _boundary_gains(cfg, mode, p)
+
+        def draw(cfg, seed, start, count):
+            # gain_n and gain_f hold the same gains in different orders.
+            return gains[start : start + count].copy(), gains[::-1][start : start + count].copy()
+
+        monkeypatch.setattr(mc, "gain_samples", draw)
+        expected = _per_trial_outages(cfg, mode, [p], gains.size, 1)
+        assert _estimated_fractions(cfg, mode, [p], gains.size, 1) == expected
+        assert 0.0 < expected[0][0] < 1.0 and 0.0 < expected[0][1] < 1.0
+
+
+@pytest.mark.parametrize(
+    "cfg,mode",
+    [
+        (CFG, ISAC),
+        (CFG, HALF_SPLIT),
+        (ROUNDING_CFG, ISAC),
+        (INFEASIBLE_CFG, ISAC),
+        (CEILING_CFG, ISAC),
+        (ROUNDED_UP_CFG, ISAC),
+        (ZERO_RATE_CFG, HALF_SPLIT),
+        (OVERFLOW_THRESHOLD_CFG, fdsac(0.001, 0.5)),
+        (CFG, fdsac(0.5, 0.0)),
+    ],
+    ids=["isac", "split", "rounding", "infeasible", "ceiling", "rounded_up", "zero_rate", "infinite_rate", "no_power"],
+)
+def test_outage_counts_equal_per_trial_in_small_blocks(monkeypatch, cfg, mode):
+    # 2500 trials in blocks of 1000, from far below to far above every
+    # boundary, up to received powers at the SINR's ceiling.
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    powers = db_to_linear(np.arange(-20.0, 301.0, 10.0)).tolist()
+    expected = _per_trial_outages(cfg, mode, powers, 2500, 11)
+    assert _estimated_fractions(cfg, mode, powers, 2500, 11) == expected
+
+
+@pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
+def test_outage_counts_equal_per_trial_with_subnormal_operands(mode):
+    # A subnormal noise power puts subnormal operands, whose rounding error is
+    # not relative, into the SINRs at every boundary.
+    cfg = dataclasses.replace(CFG, sigma2_c=5e-323)
+    powers = (5e-323 * 10.0 ** np.arange(0.0, 6.0, 0.5)).tolist()
+    expected = _per_trial_outages(cfg, mode, powers, 3000, 4)
+    assert _estimated_fractions(cfg, mode, powers, 3000, 4) == expected
+
+
+def test_boundary_cases_exercise_the_window():
+    # The cases above would pass with a narrower window, or none, unless the
+    # per-trial events really are non-monotone or flat in the gain there.
+    p = db_to_linear(17.5)
+    kappa_t, mu_t = comm_factors(HALF_SPLIT)
+    gains = np.sort(_boundary_gains(ROUNDING_CFG, HALF_SPLIT, p))
+    sic = mc._sinr_arrays(ROUNDING_CFG, kappa_t, mu_t, p, gains, gains)[0]
+    sic_ok = sic > thresholds(ROUNDING_CFG, HALF_SPLIT).gamma_bar_f
+    assert np.count_nonzero(np.diff(sic_ok)) > 1
+    assert not thresholds(ROUNDED_UP_CFG, ISAC).feasible
+    [(_, far)] = _per_trial_outages(ROUNDED_UP_CFG, ISAC, [db_to_linear(300.0)], 2500, 11)
+    assert 0.0 < far < 1.0
+    [(_, far)] = _per_trial_outages(CEILING_CFG, ISAC, [db_to_linear(300.0)], 2500, 11)
+    assert far == 0.0
+
+
+@pytest.mark.parametrize("trials", [1_000_000, 2_500_000])
+@pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
+def test_outage_counts_equal_per_trial_at_full_size(trials, mode):
+    powers = db_to_linear(np.array([0.0, 15.0, 30.0, 40.0])).tolist()
+    expected = _per_trial_outages(CFG, mode, powers, trials, 2)
+    assert _estimated_fractions(CFG, mode, powers, trials, 2) == expected
+
+
+@pytest.mark.parametrize("sigma2_c", [1.0, 1e300])
+@pytest.mark.parametrize("chunk", [1 << 20, 1000])
+@pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
+def test_estimate_outage_overflowing_power_raises(monkeypatch, sigma2_c, chunk, mode):
+    # A received power that overflows on any trial raises.  With a noise
+    # power of 1e300 every decision boundary lies far below the largest
+    # gains, which alone overflow.
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    cfg = dataclasses.replace(CFG, sigma2_c=sigma2_c)
+    with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+        estimate_outage(cfg, mode, [10.0**307.5], trials=100_000, seed=1)
 
 
 def test_estimate_ecr_matches_closed_form_and_ceiling():
