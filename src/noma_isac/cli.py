@@ -56,7 +56,7 @@ def load_config_file(path: str) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
 
     values: dict[str, str] = {}
@@ -119,16 +119,15 @@ def load_config_file(path: str) -> SystemConfig:
         fields["sensing_eigenvalues"] = tuple(
             _parse_float(path, 0, "sensing_eigenvalues", v) for v in items
         )
-    elif scene is not None:
-        fields["sensing_eigenvalues"] = scene_eigenvalues(scene, int(fields["num_rx_antennas"]))
-    else:
+    elif scene is None:
         raise ValueError(f"{path}: missing key 'sensing_eigenvalues' (or a target scene)")
 
     try:
-        cfg = validate_config(SystemConfig(**fields))  # type: ignore[arg-type]
+        if scene is not None:
+            fields["sensing_eigenvalues"] = scene_eigenvalues(scene, int(fields["num_rx_antennas"]))
+        return validate_config(SystemConfig(**fields))  # type: ignore[arg-type]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return cfg
 
 
 def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
@@ -242,6 +241,10 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed {seed} must lie in [0, 2**64)")
 
 
+#: Most float64 elements one numpy array can hold.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
+
 def _snr_grid(args: argparse.Namespace) -> list[float]:
     """dB power grid from --snr-db-min to --snr-db-max in steps of --snr-db-step."""
     _linear_power("--snr-db-min", args.snr_db_min)
@@ -250,7 +253,10 @@ def _snr_grid(args: argparse.Namespace) -> list[float]:
         raise ValueError("--snr-db-min must not exceed --snr-db-max")
     if not 0.0 < args.snr_db_step < math.inf:
         raise ValueError("--snr-db-step must be positive and finite")
-    count = int(math.floor((args.snr_db_max - args.snr_db_min) / args.snr_db_step + 1e-9)) + 1
+    span = (args.snr_db_max - args.snr_db_min) / args.snr_db_step
+    if not span < _MAX_ELEMENTS:
+        raise ValueError(f"--snr-db-step {args.snr_db_step:g} gives more points than an array holds")
+    count = int(math.floor(span + 1e-9)) + 1
     return (args.snr_db_min + np.arange(count) * args.snr_db_step).tolist()
 
 
@@ -264,15 +270,6 @@ _MC_COLUMNS = {
     "outage": ("pout_n_mc", "pout_f_mc", "mc_stderr_n", "mc_stderr_f"),
     "ecr": ("ecr_n_mc", "ecr_f_mc", "mc_stderr_n", "mc_stderr_f"),
 }
-
-
-def _mc_cells(task) -> list[tuple[float, float, float, float]]:
-    """(near, far, near SE, far SE) Monte Carlo cells of one contiguous slice
-    of the power grid, from one estimator call."""
-    command, cfg, mode, powers, trials, seed = task
-    estimator = estimate_outage if command == "outage" else estimate_ecr
-    estimates = estimator(cfg, mode, powers, trials, seed)
-    return [(n.value, f.value, n.std_error, f.std_error) for n, f in estimates]
 
 
 def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np.ndarray) -> dict:
@@ -309,20 +306,9 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
     with _named_power("--snr-db-max", args.snr_db_max):
         columns = {"snr_db": grid, **_closed_form_columns(command, cfg, mode, powers)}
         if args.trials > 0:
-            # At most --workers contiguous slices of the grid, one process each.
-            n_slices = min(args.workers, len(grid))
-            bounds = [len(grid) * i // n_slices for i in range(n_slices + 1)]
-            tasks = [
-                (command, cfg, mode, powers[lo:hi].tolist(), args.trials, args.seed)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            if n_slices == 1:
-                cells = _mc_cells(tasks[0])
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=n_slices) as pool:
-                    cells = [row for part in pool.map(_mc_cells, tasks) for row in part]
+            estimator = estimate_outage if command == "outage" else estimate_ecr
+            estimates = estimator(cfg, mode, powers.tolist(), args.trials, args.seed, args.workers)
+            cells = [(n.value, f.value, n.std_error, f.std_error) for n, f in estimates]
             columns.update(zip(_MC_COLUMNS[command], zip(*cells)))
     meta = _metadata(
         command, cfg, mode=mode.tag, kappa=kappa, mu=mu, snr_db=grid, trials=args.trials, seed=args.seed
@@ -362,6 +348,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     p = _linear_power("--p-db", args.p_db)
     if args.grid_n < 2:
         raise ValueError(f"--grid-n {args.grid_n} must be at least 2")
+    if args.grid_n**2 > _MAX_ELEMENTS:
+        raise ValueError(f"--grid-n {args.grid_n} gives more points than an array holds")
     with _named_power("--p-db", args.p_db):
         corner = isac_corner(cfg, p)
         frontier = fdsac_frontier(cfg, p, args.grid_n)
@@ -452,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--trials", type=int, default=0, help="0 = analytic only")
             sp.add_argument("--seed", type=int, default=1)
             sp.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
-            sp.add_argument("--workers", type=int, default=1, help="grid slices run in parallel")
+            sp.add_argument("--workers", type=int, default=1, help="threads over each block's powers")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("region", help="rate region and containment check")

@@ -2,15 +2,11 @@
 the dense sensing mutual-information identity check, and slope fitting.
 
 Estimates are pure functions of (cfg, mode, powers, trials, seed).  Trials
-are processed in fixed-size blocks, each drawn once and shared by every power
-of the call; partial sums are combined in block order, so the estimate at one
-power depends neither on the other powers nor on scheduling or worker count.
-
-A call that gets part of a power grid, one per process under the CLI's
---workers, draws every block anew.  The outage kernel, which sorts each block
-once and then costs a few bisections per power, is dominated by that draw
-and sort, so splitting its grid gains nothing; the ecr kernel, a full pass
-over the trials per power, gains on long grids (BENCH_outage_sorted.json).
+are processed in fixed-size blocks, each drawn once on the calling thread and
+shared by every power of the call; the powers of a block may be evaluated on
+`workers` threads, and partial sums are combined in block order, so the
+estimate at one power depends neither on the other powers nor on scheduling
+or worker count.
 """
 
 from __future__ import annotations
@@ -77,26 +73,42 @@ def _per_block(
     powers: Sequence[float],
     trials: int,
     seed: int,
+    workers: int,
     kernel,
     no_resources,
 ) -> list[tuple]:
-    # kernel(powers, gain_n, gain_f) gives one result per power for a trial
-    # block; the results come back indexed [power][block].  Each block is
-    # drawn once.  Without communication resources nothing is drawn: each
-    # power gets the one all-trials result `no_resources`.
+    # kernel(gain_n, gain_f) prepares a trial block and returns its per-power
+    # function.  Each block is drawn once and its powers are mapped over at
+    # most `workers` threads; results come back indexed [power][block].
+    # Without communication resources nothing is drawn: each power gets the
+    # one all-trials result `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     check_power(powers)
     if not has_comm_resources(*comm_factors(mode)):
         return [(no_resources,) for _ in powers]
-    blocks = []
-    for start in range(0, trials, _CHUNK):
-        gain_n, gain_f = gain_samples(cfg, seed, start, min(_CHUNK, trials - start))
-        # A received power that overflows raises FloatingPointError, rather
-        # than passing on inf or nan.
-        with np.errstate(over="raise", invalid="raise"):
-            blocks.append(kernel(powers, gain_n, gain_f))
-    return list(zip(*blocks))
+
+    # An overflowing received power raises FloatingPointError rather than
+    # passing on inf or nan.  As a decorator, errstate sets numpy's error
+    # state, which is per thread, in the thread that runs each call.
+    raising = np.errstate(over="raise", invalid="raise")
+
+    def each_block(map_) -> list[tuple]:
+        blocks = []
+        for start in range(0, trials, _CHUNK):
+            at_power = kernel(*gain_samples(cfg, seed, start, min(_CHUNK, trials - start)))
+            blocks.append(list(map_(raising(at_power), powers)))
+        return list(zip(*blocks))
+
+    threads = min(workers, len(powers))
+    if threads < 2:
+        return each_block(map)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return each_block(pool.map)
 
 
 def _transition(holds, gains: np.ndarray) -> int:
@@ -127,14 +139,15 @@ def _undecided(holds, gains: np.ndarray, width) -> tuple[int, int]:
 
 
 def estimate_outage(
-    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int
+    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int, workers: int = 1
 ) -> list[tuple[EstimateWithError, EstimateWithError]]:
     """Empirical outage probabilities (near, far) at each of `powers`.
 
     A near-user trial is in outage unless both the SIC stage and its own
     message clear their thresholds; a far-user trial is in outage when its
     SINR falls below the far-user threshold.  Without a sub-band or power to
-    decode with, every trial is an outage.  Every power sees the same trials.
+    decode with, every trial is an outage.  Every power sees the same trials,
+    and up to `workers` threads evaluate a block's powers without changing a bit.
 
     The counts equal those of evaluating every trial's SINRs, but each block
     is sorted once and each power costs a few bisections.  The near events
@@ -167,12 +180,12 @@ def estimate_outage(
     noise = kappa_t * cfg.sigma2_c
     th = thresholds(cfg, mode)
 
-    def outages(powers: Sequence[float], gain_n: np.ndarray, gain_f: np.ndarray) -> list:
+    def outages(gain_n: np.ndarray, gain_f: np.ndarray):
         gain_n.sort()
         gain_f.sort()
         n = gain_n.size
-        counts = []
-        for p in powers:
+
+        def at_power(p: float) -> tuple[int, int]:
             # If the received power overflows on any trial, it does on the largest gains.
             _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n[-1:], gain_f[-1:])
 
@@ -199,11 +212,12 @@ def estimate_outage(
             ok_n = n - max(own, hi) + int(np.count_nonzero(sic_ok(gain_n[max(own, lo) : hi])))
             lo, hi = _undecided(far_ok, gain_f, width)
             out_f = hi - int(np.count_nonzero(far_ok(gain_f[lo:hi])))
-            counts.append((n - ok_n, out_f))
-        return counts
+            return n - ok_n, out_f
+
+        return at_power
 
     estimates = []
-    for blocks in _per_block(cfg, mode, powers, trials, seed, outages, (trials, trials)):
+    for blocks in _per_block(cfg, mode, powers, trials, seed, workers, outages, (trials, trials)):
         out_n, out_f = (sum(column) for column in zip(*blocks))
         estimates.append((_binomial_estimate(out_n, trials), _binomial_estimate(out_f, trials)))
     return estimates
@@ -219,26 +233,26 @@ def _binomial_estimate(successes: int, trials: int) -> EstimateWithError:
 
 
 def estimate_ecr(
-    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int
+    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int, workers: int = 1
 ) -> list[tuple[EstimateWithError, EstimateWithError]]:
     """Empirical ergodic rates (near, far) at each of `powers`, sample means
-    of kappa_t*log2(1 + SINR) over the same trials; zero without resources."""
+    of kappa_t*log2(1 + SINR) over the same trials; zero without resources.
+    `workers` is as for estimate_outage."""
     kappa_t, mu_t = comm_factors(mode)
     noise = kappa_t * cfg.sigma2_c
 
-    def rate_sums(p: float, gain_n: np.ndarray, gain_f: np.ndarray) -> tuple[float, ...]:
-        # The SIC stage sets no rate: only the users' own SINRs are formed.
-        val_n = kappa_t * np.log1p(mu_t * p * gain_n * cfg.alpha_n / noise) / _LN2
-        val_f = kappa_t * np.log1p(_far_message_sinr(cfg, noise, mu_t * p * gain_f)) / _LN2
-        sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
-        return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
+    def block_sums(gain_n: np.ndarray, gain_f: np.ndarray):
+        def rate_sums(p: float) -> tuple[float, ...]:
+            # The SIC stage sets no rate: only the users' own SINRs are formed.
+            val_n = kappa_t * np.log1p(mu_t * p * gain_n * cfg.alpha_n / noise) / _LN2
+            val_f = kappa_t * np.log1p(_far_message_sinr(cfg, noise, mu_t * p * gain_f)) / _LN2
+            sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
+            return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
 
-    def block_sums(powers: Sequence[float], gain_n: np.ndarray, gain_f: np.ndarray) -> list:
-        # One call per power, so each power's arrays are freed before the next's are made.
-        return [rate_sums(p, gain_n, gain_f) for p in powers]
+        return rate_sums
 
     estimates = []
-    for blocks in _per_block(cfg, mode, powers, trials, seed, block_sums, (0.0,) * 4):
+    for blocks in _per_block(cfg, mode, powers, trials, seed, workers, block_sums, (0.0,) * 4):
         sum_n, sum_f, sq_n, sq_f = (math.fsum(column) for column in zip(*blocks))
         estimates.append((_mean_estimate(sum_n, sq_n, trials), _mean_estimate(sum_f, sq_f, trials)))
     return estimates

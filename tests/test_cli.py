@@ -3,11 +3,16 @@ exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noma_isac import cli
+import noma_isac
+from noma_isac import cli, montecarlo
 from noma_isac.cli import dump_config, load_config_file, main
 from noma_isac.config import baseline_config
 
@@ -96,6 +101,25 @@ def test_scene_with_explicit_spectrum_exits_one(tmp_path, capsys):
     assert not (tmp_path / "sr.csv").exists()
 
 
+def test_undecodable_config_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(dump_config(CFG).encode() + b"# caf\xe9 \xff\n")
+    assert main(["outage", "--config", str(path), "--output", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
+    assert "can't decode byte" in err and err.count("\n") == 1
+
+
+def test_scene_with_zero_antennas_names_the_file(tmp_path, capsys):
+    lines = dump_config(CFG).replace("num_rx_antennas = 8", "num_rx_antennas = 0").splitlines()
+    text = [ln for ln in lines if not ln.startswith("sensing_eigenvalues")]
+    path = tmp_path / "scene.cfg"
+    path.write_text("\n".join(text + ["target.strength = 2.0", "target.aoa = 0.4"]), encoding="utf-8")
+    assert main(["sensing", "--config", str(path), "--output", str(tmp_path / "sr.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["outage", "--config", str(tmp_path / "nope.cfg"), "--output", "-"])
     assert rc == 1
@@ -158,6 +182,10 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         (["outage", "--mode", "fdsac", "--kappa", "1e-308", "--trials", "1000"], "--kappa"),
         (["region", "--grid-n", "1"], "--grid-n"),
         (["region", "--grid-n", "-3"], "--grid-n"),
+        # Grids with more points than a numpy array can index.
+        (["outage", "--snr-db-step", "5e-324"], "--snr-db-step"),
+        (["outage", "--snr-db-step", "1e-300"], "--snr-db-step"),
+        (["region", "--grid-n", "100000000000000000000"], "--grid-n"),
     ],
 )
 def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
@@ -417,7 +445,7 @@ def test_region_json_document(cfg_file, tmp_path):
 # -------------------------------------------------------------- determinism
 
 def test_outputs_are_byte_deterministic(cfg_file, tmp_path):
-    # Seven points: two and four workers give uneven slices of the grid.
+    # Seven points; each block's powers run on one, two or four threads.
     args = [
         "outage", "--config", cfg_file, "--trials", "30000", "--seed", "4",
         "--snr-db-max", "30",
@@ -463,7 +491,7 @@ def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, bloc
     assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 class _InlinePool:
-    # Stands in for ProcessPoolExecutor: records max_workers, starts nothing.
+    # Stands in for ThreadPoolExecutor: records max_workers, starts nothing.
     sizes: list = []
 
     def __init__(self, max_workers):
@@ -480,18 +508,42 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("workers,started", [(1, []), (2, [2]), (3, [3]), (50, [3])])
-def test_workers_start_at_most_one_process_per_point(
+def test_workers_start_at_most_one_thread_per_point(
     cfg_file, tmp_path, monkeypatch, workers, started
 ):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     args = ["ecr", "--config", cfg_file, "--trials", "2000", "--snr-db-max", "10"]
-    serial, sliced = tmp_path / "serial.csv", tmp_path / "sliced.csv"
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
     assert main(args + ["--output", str(serial)]) == 0
     assert _InlinePool.sizes == []
-    assert main(args + ["--output", str(sliced), "--workers", str(workers)]) == 0
+    assert main(args + ["--output", str(threaded), "--workers", str(workers)]) == 0
     assert _InlinePool.sizes == started
-    assert sliced.read_bytes() == serial.read_bytes()
+    assert threaded.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["outage", "ecr"])
+def test_workers_draw_each_block_once_in_process(cfg_file, tmp_path, monkeypatch, command):
+    # Three blocks of 1000 trials for nine powers on four threads.
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    draws, draw = [], montecarlo.gain_samples
+
+    def counting(cfg, seed, start, count):
+        draws.append((start, count))
+        return draw(cfg, seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "gain_samples", counting)
+    argv = [command, "--config", cfg_file, "--trials", "2500", "--workers", "4"]
+    assert main(argv + ["--output", str(tmp_path / "t.csv")]) == 0
+    assert draws == [(0, 1000), (1000, 1000), (2000, 500)]
+
+
+def test_importing_the_cli_loads_no_executor():
+    # The thread pool is imported only when a sweep uses one.
+    code = "import sys, noma_isac.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(noma_isac.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0 and run.stdout == b"False\n"
 
 
 def test_csv_uses_twelve_significant_digits(cfg_file, tmp_path):

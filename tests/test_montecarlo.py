@@ -149,6 +149,33 @@ def test_grid_call_equals_per_power_calls(monkeypatch, estimator, mode):
     assert estimator(CFG, mode, powers[::-1], trials=2500, seed=19) == grid[::-1]
 
 
+@pytest.mark.parametrize("workers", [2, 3, 50])
+@pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
+@pytest.mark.parametrize(
+    "mode", [ISAC, HALF_SPLIT, fdsac(0.5, 0.0)], ids=["isac", "split", "no_power"]
+)
+def test_threaded_call_equals_one_worker(monkeypatch, workers, estimator, mode):
+    # Three blocks, each mapped over the powers on up to `workers` threads.
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    powers = [db_to_linear(snr_db) for snr_db in (0.0, 7.5, 15.0, 40.0)]
+    serial = estimator(CFG, mode, powers, trials=2500, seed=23)
+    assert estimator(CFG, mode, powers, trials=2500, seed=23, workers=workers) == serial
+
+
+@pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
+def test_threaded_overflow_raises(monkeypatch, estimator):
+    # At 3080 dB the received power overflows on a worker thread, whose
+    # numpy error state is its own.
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        estimator(CFG, ISAC, [db_to_linear(3070.0), db_to_linear(3080.0)], 2500, 1, workers=2)
+
+
+@pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
+def test_empty_grid_on_threads_is_empty(estimator):
+    assert estimator(CFG, ISAC, [], trials=100, seed=1, workers=2) == []
+
+
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
 @pytest.mark.parametrize("mode,blocks", [(ISAC, 3), (HALF_SPLIT, 3), (fdsac(0.0, 0.5), 0)])
 def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks):
@@ -379,6 +406,9 @@ def test_estimator_argument_errors():
         estimate_ecr(CFG, ISAC, [10.0], trials=0, seed=1)
     with pytest.raises(ValueError):
         estimate_outage(CFG, ISAC, [0.0], trials=10, seed=1)
+    for estimator in (estimate_outage, estimate_ecr):
+        with pytest.raises(ValueError, match="workers"):
+            estimator(CFG, ISAC, [10.0], trials=10, seed=1, workers=0)
 
 
 # ----------------------------------------------------- sensing MI identity
