@@ -20,6 +20,7 @@ import numpy as np
 from .analytic import (
     ergodic_rates,
     outage_probability,
+    reference_table,
     sensing_rate,
     sensing_rate_asymptotic,
     sum_rate,
@@ -65,7 +66,9 @@ def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> Check
     """Closed-form outage against the event-level estimator, 3-sigma bands.
 
     The band uses the binomial standard error implied by the closed-form
-    probability, which stays valid when the empirical count is tiny.
+    probability, which stays valid when the empirical count is tiny.  Where
+    that probability is 0 or 1, the standard error is 0: the point's z is 0
+    if the estimate equals it exactly and inf otherwise.
     """
     worst = 0.0
     checks = 0
@@ -74,8 +77,10 @@ def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> Check
         value = np.array(outage_probability(cfg, mode, powers))
         emp = _estimate_fields(estimate_outage(cfg, mode, powers.tolist(), trials, seed), "value")
         se = np.sqrt(value * (1.0 - value) / trials)
-        with np.errstate(divide="raise", invalid="raise"):  # a certain outage has se = 0
-            worst = max(worst, float(np.max(np.abs(value - emp) / se)))
+        gap = np.abs(value - emp)
+        with np.errstate(divide="raise", invalid="raise"):
+            z = np.divide(gap, se, out=np.where(gap == 0.0, 0.0, math.inf), where=se > 0.0)
+        worst = max(worst, float(np.max(z)))
         checks += value.size
     return CheckResult(
         name="outage closed form vs monte carlo",
@@ -103,7 +108,8 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
 
 
 def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
-    """Log-log outage slopes over 30-40 dB match diversity orders 2 and 1."""
+    """Log-log outage slopes over 30-40 dB match the reference table's
+    diversity orders."""
     grid_db = 30.0 + np.arange(11.0)
     results = []
     for _, mode in _modes():
@@ -113,8 +119,8 @@ def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
             for pout in (pn, pf)
         ))
     ok = all(
-        -2.15 <= slope_n <= -1.85 and -1.1 <= slope_f <= -0.9
-        for slope_n, slope_f in results
+        abs(slope_n + row.diversity_nu) <= 0.15 and abs(slope_f + row.diversity_fu) <= 0.1
+        for (slope_n, slope_f), row in zip(results, reference_table(cfg, SPLIT_KAPPA))
     )
     shown = "; ".join(f"({sn:.3f}, {sf:.3f})" for sn, sf in results)
     return CheckResult(
@@ -125,19 +131,18 @@ def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
 
 
 def check_high_snr_slopes(cfg: SystemConfig) -> CheckResult:
-    """Rate gains over a 4x power step at 34->40 dB match the slope table."""
+    """Rate gains over a 4x power step at 34->40 dB match the slope table;
+    the far user's, whose rate saturates, need only stay below 0.05 above it."""
     powers = db_to_linear([34.0, 40.0])
     slopes = {}
     for tag, mode in _modes():
         ecr_n, ecr_f = ergodic_rates(cfg, mode, powers)
         slopes[tag] = tuple(float(hi - lo) / 2.0 for lo, hi in (ecr_n, ecr_f, ecr_n + ecr_f))
-    ok = (
-        0.95 <= slopes["isac"][0] <= 1.05
-        and 0.45 <= slopes["fdsac"][0] <= 0.55
-        and slopes["isac"][1] < 0.05
-        and slopes["fdsac"][1] < 0.05
-        and abs(slopes["isac"][2] - 1.0) <= 0.05
-        and abs(slopes["fdsac"][2] - SPLIT_KAPPA) <= 0.05
+    ok = all(
+        abs(near - row.slope_nu) <= 0.05
+        and far - row.slope_fu < 0.05
+        and abs(total - row.slope_sum) <= 0.05
+        for (near, far, total), row in zip(slopes.values(), reference_table(cfg, SPLIT_KAPPA))
     )
     shown = "; ".join(
         f"{tag}: ({s[0]:.3f}, {s[1]:.3f}, {s[2]:.3f})" for tag, s in slopes.items()
@@ -185,9 +190,8 @@ def check_sensing_identities(cfg: SystemConfig, seed: int) -> CheckResult:
 
 
 def check_sensing_slopes(cfg: SystemConfig) -> CheckResult:
-    """Asymptote power-step slopes equal r/L and (1-kappa)*r/L; 40 dB gap < 1e-3."""
-    r = cfg.sensing_rank
-    big_l = cfg.frame_length
+    """Asymptote power-step slopes equal the slope table's; 40 dB gap < 1e-3."""
+    isac_row, fdsac_row = reference_table(cfg, SPLIT_KAPPA)
     p = db_to_linear(34.0)
     split = fdsac(SPLIT_KAPPA, SPLIT_MU)
     slope_i = (sensing_rate_asymptotic(cfg, ISAC, 4.0 * p) - sensing_rate_asymptotic(cfg, ISAC, p)) / 2.0
@@ -196,8 +200,8 @@ def check_sensing_slopes(cfg: SystemConfig) -> CheckResult:
     gap_i = abs(sensing_rate(cfg, ISAC, p40) - sensing_rate_asymptotic(cfg, ISAC, p40))
     gap_f = abs(sensing_rate(cfg, split, p40) - sensing_rate_asymptotic(cfg, split, p40))
     ok = (
-        abs(slope_i - r / big_l) <= 1e-12
-        and abs(slope_f - (1.0 - SPLIT_KAPPA) * r / big_l) <= 1e-12
+        abs(slope_i - isac_row.slope_sensing) <= 1e-12
+        and abs(slope_f - fdsac_row.slope_sensing) <= 1e-12
         and gap_i < 1e-3
         and gap_f < 1e-3
     )
@@ -272,7 +276,6 @@ def check_determinism(cfg: SystemConfig, seed: int) -> CheckResult:
         cfg_path = os.path.join(tmp, "system.cfg")
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(cli.dump_config(cfg))
-        outs = [os.path.join(tmp, f"out{i}.csv") for i in range(3)]
         base = [
             "outage",
             "--config", cfg_path,
@@ -282,27 +285,18 @@ def check_determinism(cfg: SystemConfig, seed: int) -> CheckResult:
             "--trials", "20000",
             "--seed", str(seed),
         ]
-        rc0 = cli.main(base + ["--output", outs[0], "--workers", "1"])
-        rc1 = cli.main(base + ["--output", outs[1], "--workers", "1"])
-        rc2 = cli.main(base + ["--output", outs[2], "--workers", "2"])
-        blobs = [Path(path).read_bytes() for path in outs]
-        regions = []
-        for i in range(2):
-            out = os.path.join(tmp, f"region{i}.csv")
-            cli.main([
-                "region", "--config", cfg_path, "--p-db", "5", "--grid-n", "11",
-                "--output", out,
-            ])
-            regions.append(Path(out).read_bytes())
-    ok = (
-        rc0 == rc1 == rc2 == 0
-        and blobs[0] == blobs[1] == blobs[2]
-        and regions[0] == regions[1]
-    )
+        runs = [base + ["--workers", workers] for workers in ("1", "1", "2")]
+        runs += [["region", "--config", cfg_path, "--p-db", "5", "--grid-n", "11"]] * 2
+        outs = [os.path.join(tmp, f"out{i}.csv") for i in range(len(runs))]
+        # Outputs are read only once every run has exited 0.
+        ran = all(cli.main(args + ["--output", out]) == 0 for args, out in zip(runs, outs))
+        blobs = [Path(out).read_bytes() for out in outs] if ran else []
+    ok = ran and blobs[0] == blobs[1] == blobs[2] and blobs[3] == blobs[4]
+    detail = "outage (workers 1/1/2) and region reruns byte-identical" if ok else "byte mismatch"
     return CheckResult(
         name="deterministic outputs",
         passed=ok,
-        detail="outage (workers 1/1/2) and region reruns byte-identical" if ok else "byte mismatch",
+        detail=detail if ran else "a run exited with an error",
     )
 
 

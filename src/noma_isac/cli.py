@@ -139,14 +139,15 @@ def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
 
 
 def dump_config(cfg: SystemConfig) -> str:
-    """Serialize a SystemConfig back to key=value text."""
+    """Serialize a SystemConfig back to key=value text that load_config_file
+    reads back to an equal config: every float is written by repr."""
     lines = []
     for key in FLOAT_FIELDS:
-        lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
+        lines.append(f"{key} = {float(getattr(cfg, key))!r}")
     for key in INT_FIELDS:
         lines.append(f"{key} = {getattr(cfg, key)}")
     lines.append(
-        "sensing_eigenvalues = " + ", ".join(_fmt(v) for v in cfg.sensing_eigenvalues)
+        "sensing_eigenvalues = " + ", ".join(repr(float(v)) for v in cfg.sensing_eigenvalues)
     )
     return "\n".join(lines) + "\n"
 
@@ -260,9 +261,11 @@ def _snr_grid(args: argparse.Namespace) -> list[float]:
     return (args.snr_db_min + np.arange(count) * args.snr_db_step).tolist()
 
 
-def _mode_from_args(args: argparse.Namespace) -> Mode:
-    if args.mode == "isac":
-        return ISAC
+def _split_from_args(args: argparse.Namespace) -> Mode:
+    """The fdsac mode of --kappa and --mu, each of which must lie in [0, 1]."""
+    for option, value in (("--kappa", args.kappa), ("--mu", args.mu)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{option} {value:g} must lie in [0, 1]")
     return fdsac(args.kappa, args.mu)
 
 
@@ -285,7 +288,8 @@ def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np
 
 def _sweep_command(command: str, args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
-    mode = _mode_from_args(args)
+    split = _split_from_args(args)
+    mode = ISAC if args.mode == "isac" else split
     grid = _snr_grid(args)
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
@@ -327,7 +331,7 @@ def cmd_ecr(args: argparse.Namespace) -> int:
 
 def cmd_sensing(args: argparse.Namespace) -> int:
     cfg = load_config_file(args.config)
-    split = fdsac(args.kappa, args.mu)
+    split = _split_from_args(args)
     grid = _snr_grid(args)
     powers = db_to_linear(grid)
     with _named_power("--snr-db-max", args.snr_db_max):

@@ -45,26 +45,34 @@ class EstimateWithError:
     trials: int
 
 
-def _sinr_arrays(
-    cfg: SystemConfig,
-    kappa_t: float,
-    mu_t: float,
-    p: float,
-    gain_n: np.ndarray,
-    gain_f: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Per-trial SINRs of the SIC stage, the near user's own message and the
-    # far user, for kappa_t > 0.
+def _formulas(cfg: SystemConfig, mode: Mode, p: float):
+    # The per-trial formulas at power p, for a mode with communication
+    # resources, of an array of gains (or one float gain): the near user's
+    # SNR for its own message once SIC has removed the far user's; the SINR
+    # of the far user's message with the near user's as interference, at the
+    # SIC stage or at the far user; and the relative half-width of the window
+    # around a transition of a far-message event (see estimate_outage).
+    kappa_t, mu_t = comm_factors(mode)
     noise = kappa_t * cfg.sigma2_c
-    sig_n = mu_t * p * gain_n
-    sinr_sic = _far_message_sinr(cfg, noise, sig_n)
-    return sinr_sic, sig_n * cfg.alpha_n / noise, _far_message_sinr(cfg, noise, mu_t * p * gain_f)
 
+    def received(gain):
+        return mu_t * p * gain
 
-def _far_message_sinr(cfg: SystemConfig, noise: float, sig: np.ndarray) -> np.ndarray:
-    # SINR of the far user's message at received power sig, with the near
-    # user's message as interference: the SIC stage, or the far user itself.
-    return sig * cfg.alpha_f / (noise + sig * cfg.alpha_n)
+    def own_snr(gain):
+        return received(gain) * cfg.alpha_n / noise
+
+    def far_message_sinr(gain):
+        sig = received(gain)
+        return sig * cfg.alpha_f / (noise + sig * cfg.alpha_n)
+
+    def window(gain: float) -> float:
+        sig = received(gain)
+        if 0.0 < min(noise, sig * cfg.alpha_n, sig * cfg.alpha_f) < sys.float_info.min:
+            return math.inf
+        e = noise / (noise + sig * cfg.alpha_n)
+        return 8.0 * (4.0 * _U / e + 2.0 * _U) if e > 0.0 else math.inf
+
+    return own_snr, far_message_sinr, window
 
 
 def _per_block(
@@ -111,21 +119,15 @@ def _per_block(
         return each_block(pool.map)
 
 
-def _transition(holds, gains: np.ndarray) -> int:
-    # An index k of the ascending `gains` at which the per-trial event turns
-    # from false (at k - 1, or k = 0) to true (at k, or k = gains.size),
-    # found by bisection on one-element slices.
-    return bisect.bisect_left(
+def _count(holds, gains: np.ndarray, width) -> int:
+    # Number of the ascending `gains` at which the per-trial event holds.
+    # Bisection on one-element slices finds adjacent gains, false at k - 1
+    # and true at k; every trial in the window of relative half-width
+    # width(g) around them is evaluated, and the rest are settled (see
+    # estimate_outage).  From 1 up, that side runs to the end of the block.
+    k = bisect.bisect_left(
         range(gains.size), True, key=lambda i: bool(holds(gains[i : i + 1])[0])
     )
-
-
-def _undecided(holds, gains: np.ndarray, width) -> tuple[int, int]:
-    # Index range [lo, hi) of the ascending `gains` outside which the event
-    # is settled by monotonicity: false below lo, true from hi on.  width(g)
-    # is the window's relative half-width at gain g (see estimate_outage);
-    # from 1 up, that side of the window runs to the end of the block.
-    k = _transition(holds, gains)
     lo, hi = 0, gains.size
     if k > 0:
         w = width(float(gains[k - 1]))
@@ -135,7 +137,7 @@ def _undecided(holds, gains: np.ndarray, width) -> tuple[int, int]:
         w = width(float(gains[k]))
         if w < 1.0:
             hi = int(np.searchsorted(gains, gains[k] * (1.0 + w), side="right"))
-    return lo, hi
+    return gains.size - hi + int(np.count_nonzero(holds(gains[lo:hi])))
 
 
 def estimate_outage(
@@ -150,22 +152,32 @@ def estimate_outage(
     and up to `workers` threads evaluate a block's powers without changing a bit.
 
     The counts equal those of evaluating every trial's SINRs, but each block
-    is sorted once and each power costs a few bisections.  The near events
-    depend only on gain_n and the far event only on gain_f, and each is
-    monotone in its gain up to rounding, with u = 2**-53, N the noise power
-    and s = fl(c*g) the received power, c = mu_t*p:
+    is sorted once and each power costs one bisection per user.  The near
+    user's joint event (SIC stage and own message both clear) depends only
+    on gain_n and the far user's event only on gain_f.  Each is monotone in
+    its gain up to rounding, with u = 2**-53, N the noise power and
+    s = fl(c*g) the received power, c = mu_t*p:
 
     - The own SNR fl(fl(s*alpha_n)/N) is a chain of monotone roundings, so
-      its event is exactly monotone: bisection alone gives its count.
+      its event is exactly monotone.
     - The far-message SINR r = fl(fl(s*alpha_f)/fl(N + fl(s*alpha_n))), the
       SIC stage and the far user, has |ln r - ln f(c*g)| <= 4u to first order
       for f(s) = s*alpha_f/(N + s*alpha_n), whose elasticity in s is
       e = N/(N + s*alpha_n).  Comparing r with a threshold can differ from
       comparing f only in a band of half-width about 4u/e + 2u in ln g.
-      Bisection finds adjacent gains g_lo (event false) and g_hi (event
-      true).  Every gain below g_lo*(1 - w) or above g_hi*(1 + w), with
-      w = 8*(4u/e + 2u) at that gain, moves ln f by at least 16u and lies
-      outside the band; only the gains between are evaluated per trial.
+      With w = 8*(4u/e + 2u) at a gain, every gain beyond a factor 1 +- w
+      of it moves ln f by at least 16u.
+
+    Bisection finds adjacent gains g_lo, where the user's event is false,
+    and g_hi, where it is true; only the gains between g_lo*(1 - w) and
+    g_hi*(1 + w) are evaluated per trial, and the rest are settled:
+
+    - Above g_hi*(1 + w), the far-message event holds by the argument above,
+      and so does the own SNR's, as it is exactly monotone.
+    - Below g_lo*(1 - w), the far user's event fails by the same argument.
+      The near user's fails too: at g_lo either the own SNR's event fails,
+      and then it fails at every smaller gain, or the SIC stage's does, and
+      the same argument settles it below.
     - Where w >= 1 (e tiny: the SINR flat against its ceiling, as with an
       infeasible allocation) or an operand is subnormal, that side of the
       window runs to the end of the block, so the count is the per-trial
@@ -176,43 +188,28 @@ def estimate_outage(
     largest gains are evaluated first: a received power that overflows on
     any trial overflows there and raises FloatingPointError.
     """
-    kappa_t, mu_t = comm_factors(mode)
-    noise = kappa_t * cfg.sigma2_c
     th = thresholds(cfg, mode)
 
     def outages(gain_n: np.ndarray, gain_f: np.ndarray):
         gain_n.sort()
         gain_f.sort()
-        n = gain_n.size
 
         def at_power(p: float) -> tuple[int, int]:
-            # If the received power overflows on any trial, it does on the largest gains.
-            _sinr_arrays(cfg, kappa_t, mu_t, p, gain_n[-1:], gain_f[-1:])
+            own_snr, far_message_sinr, window = _formulas(cfg, mode, p)
 
-            def sic_ok(g):
-                return _sinr_arrays(cfg, kappa_t, mu_t, p, g, g[:0])[0] > th.gamma_bar_f
-
-            def own_ok(g):
-                return _sinr_arrays(cfg, kappa_t, mu_t, p, g, g[:0])[1] > th.gamma_bar_n
+            def near_ok(g):
+                return (far_message_sinr(g) > th.gamma_bar_f) & (own_snr(g) > th.gamma_bar_n)
 
             def far_ok(g):
-                return _sinr_arrays(cfg, kappa_t, mu_t, p, g[:0], g)[2] >= th.gamma_bar_f
+                return far_message_sinr(g) >= th.gamma_bar_f
 
-            def width(g: float) -> float:
-                sig = mu_t * p * g
-                if 0.0 < min(noise, sig * cfg.alpha_n, sig * cfg.alpha_f) < sys.float_info.min:
-                    return math.inf
-                e = noise / (noise + sig * cfg.alpha_n)
-                return 8.0 * (4.0 * _U / e + 2.0 * _U) if e > 0.0 else math.inf
-
-            # Both near events hold from index max(own, hi) on, and inside
-            # the SIC window at and above own.
-            own = _transition(own_ok, gain_n)
-            lo, hi = _undecided(sic_ok, gain_n, width)
-            ok_n = n - max(own, hi) + int(np.count_nonzero(sic_ok(gain_n[max(own, lo) : hi])))
-            lo, hi = _undecided(far_ok, gain_f, width)
-            out_f = hi - int(np.count_nonzero(far_ok(gain_f[lo:hi])))
-            return n - ok_n, out_f
+            # If the received power overflows on any trial, it does on the largest gains.
+            near_ok(gain_n[-1:])
+            far_ok(gain_f[-1:])
+            return (
+                gain_n.size - _count(near_ok, gain_n, window),
+                gain_f.size - _count(far_ok, gain_f, window),
+            )
 
         return at_power
 
@@ -238,14 +235,14 @@ def estimate_ecr(
     """Empirical ergodic rates (near, far) at each of `powers`, sample means
     of kappa_t*log2(1 + SINR) over the same trials; zero without resources.
     `workers` is as for estimate_outage."""
-    kappa_t, mu_t = comm_factors(mode)
-    noise = kappa_t * cfg.sigma2_c
+    kappa_t, _ = comm_factors(mode)
 
     def block_sums(gain_n: np.ndarray, gain_f: np.ndarray):
         def rate_sums(p: float) -> tuple[float, ...]:
             # The SIC stage sets no rate: only the users' own SINRs are formed.
-            val_n = kappa_t * np.log1p(mu_t * p * gain_n * cfg.alpha_n / noise) / _LN2
-            val_f = kappa_t * np.log1p(_far_message_sinr(cfg, noise, mu_t * p * gain_f)) / _LN2
+            own_snr, far_message_sinr, _ = _formulas(cfg, mode, p)
+            val_n = kappa_t * np.log1p(own_snr(gain_n)) / _LN2
+            val_f = kappa_t * np.log1p(far_message_sinr(gain_f)) / _LN2
             sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
             return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ergodic_rates, sensing_rate, split_ergodic_rates, split_sensing_rate
+from .analytic import sensing_rate, split_ergodic_rates, split_sensing_rate, sum_rate
 from .config import ISAC, SystemConfig
 
 __all__ = [
@@ -59,8 +59,7 @@ class ContainmentReport:
 
 def isac_corner(cfg: SystemConfig, p: float) -> RatePoint:
     """Corner of the integrated-mode rectangle: full sensing and sum rate."""
-    ecr_n, ecr_f = ergodic_rates(cfg, ISAC, p)
-    return RatePoint(rate_s=sensing_rate(cfg, ISAC, p), rate_c=ecr_n + ecr_f)
+    return RatePoint(rate_s=sensing_rate(cfg, ISAC, p), rate_c=sum_rate(cfg, ISAC, p))
 
 
 def fdsac_frontier(cfg: SystemConfig, p: float, grid_n: int) -> RegionFrontier:

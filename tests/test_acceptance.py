@@ -5,8 +5,10 @@ Each criterion runs at its stated tolerance (1e6 Monte Carlo trials, the
 pytest capture settings.
 """
 
+import dataclasses
 import time
 
+import noma_isac.acceptance as acceptance
 from noma_isac.acceptance import (
     check_determinism,
     check_diversity_orders,
@@ -19,7 +21,8 @@ from noma_isac.acceptance import (
     check_special_functions,
     check_split_inequality,
 )
-from noma_isac.config import baseline_config
+from noma_isac.analytic import outage_probability
+from noma_isac.config import ISAC, baseline_config
 
 TRIALS = 1_000_000
 DEFAULT_SEED = 20240801
@@ -76,3 +79,34 @@ def test_criterion_09_special_functions(capsys):
 
 def test_criterion_10_deterministic_outputs(capsys):
     _report(capsys, 10, check_determinism(CFG, DEFAULT_SEED))
+
+
+def test_certain_outage_points_get_a_verdict(monkeypatch):
+    # With target_rate_n = 3 the closed-form P_N at 0 dB rounds to exactly 1,
+    # so its standard error is 0: z is 0 where the estimate equals it and inf
+    # where it does not.
+    cfg = dataclasses.replace(CFG, target_rate_n=3.0)
+    assert outage_probability(cfg, ISAC, 1.0)[0] == 1.0
+    result = check_outage_closed_form(cfg, 20_000, 1)
+    assert result.passed, result.detail
+
+    estimate = acceptance.estimate_outage
+
+    def one_trial_off(cfg, mode, powers, trials, seed):
+        (near, far), *rest = estimate(cfg, mode, powers, trials, seed)
+        return [(dataclasses.replace(near, value=near.value - 1.0 / trials), far), *rest]
+
+    monkeypatch.setattr(acceptance, "estimate_outage", one_trial_off)
+    result = check_outage_closed_form(cfg, 20_000, 1)
+    assert not result.passed and result.detail == "max |z| = inf over 36 points"
+
+
+def test_determinism_check_fails_when_a_run_fails(monkeypatch, capsys):
+    # Every run rejects the config it is given: the check reads no output
+    # file and reports the failure.
+    from noma_isac import cli
+
+    monkeypatch.setattr(cli, "dump_config", lambda cfg: "not a config\n")
+    result = check_determinism(CFG, 1)
+    assert not result.passed and result.detail == "a run exited with an error"
+    assert capsys.readouterr().err.startswith("error: ")

@@ -186,6 +186,13 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         (["outage", "--snr-db-step", "5e-324"], "--snr-db-step"),
         (["outage", "--snr-db-step", "1e-300"], "--snr-db-step"),
         (["region", "--grid-n", "100000000000000000000"], "--grid-n"),
+        # Split fractions outside [0, 1], in every mode.
+        (["outage", "--mode", "isac", "--kappa", "2"], "--kappa"),
+        (["outage", "--mode", "fdsac", "--mu", "nan", "--trials", "10"], "--mu"),
+        (["ecr", "--kappa", "-0.5"], "--kappa"),
+        (["ecr", "--mode", "fdsac", "--mu", "1.5"], "--mu"),
+        (["sensing", "--kappa", "nan"], "--kappa"),
+        (["sensing", "--mu", "-1"], "--mu"),
     ],
 )
 def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):

@@ -34,18 +34,31 @@ HALF_SPLIT = fdsac(0.5, 0.5)
 
 # -------------------------------------------------------------------- sinrs
 
-def _trial_sinrs(kappa_t, mu_t, p, gain_n, gain_f):
-    # The estimators' SINR kernel on a single draw: (sinr_sic, snr_n, sinr_f).
-    arrays = mc._sinr_arrays(CFG, kappa_t, mu_t, p, np.array([gain_n]), np.array([gain_f]))
+def _reference_sinrs(cfg, mode, p, gain_n, gain_f):
+    # The per-trial SINRs, written out here apart from the estimators, which
+    # must count against them exactly: (SIC stage, near user's own SNR, far
+    # user) for mode with communication resources.
+    kappa_t, mu_t = comm_factors(mode)
+    noise = kappa_t * cfg.sigma2_c
+    sig_n = mu_t * p * gain_n
+    sig_f = mu_t * p * gain_f
+    sinr_sic = sig_n * cfg.alpha_f / (noise + sig_n * cfg.alpha_n)
+    sinr_f = sig_f * cfg.alpha_f / (noise + sig_f * cfg.alpha_n)
+    return sinr_sic, sig_n * cfg.alpha_n / noise, sinr_f
+
+
+def _trial_sinrs(mode, p, gain_n, gain_f):
+    # The reference on a single draw of the baseline config.
+    arrays = _reference_sinrs(CFG, mode, p, np.array([gain_n]), np.array([gain_f]))
     return tuple(float(a[0]) for a in arrays)
 
 
 def test_trial_sinrs_zero_draw():
-    assert _trial_sinrs(1.0, 1.0, 10.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+    assert _trial_sinrs(ISAC, 10.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_trial_sinrs_interference_ceiling():
-    sinr_sic, _, sinr_f = _trial_sinrs(1.0, 1.0, 10.0, 1e12, 1e12)
+    sinr_sic, _, sinr_f = _trial_sinrs(ISAC, 10.0, 1e12, 1e12)
     ceiling = CFG.alpha_f / CFG.alpha_n
     assert ceiling == 4.0
     assert sinr_sic == pytest.approx(ceiling, rel=1e-10)
@@ -54,14 +67,14 @@ def test_trial_sinrs_interference_ceiling():
 
 
 def test_trial_sinrs_formula_point():
-    sinr_sic, snr_n, sinr_f = _trial_sinrs(1.0, 1.0, 10.0, 1.0, 0.1)
+    sinr_sic, snr_n, sinr_f = _trial_sinrs(ISAC, 10.0, 1.0, 0.1)
     assert snr_n == pytest.approx(10.0 * 1.0 * 0.2 / CFG.sigma2_c, rel=1e-15)
     assert sinr_sic == pytest.approx(10.0 * 0.8 / (1.0 + 10.0 * 0.2), rel=1e-15)
     assert sinr_f == pytest.approx(10.0 * 0.1 * 0.8 / (1.0 + 10.0 * 0.1 * 0.2), rel=1e-15)
 
 
 def test_trial_sinrs_split_mode_scaling():
-    _, snr_n, _ = _trial_sinrs(0.5, 0.5, 10.0, 1.0, 0.1)
+    _, snr_n, _ = _trial_sinrs(HALF_SPLIT, 10.0, 1.0, 0.1)
     noise = 0.5 * CFG.sigma2_c
     assert snr_n == pytest.approx(0.5 * 10.0 * 0.2 / noise, rel=1e-15)
 
@@ -69,8 +82,8 @@ def test_trial_sinrs_split_mode_scaling():
 def test_sinr_ceilings_hold_on_random_draws():
     gn, gf = gain_samples(CFG, seed=23, start=0, count=10_000)
     ceiling = CFG.alpha_f / CFG.alpha_n
-    for kappa_t, mu_t in ((1.0, 1.0), (0.5, 0.5)):
-        sinr_sic, _, sinr_f = mc._sinr_arrays(CFG, kappa_t, mu_t, 100.0, gn, gf)
+    for mode in (ISAC, HALF_SPLIT):
+        sinr_sic, _, sinr_f = _reference_sinrs(CFG, mode, 100.0, gn, gf)
         assert np.all((0.0 <= sinr_sic) & (sinr_sic < ceiling))
         assert np.all((0.0 <= sinr_f) & (sinr_f < ceiling))
 
@@ -200,7 +213,7 @@ def test_estimate_outage_single_threshold_reduction():
         kappa_t, mu_t = (1.0, 1.0) if mode.is_isac else (mode.split.kappa, mode.split.mu)
         gn, gf = gain_samples(CFG, seed=31, start=0, count=50_000)
         cutoff = th.theta * kappa_t * CFG.sigma2_c / (mu_t * p)
-        sic, snr_n, _ = mc._sinr_arrays(CFG, kappa_t, mu_t, p, gn, gf)
+        sic, snr_n, _ = _reference_sinrs(CFG, mode, p, gn, gf)
         joint_outage = ~((sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n))
         assert np.array_equal(joint_outage, gn < cutoff)
 
@@ -225,18 +238,28 @@ ZERO_RATE_CFG = dataclasses.replace(CFG, target_rate_n=0.0, target_rate_f=0.0)
 OVERFLOW_THRESHOLD_CFG = dataclasses.replace(CFG, target_rate_f=2.0)
 
 
+def _tied_cfg(mode):
+    # ROUNDING_CFG with target_rate_n solved so that the own SNR's cut
+    # gamma_bar_n / alpha_n falls within a few ulp of the SIC stage's cut
+    # vartheta: the near user's joint event turns inside the SIC event's
+    # non-monotone band.
+    kappa_t, _ = comm_factors(mode)
+    vartheta = thresholds(ROUNDING_CFG, mode).vartheta
+    rate_n = kappa_t * math.log2(1.0 + ROUNDING_CFG.alpha_n * vartheta)
+    return dataclasses.replace(ROUNDING_CFG, target_rate_n=rate_n)
+
+
 def _per_trial_outages(cfg, mode, powers, trials, seed):
     # The reference: every trial's SINRs against the thresholds, block by
     # block, as (near, far) outage fractions.
-    kappa_t, mu_t = comm_factors(mode)
     th = thresholds(cfg, mode)
     fractions = []
     for p in powers:
         out_n = out_f = 0
-        if has_comm_resources(kappa_t, mu_t):
+        if has_comm_resources(*comm_factors(mode)):
             for start in range(0, trials, mc._CHUNK):
                 gn, gf = mc.gain_samples(cfg, seed, start, min(mc._CHUNK, trials - start))
-                sic, snr_n, sinr_f = mc._sinr_arrays(cfg, kappa_t, mu_t, p, gn, gf)
+                sic, snr_n, sinr_f = _reference_sinrs(cfg, mode, p, gn, gf)
                 ok_n = (sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n)
                 out_n += gn.size - int(np.count_nonzero(ok_n))
                 out_f += int(np.count_nonzero(sinr_f < th.gamma_bar_f))
@@ -270,11 +293,12 @@ def _boundary_gains(cfg, mode, p):
     return rng.permutation(np.concatenate(gains))
 
 
-@pytest.mark.parametrize("cfg", [CFG, ROUNDING_CFG], ids=["baseline", "rounding"])
+@pytest.mark.parametrize("case", ["baseline", "rounding", "tied"])
 @pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
 @pytest.mark.parametrize("chunk", [1 << 20, 300])
-def test_outage_counts_equal_per_trial_at_boundary_gains(monkeypatch, cfg, mode, chunk):
+def test_outage_counts_equal_per_trial_at_boundary_gains(monkeypatch, case, mode, chunk):
     monkeypatch.setattr(mc, "_CHUNK", chunk)
+    cfg = {"baseline": CFG, "rounding": ROUNDING_CFG, "tied": _tied_cfg(mode)}[case]
     for snr_db in (0.0, 17.5, 40.0):
         p = db_to_linear(snr_db)
         gains = _boundary_gains(cfg, mode, p)
@@ -327,11 +351,22 @@ def test_boundary_cases_exercise_the_window():
     # The cases above would pass with a narrower window, or none, unless the
     # per-trial events really are non-monotone or flat in the gain there.
     p = db_to_linear(17.5)
-    kappa_t, mu_t = comm_factors(HALF_SPLIT)
-    gains = np.sort(_boundary_gains(ROUNDING_CFG, HALF_SPLIT, p))
-    sic = mc._sinr_arrays(ROUNDING_CFG, kappa_t, mu_t, p, gains, gains)[0]
-    sic_ok = sic > thresholds(ROUNDING_CFG, HALF_SPLIT).gamma_bar_f
+
+    def events(cfg):
+        # (SIC ok, own SNR ok) on the sorted boundary gains, split.
+        th = thresholds(cfg, HALF_SPLIT)
+        gains = np.sort(_boundary_gains(cfg, HALF_SPLIT, p))
+        sic, snr_n, _ = _reference_sinrs(cfg, HALF_SPLIT, p, gains, gains)
+        return sic > th.gamma_bar_f, snr_n > th.gamma_bar_n
+
+    sic_ok, _ = events(ROUNDING_CFG)
     assert np.count_nonzero(np.diff(sic_ok)) > 1
+    # With the cuts tied, the joint event itself is non-monotone.
+    tied = _tied_cfg(HALF_SPLIT)
+    th = thresholds(tied, HALF_SPLIT)
+    assert abs(th.gamma_bar_n / tied.alpha_n - th.vartheta) <= 4.0 * math.ulp(th.vartheta)
+    sic_ok, own_ok = events(tied)
+    assert np.count_nonzero(np.diff(sic_ok & own_ok)) > 1
     assert not thresholds(ROUNDED_UP_CFG, ISAC).feasible
     [(_, far)] = _per_trial_outages(ROUNDED_UP_CFG, ISAC, [db_to_linear(300.0)], 2500, 11)
     assert 0.0 < far < 1.0
@@ -369,6 +404,28 @@ def test_estimate_ecr_matches_closed_form_and_ceiling():
     assert abs(est_n.value - exact_n) <= max(3.0 * est_n.std_error, 1e-2)
     assert abs(est_f.value - exact_f) <= max(3.0 * est_f.std_error, 1e-2)
     assert est_f.value < math.log2(1.0 + CFG.alpha_f / CFG.alpha_n)
+
+
+@pytest.mark.parametrize("mode", [ISAC, fdsac(0.3, 0.7)], ids=["isac", "split"])
+def test_estimate_ecr_equals_per_trial_rates(monkeypatch, mode):
+    # One trial per call, picked by the seed: each estimate is that trial's
+    # rate, to the bit.  No factor is a power of two, so every operation of
+    # the formulas rounds.
+    cfg = dataclasses.replace(CFG, sigma2_c=0.7)
+    kappa_t, _ = comm_factors(mode)
+    powers = db_to_linear(np.array([-30.0, 3.0, 17.0, 40.0]))
+    gn, gf = gain_samples(cfg, seed=7, start=0, count=300)
+    _, snr_n, sinr_f = _reference_sinrs(cfg, mode, powers[:, None], gn, gf)
+    rates = [kappa_t * np.log1p(sinr) / math.log(2.0) for sinr in (snr_n, sinr_f)]
+
+    def draw(cfg, seed, start, count):
+        return gn[seed : seed + 1], gf[seed : seed + 1]
+
+    monkeypatch.setattr(mc, "gain_samples", draw)
+    for i in range(gn.size):
+        estimates = estimate_ecr(cfg, mode, powers.tolist(), trials=1, seed=i)
+        expected = zip(rates[0][:, i].tolist(), rates[1][:, i].tolist())
+        assert [(n.value, f.value) for n, f in estimates] == list(expected)
 
 
 def test_estimate_ecr_vanishes_at_low_power():

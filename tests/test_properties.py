@@ -1,6 +1,8 @@
 """Invariants of the closed forms and the Monte Carlo oracle over random
 valid configurations, not only the baseline point."""
 
+import os
+import tempfile
 from statistics import NormalDist
 
 import numpy as np
@@ -17,6 +19,7 @@ from noma_isac.analytic import (
     sum_rate,
     thresholds,
 )
+from noma_isac.cli import dump_config, load_config_file
 from noma_isac.config import ISAC, db_to_linear, fdsac, make_config
 from noma_isac.montecarlo import estimate_ecr, estimate_outage
 from noma_isac.region import containment_check, fdsac_frontier, isac_corner
@@ -41,6 +44,16 @@ def configs(draw):
         target_rate_f=draw(st.sampled_from([0.0, 0.8]) | st.floats(0.0, 3.0)),
         sensing_eigenvalues=draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=antennas)),
     )
+
+
+@_FAST
+@given(configs())
+def test_dump_config_round_trips(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_config(cfg))
+        assert load_config_file(path) == cfg
 
 
 _FRACTION = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
