@@ -19,6 +19,9 @@ __all__ = [
     "scene_eigenvalues", "steering_vector", "trial_uniforms",
 ]
 
+#: Trials drawn and transformed at a time: a 512 KiB tile of uniforms.
+_TILE = 1 << 14
+
 
 @dataclass(frozen=True)
 class Target:
@@ -89,12 +92,25 @@ def gain_samples(
     """Ordered gain arrays (gain_n, gain_f) for trials [start, start+count).
 
     Exponential variates come from inverse-CDF transformation of the
-    per-trial uniform blocks, keeping the stream reproducible.
+    per-trial uniform blocks, keeping the stream reproducible.  The trials
+    are drawn and transformed in tiles of _TILE, so that no temporary is
+    larger than a tile: each tile's uniforms are rows of the same Philox
+    counter blocks, and every operation is elementwise, in the order of
+    -rho * log1p(-u), so each gain is the same to the bit as a whole-block
+    transform's.
     """
-    u = trial_uniforms(seed, start, count)
-    e1 = -cfg.rho1 * np.log1p(-u[:, 0])
-    e2 = -cfg.rho2 * np.log1p(-u[:, 1])
-    return np.maximum(e1, e2), np.minimum(e1, e2)
+    gain_n, gain_f = np.empty(count), np.empty(count)
+    e1, e2 = np.empty((2, min(_TILE, count)))
+    for lo in range(0, count, _TILE):
+        n = min(_TILE, count - lo)
+        u = trial_uniforms(seed, start + lo, n)
+        for e, column, rho in ((e1[:n], u[:, 0], cfg.rho1), (e2[:n], u[:, 1], cfg.rho2)):
+            np.negative(column, out=e)
+            np.log1p(e, out=e)
+            np.multiply(-rho, e, out=e)
+        np.maximum(e1[:n], e2[:n], out=gain_n[lo : lo + n])
+        np.minimum(e1[:n], e2[:n], out=gain_f[lo : lo + n])
+    return gain_n, gain_f
 
 
 def steering_vector(theta: float, m: int) -> np.ndarray:

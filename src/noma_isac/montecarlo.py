@@ -6,7 +6,11 @@ are processed in fixed-size blocks, each drawn once on the calling thread and
 shared by every power of the call; the powers of a block may be evaluated on
 `workers` threads, and partial sums are combined in block order, so the
 estimate at one power depends neither on the other powers nor on scheduling
-or worker count.
+or worker count.  The rate kernel forms each power's per-trial rates tile by
+tile in one block-length buffer of its own, so that powers on different
+threads never share one, and sums them over the whole block: numpy's
+pairwise summation order depends on the array's length, so per-tile sums
+would change the bits.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import thresholds
-from .channel import CorrelationMatrix, gain_samples
+from .channel import _TILE, CorrelationMatrix, gain_samples
 from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 
 __all__ = [
@@ -241,16 +245,24 @@ def estimate_ecr(
         def rate_sums(p: float) -> tuple[float, ...]:
             # The SIC stage sets no rate: only the users' own SINRs are formed.
             own_snr, far_message_sinr, _ = _formulas(cfg, mode, p)
-            val_n = kappa_t * np.log1p(own_snr(gain_n)) / _LN2
-            val_f = kappa_t * np.log1p(far_message_sinr(gain_f)) / _LN2
-            sums = tuple(float(np.sum(v)) for v in (val_n, val_f))
-            return sums + tuple(float(np.sum(v * v)) for v in (val_n, val_f))
+            v = np.empty(gain_n.size)
+            sums = []
+            for sinr, gains in ((own_snr, gain_n), (far_message_sinr, gain_f)):
+                for lo in range(0, gains.size, _TILE):
+                    tile = v[lo : lo + _TILE]
+                    np.log1p(sinr(gains[lo : lo + _TILE]), out=tile)
+                    np.multiply(kappa_t, tile, out=tile)
+                    np.divide(tile, _LN2, out=tile)
+                sums.append(float(np.sum(v)))
+                np.multiply(v, v, out=v)
+                sums.append(float(np.sum(v)))
+            return tuple(sums)
 
         return rate_sums
 
     estimates = []
     for blocks in _per_block(cfg, mode, powers, trials, seed, workers, block_sums, (0.0,) * 4):
-        sum_n, sum_f, sq_n, sq_f = (math.fsum(column) for column in zip(*blocks))
+        sum_n, sq_n, sum_f, sq_f = (math.fsum(column) for column in zip(*blocks))
         estimates.append((_mean_estimate(sum_n, sq_n, trials), _mean_estimate(sum_f, sq_f, trials)))
     return estimates
 

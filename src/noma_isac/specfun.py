@@ -26,6 +26,10 @@ _SERIES_CUTOFF = 5.0
 _ASYMPTOTIC_CUTOFF = 1e16
 _MAX_ITER = 500
 
+# Calls with fewer rows than this sum each row with math.fsum: below it the
+# TwoSum cascade's fixed cost (about 65 us at 8 terms) dominates.
+_FSUM_ROWS = 64
+
 
 def exp_int_ei(x: float) -> float:
     """Exponential integral Ei(x) on the negative real axis.
@@ -75,7 +79,8 @@ def log2_det_i_plus_scaled(
     hi is the correctly rounded sum when B = 0, or when
     -d_down/2 < lo - B and lo + B < d_up/2, d being the gaps from hi to its
     float neighbours.  Other rows, rows with non-finite terms and zero sums
-    (which take fsum's sign of zero) are summed by math.fsum.
+    (which take fsum's sign of zero) are summed by math.fsum, and so is every
+    row of a call with fewer than _FSUM_ROWS rows.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0):
@@ -91,6 +96,8 @@ def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
     # math.fsum of each row of a 2-D array, bit for bit; see
     # log2_det_i_plus_scaled for the rule.
     rows, m = terms.shape
+    if rows < _FSUM_ROWS:
+        return np.array([math.fsum(row) for row in terms.tolist()], dtype=float)
     if m == 0:
         return np.zeros(rows)
     s, e, bound = terms[:, 0], np.zeros(rows), np.zeros(rows)

@@ -5,6 +5,7 @@ Carlo sampler and vice versa; both are checked against direct numerical
 integration.
 """
 
+import dataclasses
 import math
 from typing import Union
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from noma_isac import channel
 from noma_isac.channel import (
     CorrelationMatrix,
     Target,
@@ -92,6 +94,26 @@ def test_sampler_is_a_pure_function_of_seed_and_index():
     # Different seeds decorrelate.
     gn_c, _ = gain_samples(CFG, seed=6, start=0, count=1000)
     assert not np.array_equal(gn_c, gn)
+
+
+def _whole_block_gains(cfg, seed, start, count):
+    # The inverse-CDF transform of all of a block's uniforms at once, which
+    # the sampler's tiles must reproduce to the bit.
+    u = trial_uniforms(seed, start, count)
+    e1 = -cfg.rho1 * np.log1p(-u[:, 0])
+    e2 = -cfg.rho2 * np.log1p(-u[:, 1])
+    return np.maximum(e1, e2), np.minimum(e1, e2)
+
+
+@pytest.mark.parametrize("tile", [channel._TILE, 7])
+def test_tiled_gains_equal_the_whole_block_transform(monkeypatch, tile):
+    monkeypatch.setattr(channel, "_TILE", tile)
+    cfg = dataclasses.replace(CFG, rho1=0.7, rho2=1.3)
+    for start in (0, 7, tile - 3):
+        for count in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            tiled = gain_samples(cfg, 11, start, count)
+            whole = _whole_block_gains(cfg, 11, start, count)
+            assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]
 
 
 def test_trial_uniforms_shape_and_range():

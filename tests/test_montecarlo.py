@@ -3,6 +3,7 @@ and the dense sensing mutual-information identity."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from noma_isac.config import (
     has_comm_resources,
 )
 from noma_isac.montecarlo import (
+    EstimateWithError,
     dual_function_signal,
     estimate_ecr,
     estimate_outage,
@@ -426,6 +428,73 @@ def test_estimate_ecr_equals_per_trial_rates(monkeypatch, mode):
         estimates = estimate_ecr(cfg, mode, powers.tolist(), trials=1, seed=i)
         expected = zip(rates[0][:, i].tolist(), rates[1][:, i].tolist())
         assert [(n.value, f.value) for n, f in estimates] == list(expected)
+
+
+def _whole_block_rates(cfg, mode, powers, trials, seed):
+    # Each block's rates formed whole, summed and squared, the block sums
+    # combined by fsum: the estimates the tiled kernel must reproduce.
+    kappa_t, _ = comm_factors(mode)
+    estimates = []
+    for p in powers:
+        blocks = []
+        for start in range(0, trials, mc._CHUNK):
+            gn, gf = gain_samples(cfg, seed, start, min(mc._CHUNK, trials - start))
+            _, snr_n, sinr_f = _reference_sinrs(cfg, mode, p, gn, gf)
+            rates = [kappa_t * np.log1p(sinr) / math.log(2.0) for sinr in (snr_n, sinr_f)]
+            blocks.append([float(np.sum(v)) for v in rates] + [float(np.sum(v * v)) for v in rates])
+        sum_n, sum_f, sq_n, sq_f = (math.fsum(column) for column in zip(*blocks))
+        pair = []
+        for total, sq_total in ((sum_n, sq_n), (sum_f, sq_f)):
+            mean = total / trials
+            var = max(sq_total - trials * mean * mean, 0.0) / (trials - 1)
+            pair.append(EstimateWithError(mean, math.sqrt(var / trials), trials))
+        estimates.append(tuple(pair))
+    return estimates
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("tile,chunk", [(mc._TILE, 3 * mc._TILE + 5), (7, 1000)])
+@pytest.mark.parametrize("mode", [ISAC, fdsac(0.3, 0.7)], ids=["isac", "split"])
+def test_estimate_ecr_equals_whole_block_rates(monkeypatch, workers, tile, chunk, mode):
+    # Blocks that are no multiple of the tile, the last one partial, so
+    # that a tile ends inside every block.
+    monkeypatch.setattr(mc, "_TILE", tile)
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    trials = 2 * chunk + 1234
+    cfg = dataclasses.replace(CFG, sigma2_c=0.7)
+    powers = db_to_linear(np.array([-30.0, 3.0, 17.0, 40.0])).tolist()
+    estimates = estimate_ecr(cfg, mode, powers, trials, 29, workers=workers)
+    assert estimates == _whole_block_rates(cfg, mode, powers, trials, 29)
+
+
+_BLOCK_BYTES = 8 << 20  # one float64 array of 2**20 trials
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call,arrays",
+    [
+        (lambda n: gain_samples(CFG, 1, 0, n), 2),
+        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 2),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 3),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2), 4),
+    ],
+    ids=["gain_samples", "outage", "ecr", "ecr_2_workers"],
+)
+def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, arrays):
+    # A block's two gain arrays, plus one rate buffer per power in flight,
+    # plus at most 2 MiB of tiles.  The first, small call leaves out
+    # allocations that numpy makes once per process.
+    call(100)
+    assert _traced_peak(lambda: call(1 << 20)) < arrays * _BLOCK_BYTES + (2 << 20)
 
 
 def test_estimate_ecr_vanishes_at_low_power():

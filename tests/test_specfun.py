@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from noma_isac import specfun
 from noma_isac.config import baseline_config, db_to_linear
 from noma_isac.specfun import EULER_GAMMA, exp_int_ei, log2_det_i_plus_scaled, psi_term
 
@@ -229,17 +230,44 @@ _SCALES = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1e12)
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.lists(_SCALES, min_size=1, max_size=16), st.lists(_EIGENVALUES, max_size=10))
 def test_log2_det_rows_equal_fsum(c, lam):
-    assert log2_det_i_plus_scaled(np.array(c), lam).tolist() == _fsum_oracle(c, lam)
-    assert log2_det_i_plus_scaled(c[0], lam) == _fsum_oracle(c[:1], lam)[0]
+    # With the cutoff at 0 every call takes the TwoSum cascade.
+    for cutoff in (specfun._FSUM_ROWS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "_FSUM_ROWS", cutoff)
+            assert log2_det_i_plus_scaled(np.array(c), lam).tolist() == _fsum_oracle(c, lam)
+            assert log2_det_i_plus_scaled(c[0], lam) == _fsum_oracle(c[:1], lam)[0]
 
 
-def test_log2_det_midpoint_row_is_rounded_exactly():
+def test_log2_det_midpoint_row_is_rounded_exactly(monkeypatch):
     # Terms 2**-200, 2**-53 and 1: their double-double sum is the midpoint
     # 1 + 2**-53, and the 2**-200 left in the error bound makes it round up.
     lam = [math.e - 1.0, 2.0**-53, 2.0**-200]
     expected = (1.0 + 2.0**-52) / math.log(2.0)
     assert _fsum_oracle([1.0], lam) == [expected]
     assert log2_det_i_plus_scaled(1.0, lam) == expected
+    monkeypatch.setattr(specfun, "_FSUM_ROWS", 0)  # the TwoSum cascade
+    assert log2_det_i_plus_scaled(1.0, lam) == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_row_sums_by_fsum_and_by_cascade_agree_around_the_cutoff(monkeypatch, offset):
+    # Calls below the cutoff sum by math.fsum, the others by the cascade;
+    # forcing the cascade on the same rows must give the same bits,
+    # including zero sums, their sign, and non-finite rows.
+    rows = specfun._FSUM_ROWS + offset
+    rng = np.random.default_rng(rows)
+    terms = np.log1p(10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 8)))
+    special = [
+        [0.0] * 8, [-0.0] * 8, [1.5, -1.5] * 4, [-0.0, 0.0] * 4, [2.0**-1074, -(2.0**-1074)] * 4,
+        [math.inf] + [1.0] * 7, [-math.inf] * 8, [math.nan] + [1.0] * 7, [1e308, -1e308] * 4,
+    ]
+    terms[: len(special)] = special
+    expected = np.array([math.fsum(row) for row in terms.tolist()])
+    default = specfun._exact_row_sums(terms)
+    monkeypatch.setattr(specfun, "_FSUM_ROWS", 0)
+    cascade = specfun._exact_row_sums(terms)
+    assert default.tobytes() == expected.tobytes()
+    assert cascade.tobytes() == expected.tobytes()
 
 
 def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
