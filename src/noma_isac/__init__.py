@@ -10,6 +10,21 @@ Each module lists its public names in its own ``__all__``; the package
 re-exports exactly those.
 """
 
+import os
+import sys
+
+# OpenBLAS starts a worker per extra CPU when numpy loads it, and each idle
+# worker spins for about 60 ms; no matrix here exceeds 256 x 256.  Load it
+# single-threaded unless the user set a thread count or imported numpy first.
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from . import analytic, channel, config, montecarlo, region, specfun
 from .analytic import *  # noqa: F401,F403
 from .channel import *  # noqa: F401,F403

@@ -24,6 +24,7 @@ from .analytic import (
     sensing_rate,
     sensing_rate_asymptotic,
     sum_rate,
+    thresholds,
 )
 from .channel import CorrelationMatrix
 from .config import ISAC, SystemConfig, db_to_linear, fdsac
@@ -109,24 +110,42 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
 
 def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
     """Log-log outage slopes over 30-40 dB match the reference table's
-    diversity orders."""
+    diversity orders.
+
+    A user whose outage is 0 or 1 at a grid point has no slope.  It passes
+    only if its thresholds imply that value at every point: 1 on an
+    infeasible mode, 0 where its threshold (theta near, vartheta far) is 0.
+    """
     grid_db = 30.0 + np.arange(11.0)
-    results = []
-    for _, mode in _modes():
-        pn, pf = outage_probability(cfg, mode, db_to_linear(grid_db))
-        results.append(tuple(
-            estimate_slope(np.column_stack((grid_db / 10.0, _elementwise(math.log10, pout))))
-            for pout in (pn, pf)
-        ))
-    ok = all(
-        abs(slope_n + row.diversity_nu) <= 0.15 and abs(slope_f + row.diversity_fu) <= 0.1
-        for (slope_n, slope_f), row in zip(results, reference_table(cfg, SPLIT_KAPPA))
-    )
-    shown = "; ".join(f"({sn:.3f}, {sf:.3f})" for sn, sf in results)
+    ok = True
+    shown = []
+    for (_, mode), row in zip(_modes(), reference_table(cfg, SPLIT_KAPPA)):
+        th = thresholds(cfg, mode)
+        cells = []
+        for pout, threshold, order, tol in zip(
+            outage_probability(cfg, mode, db_to_linear(grid_db)),
+            (th.theta, th.vartheta),
+            (row.diversity_nu, row.diversity_fu),
+            (0.15, 0.1),
+        ):
+            implied = 1.0 if not th.feasible else 0.0 if threshold == 0.0 else None
+            if implied is None and np.all((pout > 0.0) & (pout < 1.0)):
+                slope = estimate_slope(np.column_stack((grid_db / 10.0, _elementwise(math.log10, pout))))
+                ok &= abs(slope + order) <= tol
+                cells.append(f"{slope:.3f}")
+            elif implied is None:
+                ok = False
+                cells.append("no slope: outage 0 or 1")
+            else:
+                exact = bool(np.all(pout == implied))
+                ok &= exact
+                reason = "infeasible" if implied else "threshold 0"
+                cells.append(f"outage {'=' if exact else '!='} {implied:g} [{reason}]")
+        shown.append(f"({cells[0]}, {cells[1]})")
     return CheckResult(
         name="diversity orders",
         passed=ok,
-        detail=f"(near, far) slopes per mode: {shown}",
+        detail=f"(near, far) slopes per mode: {'; '.join(shown)}",
     )
 
 

@@ -101,6 +101,27 @@ def test_certain_outage_points_get_a_verdict(monkeypatch):
     assert not result.passed and result.detail == "max |z| = inf over 36 points"
 
 
+def test_diversity_check_takes_certain_outage_from_the_thresholds(monkeypatch):
+    # target_rate_f = 0 makes the far user's P_F exactly 0; alpha_n = 0.45
+    # makes the 0.5/0.5 split infeasible, so both fdsac outages are 1.
+    result = check_diversity_orders(dataclasses.replace(CFG, target_rate_f=0.0))
+    assert result.passed and result.detail.count("outage = 0 [threshold 0]") == 2, result.detail
+    result = check_diversity_orders(dataclasses.replace(CFG, alpha_n=0.45, alpha_f=0.55))
+    assert result.passed, result.detail
+    assert result.detail.endswith("(outage = 1 [infeasible], outage = 1 [infeasible])")
+
+    # A 0 or 1 that the thresholds do not imply fails; so does a value that
+    # differs from the one they imply.
+    closed_form = acceptance.outage_probability
+    monkeypatch.setattr(acceptance, "outage_probability", lambda c, m, p: (closed_form(c, m, p)[0], 0.0 * p))
+    result = check_diversity_orders(CFG)
+    assert not result.passed and result.detail.count("no slope: outage 0 or 1") == 2
+    infeasible = dataclasses.replace(CFG, alpha_n=0.45, alpha_f=0.55)
+    monkeypatch.setattr(acceptance, "outage_probability", lambda c, m, p: (0.5 + 0.0 * p, 0.5 + 0.0 * p))
+    result = check_diversity_orders(infeasible)
+    assert not result.passed and "(outage != 1 [infeasible], outage != 1 [infeasible])" in result.detail
+
+
 def test_determinism_check_fails_when_a_run_fails(monkeypatch, capsys):
     # Every run rejects the config it is given: the check reads no output
     # file and reports the failure.

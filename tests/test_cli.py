@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, table schemas, determinism, and
 exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -573,6 +574,17 @@ def test_selftest_passes_and_is_deterministic(cfg_file, capsys):
     assert report1 == report2
     assert report1.count("PASS") == 10
     assert "result: 10/10 checks passed" in report1
+
+
+def test_selftest_gives_every_verdict_at_zero_far_target_rate(tmp_path, capsys):
+    # The far user's closed-form outage is exactly 0: no log of it is taken.
+    path = tmp_path / "zero_rate.cfg"
+    path.write_text(dump_config(dataclasses.replace(CFG, target_rate_f=0.0)), encoding="utf-8")
+    rc = main(["selftest", "--config", str(path), "--trials", "20000"])
+    out, err = capsys.readouterr()
+    assert "error:" not in out + err
+    verdicts = [ln for ln in out.splitlines() if ln.startswith(("PASS  ", "FAIL  "))]
+    assert len(verdicts) == 10 and rc in (0, 2)
 
 
 def test_selftest_rejects_corrupted_config(tmp_path, capsys):
