@@ -11,6 +11,7 @@ the continuous limit of the general expression.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -217,10 +218,18 @@ def sensing_rate_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> _Float
     big_l = cfg.frame_length
     if r == 0 or kappa == 1.0 or mu == 1.0:
         return _float_or_array(np.zeros(p.shape))
-    const = math.fsum(
-        math.log2((1.0 - mu) * v * big_l / ((1.0 - kappa) * cfg.sigma2_s))
-        for v in sorted(lam)
-    )
+
+    def log2_snr(v: float) -> float:
+        # log2 of (1 - mu) * v * L / ((1 - kappa) * sigma2_s); where that is
+        # not a positive normal float, the fsum of its factors' log2s.
+        scale = (1.0 - kappa) * cfg.sigma2_s
+        snr = (1.0 - mu) * v * big_l / scale if scale else 0.0
+        if sys.float_info.min <= snr < math.inf:
+            return math.log2(snr)
+        numerator = map(math.log2, (1.0 - mu, v, big_l))
+        return math.fsum([*numerator, -math.log2(1.0 - kappa), -math.log2(cfg.sigma2_s)])
+
+    const = math.fsum(log2_snr(v) for v in sorted(lam))
     slope = (1.0 - kappa) * r / big_l
     return _float_or_array(slope * _log2(p) + (1.0 - kappa) * const / big_l)
 

@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 usage/config/numerical error, 2 selftest failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import math
 import sys
@@ -156,9 +156,152 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-#: Rows of a JSON table encoded per json.dumps call: enough to amortise the
-#: call, few enough that the encoded cells stay small.
-_JSON_BLOCK_ROWS = 4096
+#: Rows of a table formatted per block: enough to amortise the numpy and
+#: json.dumps calls, few enough that a block's buffers stay small.
+_CSV_BLOCK_ROWS = _JSON_BLOCK_ROWS = 4096
+
+#: 10**k for k in [0, 15], exact floats.
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+
+@functools.cache
+def _quad_table() -> np.ndarray:
+    # Each of 0..9999 as four ASCII digits, little-endian in one uint32: as
+    # they are, with the leading zeros padded, and with the trailing zeros
+    # padded; the pad byte is 0xFF.  No UTF-8 text holds 0xFF, so a block of
+    # CSV rows is laid out in fixed-width cells filled with pads, and the
+    # pads deleted at once.  Built at the first CSV table, not at import.
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    lead, trail = digits == 0, digits == 0
+    for j in range(1, 4):
+        lead[j] &= lead[j - 1]
+        trail[3 - j] &= trail[4 - j]
+    pads = np.stack([np.zeros_like(lead), lead, trail], axis=1).reshape(4, -1)
+    places = np.where(pads, 0xFF, np.tile(digits + ord("0"), 3)).astype("<u4")
+    table = (places << np.array([[0], [8], [16], [24]], "<u4")).sum(axis=0, dtype="<u4")
+    table.flags.writeable = False
+    return table
+
+
+#: Offsets into _quad_table() of the tables with leading and with trailing zeros
+#: padded; either holds four pads at 0.
+_LEAD, _TRAIL = 10000, 20000
+
+
+def _g12_cells(v: np.ndarray) -> np.ndarray:
+    """Cells of '%.12g' % v for a 1-D float array, as pad-filled uint8 rows.
+
+    A cell in fixed notation is formatted in numpy.  With X the decimal
+    exponent, |v| * 10**(11 - X) is formed exactly as hi + lo (Dekker's
+    TwoProduct) and rounded half to even to the 12-digit integer N.  X is
+    estimated by log10 and checked against hi.  The integer part of
+    N / 10**(11 - X) fills 12 digit columns and its fraction, times 1e15,
+    the 15 columns after the point, which therefore has a fixed column; the
+    integer part's leading zeros and the fraction's trailing zeros are
+    pads.  Every other cell (0, -0, nan, +-inf, |v| < 1e-4,
+    exponential notation, a wrong estimate) is Python's '%.12g', the
+    reference.
+    """
+    a = np.abs(v)
+    candidate = (a >= 1e-4) & (a < 1e12)
+    a = np.where(candidate, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)), -4, 11).astype(np.intp)
+    hi, lo = _two_product(a, _POW10[11 - x])
+    # X is right where 1e11 <= hi + lo < 1e12.  Where hi is 1e11 or 1e12 but
+    # hi + lo is not, |v| is within half an ulp of a power of ten, which it
+    # rounds to under X as under the true exponent.
+    fast = candidate & (hi >= 1e11) & (hi <= 1e12)
+    n = np.floor(hi)
+    f = hi - n
+    # hi is a multiple of its ulp (< 1/2) and |lo| <= ulp/2, so only f == 0.5
+    # needs lo, and only lo == 0 is a tie.
+    half = 0.5 * n
+    n += (f > 0.5) | ((f == 0.5) & ((lo > 0.0) | ((lo == 0.0) & (half != np.floor(half)))))
+    # Rounding up to 1e12 adds a digit: 1e11 at exponent X + 1.
+    carry = n == 1e12
+    x += carry
+    fast &= x <= 11
+    n = np.where(fast & ~carry, n, 1e11)
+    x[~fast] = 0
+    scale = _POW10[11 - x]
+    whole = np.floor(n / scale)
+    frac = (n - whole * scale) * _POW10[4 + x]
+    # Columns: 4 pads, 12 integer digits, then the fraction's 16 digits, of
+    # which the first, always 0, is the point's.  The integer part's groups
+    # drop leading zeros up to its first nonzero one, the fraction's drop
+    # trailing zeros from its last nonzero one.
+    groups = [*_quad_split(whole, 3), *_quad_split(frac, 4)]
+    index = np.empty((8, v.size), np.intp)
+    index[0] = _LEAD
+    for places, offset in ((range(1, 4), _LEAD), (range(7, 3, -1), _TRAIL)):
+        seen = np.zeros(v.size, bool)
+        for k in places:
+            group = groups[k - 1].astype(np.intp)
+            index[k] = np.where(seen, group, group + offset)
+            seen |= group != 0
+    cells = np.ascontiguousarray(_quad_table()[index.T]).view(np.uint8)
+    cells[whole == 0, 15] = ord("0")
+    cells[frac != 0, 16] = ord(".")
+    negative = np.flatnonzero(np.signbit(v))
+    cells[negative, 14 - np.maximum(x[negative], 0)] = ord("-")
+    slow = np.flatnonzero(~fast)
+    return _with_cells(cells, slow, ["%.12g" % cell for cell in v[slow].tolist()])
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # hi + lo == a * b exactly, with hi = fl(a * b) (Dekker), for products
+    # that neither overflow nor underflow.
+    hi = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Veltkamp's split of a into two 26-bit halves.
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
+    # The count 4-digit groups of integer-valued floats below 1e4**count
+    # (at most 1e16), most significant first; every step is exact.
+    groups = []
+    for _ in range(count - 1):
+        quotient = np.floor(value / 1e4)
+        groups.append(value - quotient * 1e4)
+        value = quotient
+    return [value, *groups[::-1]]
+
+
+def _text_cells(column: Sequence | np.ndarray) -> np.ndarray:
+    """Cells of str(cell) as pad-filled uint8 rows; an ASCII str array
+    without NULs inside its cells is viewed, not encoded."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "U":
+        codes = np.ascontiguousarray(column, column.dtype.newbyteorder("="))
+        codes = codes.view(np.uint32).reshape(column.size, -1)
+        # A str array pads each cell with trailing NULs.
+        text = codes != 0
+        if codes.max() < 128 and np.all(text[:, :-1] >= text[:, 1:]):
+            return np.where(text, codes, 0xFF).astype(np.uint8)
+        column = column.tolist()
+    empty = np.zeros((len(column), 0), np.uint8)
+    return _with_cells(empty, np.arange(len(column)), [str(cell) for cell in column])
+
+
+def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndarray:
+    # The cells with those rows replaced by the UTF-8 bytes of text, widened
+    # to hold the longest.
+    if not text:
+        return cells
+    encoded = [cell.encode("utf-8") for cell in text]
+    sizes = np.array([len(cell) for cell in encoded])
+    block = np.full((len(encoded), max(cells.shape[1], sizes.max())), 0xFF, np.uint8)
+    block[np.arange(block.shape[1]) < sizes[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
+    cells = np.pad(cells, ((0, 0), (0, block.shape[1] - cells.shape[1])), constant_values=0xFF)
+    cells[rows] = block
+    return cells
 
 
 def _write_table(
@@ -170,22 +313,11 @@ def _write_table(
 ) -> None:
     """Write equal-length named columns as a CSV or JSON table, in key order.
 
-    A CSV column whose first cell is a string is written as it is, any other
-    to 12 significant digits.  The JSON document is the one json.dumps writes
-    with indent=2 and sorted keys.  Either way rows are formatted from one
-    template and written one at a time.
+    A CSV column whose first cell is a string is written as str(cell), any
+    other as '%.12g' % cell, a block of rows at a time.  The JSON document
+    is the one json.dumps writes with indent=2 and sorted keys.
     """
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    if fmt == "csv":
-        formats = ("%s" if col and isinstance(col[0], str) else "%.12g" for col in values)
-        template = ",".join(formats) + "\n"
-        lines = itertools.chain(
-            [",".join(columns) + "\n"],
-            (template % row for row in zip(*values)),
-            ["# " + trailer + "\n"] if trailer else [],
-        )
-    else:
-        lines = _json_lines(dict(zip(columns, values)), metadata)
+    lines = _csv_lines(columns, trailer) if fmt == "csv" else _json_lines(columns, metadata)
     if output == "-":
         sys.stdout.writelines(lines)
     else:
@@ -193,7 +325,31 @@ def _write_table(
             fh.writelines(lines)
 
 
-def _json_lines(columns: dict[str, Sequence], metadata: dict):
+def _csv_lines(columns: dict[str, Sequence | np.ndarray], trailer: Optional[str]):
+    # Each block's cells go into one uint8 array of rows, each cell followed
+    # by "," and the last by "\n", whose pad bytes are then deleted.  The
+    # float columns of a block are formatted in one call.
+    yield ",".join(columns) + "\n"
+    values = list(columns.values())
+    text = [bool(len(c)) and isinstance(c[0], str) for c in values]
+    numbers = [np.asarray(c, float) for c, is_text in zip(values, text) if not is_text]
+    rows = len(values[0]) if values else 0
+    for first in range(0, rows, _CSV_BLOCK_ROWS):
+        block = slice(first, first + _CSV_BLOCK_ROWS)
+        numeric = [c[block] for c in numbers]
+        floats = iter(np.split(_g12_cells(np.concatenate(numeric)), len(numeric)) if numeric else ())
+        cells = [
+            _text_cells(c[block]) if is_text else next(floats) for c, is_text in zip(values, text)
+        ]
+        comma = np.full((cells[0].shape[0], 1), ord(","), np.uint8)
+        line = np.concatenate([part for c in cells for part in (c, comma)], axis=1)
+        line[:, -1] = ord("\n")
+        yield line.tobytes().translate(None, b"\xff").decode()
+    if trailer:
+        yield "# " + trailer + "\n"
+
+
+def _json_lines(columns: dict[str, Sequence | np.ndarray], metadata: dict):
     # json.dumps({"metadata": ..., "rows": [{key: cell}, ...]}, indent=2,
     # sort_keys=True) + "\n", line by line.  The C encoder encodes each
     # column a block of rows at a time, with "\0" between cells; no encoded
@@ -205,7 +361,8 @@ def _json_lines(columns: dict[str, Sequence], metadata: dict):
     separator = "\n"
     for start in range(0, len(columns[keys[0]]), _JSON_BLOCK_ROWS):
         block = (columns[key][start : start + _JSON_BLOCK_ROWS] for key in keys)
-        cells = (json.dumps(part, separators=("\0", ":"))[1:-1].split("\0") for part in block)
+        parts = (p.tolist() if isinstance(p, np.ndarray) else p for p in block)
+        cells = (json.dumps(part, separators=("\0", ":"))[1:-1].split("\0") for part in parts)
         for row in zip(*cells):
             yield separator + template % row
             separator = ",\n"
@@ -360,26 +517,26 @@ def cmd_region(args: argparse.Namespace) -> int:
     report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
     # The corner row, every grid point, then the Pareto points again.
-    pareto = frontier.pareto
+    grid_size, pareto = frontier.kappa.size, frontier.pareto
+    rows = np.concatenate(([0], np.arange(1, grid_size + 1), pareto + 1))
 
-    def column(values: np.ndarray, at_corner: Optional[float]) -> list:
-        return [at_corner, *values.tolist(), *values[pareto].tolist()]
+    def column(at_corner: object, values: np.ndarray) -> np.ndarray:
+        return np.concatenate(([at_corner], values))[rows]
 
-    def split_column(values: np.ndarray) -> list:
+    def split_column(values: np.ndarray) -> np.ndarray:
         # kappa and mu take grid_n distinct values: a CSV formats each once,
         # and leaves the corner's cell empty.
         if args.format == "json":
-            return column(values, None)
+            return column(None, values)
         distinct, inverse = np.unique(values, return_inverse=True)
-        cells = np.array([_fmt(v) for v in distinct.tolist()], dtype=object)[inverse]
-        return column(cells, "")
+        return np.array(["", *map(_fmt, distinct.tolist())])[column(0, inverse + 1)]
 
     columns = {
-        "kind": ["corner", *["grid"] * frontier.kappa.size, *["pareto"] * pareto.size],
+        "kind": np.array(["corner", "grid", "pareto"]).repeat([1, grid_size, pareto.size]),
         "kappa": split_column(frontier.kappa),
         "mu": split_column(frontier.mu),
-        "rate_s": column(frontier.rate_s, corner.rate_s),
-        "rate_c": column(frontier.rate_c, corner.rate_c),
+        "rate_s": column(corner.rate_s, frontier.rate_s),
+        "rate_c": column(corner.rate_c, frontier.rate_c),
     }
     meta = _metadata(
         "region",

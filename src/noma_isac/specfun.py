@@ -7,8 +7,9 @@ kernel evaluates it elementwise; the scalar entry points wrap that kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +26,11 @@ EULER_GAMMA = float(np.euler_gamma)
 _SERIES_CUTOFF = 5.0
 _ASYMPTOTIC_CUTOFF = 1e16
 _MAX_ITER = 500
+#: Elements per tile of the iterative Ei branches and rows per tile of
+#: log2_det_i_plus_scaled, so that a call's temporaries stay small.
+_TILE = 8192
 
-# Calls with fewer rows than this sum each row with math.fsum: below it the
+# Tiles with fewer rows than this sum each row with math.fsum: below it the
 # TwoSum cascade's fixed cost (about 65 us at 8 terms) dominates.
 _FSUM_ROWS = 64
 
@@ -80,7 +84,7 @@ def log2_det_i_plus_scaled(
     -d_down/2 < lo - B and lo + B < d_up/2, d being the gaps from hi to its
     float neighbours.  Other rows, rows with non-finite terms and zero sums
     (which take fsum's sign of zero) are summed by math.fsum, and so is every
-    row of a call with fewer than _FSUM_ROWS rows.
+    row of a tile of fewer than _FSUM_ROWS rows; rows go in tiles of _TILE.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0):
@@ -88,8 +92,11 @@ def log2_det_i_plus_scaled(
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     if lam.size and lam[0] < 0.0:
         raise ValueError("eigenvalues must be nonnegative")
-    terms = np.log1p(c.reshape(-1, 1) * lam)
-    return _float_or_array((_exact_row_sums(terms) / math.log(2.0)).reshape(c.shape))
+    c_flat, sums = c.ravel(), np.empty(c.size)
+    for start in range(0, c.size, _TILE):
+        terms = np.log1p(c_flat[start : start + _TILE, None] * lam)
+        sums[start : start + _TILE] = _exact_row_sums(terms)
+    return _float_or_array((sums / math.log(2.0)).reshape(c.shape))
 
 
 def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
@@ -160,43 +167,53 @@ def _ei_neg(z: np.ndarray, scaled: bool) -> np.ndarray:
 def _ei_neg_series(z: np.ndarray) -> np.ndarray:
     # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!), per element
     # until its term falls below 1e-17 of its running total.
-    out = np.empty_like(z)
-    idx = np.arange(z.size)
-    total = EULER_GAMMA + _elementwise(math.log, z)
-    c = np.ones_like(z)
-    for k in range(1, _MAX_ITER):
-        c = c * (-z / k)
-        term = c / k
-        total = total + term
-        done = np.abs(term) <= 1e-17 * np.abs(total)
-        out[idx[done]] = total[done]
-        live = ~done
-        idx, z, c, total = idx[live], z[live], c[live], total[live]
-        if not idx.size:
-            return out
-    raise ArithmeticError(f"Ei series did not converge at z={z[0]!r}")
+    def steps(z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        total = EULER_GAMMA + _elementwise(math.log, z)
+        c = np.ones_like(z)
+        for k in itertools.count(1):
+            c = c * (-z / k)
+            term = c / k
+            total = total + term
+            yield total, np.abs(term) <= 1e-17 * np.abs(total)
+
+    return _converged(steps, z, "Ei series")
 
 
 def _e1_scaled_cf(z: np.ndarray) -> np.ndarray:
     # e^z * E1(z) by modified Lentz continued fraction, per element until
     # its update factor rounds to 1.
+    def steps(z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        b = z + 1.0
+        c = np.full_like(z, 1.0 / 1e-300)
+        d = 1.0 / b
+        h = d
+        for i in itertools.count(1):
+            a = -float(i) * float(i)
+            b = b + 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            delta = c * d
+            h = h * delta
+            yield h, np.abs(delta - 1.0) < 1e-16
+
+    return _converged(steps, z, "E1 continued fraction")
+
+
+def _converged(steps, z: np.ndarray, name: str) -> np.ndarray:
+    # Runs steps(tile) over z in tiles of _TILE elements, and records each
+    # element's value at the first of at most _MAX_ITER - 1 steps whose stop
+    # test holds for it.  Elements keep stepping until their tile is done:
+    # every element sees the same arithmetic as alone, and psi_term's ratios
+    # come sorted, so a tile's elements stop after similar numbers of steps.
     out = np.empty_like(z)
-    idx = np.arange(z.size)
-    b = z + 1.0
-    c = np.full_like(z, 1.0 / 1e-300)
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        a = -float(i) * float(i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        out[idx[done]] = h[done]
-        live = ~done
-        idx, z, b, c, d, h = idx[live], z[live], b[live], c[live], d[live], h[live]
-        if not idx.size:
-            return out
-    raise ArithmeticError(f"E1 continued fraction did not converge at z={z[0]!r}")
+    for start in range(0, z.size, _TILE):
+        tile, result = z[start : start + _TILE], out[start : start + _TILE]
+        live = np.ones(tile.size, bool)
+        for value, stop in itertools.islice(steps(tile), _MAX_ITER - 1):
+            np.copyto(result, value, where=live & stop)
+            live &= ~stop
+            if not live.any():
+                break
+        else:
+            raise ArithmeticError(f"{name} did not converge at z={tile[live][0]!r}")
+    return out

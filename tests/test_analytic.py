@@ -3,6 +3,7 @@ algebra, and the slope/diversity reference behaviour."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,6 +332,42 @@ def test_sensing_asymptote_power_step_slopes():
         CFG, HALF_SPLIT, p
     )
     assert diff_split == pytest.approx(8.0 / 30.0, abs=1e-12)
+
+
+def _exact_log2_snr(kappa, mu, v, frame_length, sigma2_s):
+    # log2 of (1 - mu) * v * L / ((1 - kappa) * sigma2_s) from the exact
+    # rational value: math.log2 takes integers of any size.
+    ratio = Fraction(1.0 - mu) * Fraction(v) * frame_length / (Fraction(1.0 - kappa) * Fraction(sigma2_s))
+    return math.log2(ratio.numerator) - math.log2(ratio.denominator)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues,frame_length,sigma2_s,mode",
+    [((5e-324, 9.97), 17, 5.54, HALF_SPLIT), ((1e-300, 9.97), 30, 1e300, ISAC)],
+    ids=["subnormal-eigenvalue", "huge-noise"],
+)
+def test_sensing_asymptote_survives_an_underflowing_snr(eigenvalues, frame_length, sigma2_s, mode):
+    # (1 - mu) * v * L / ((1 - kappa) * sigma2_s) underflows to 0 for the
+    # first eigenvalue; its log2 comes from its factors instead.
+    cfg = dataclasses.replace(
+        CFG, sensing_eigenvalues=eigenvalues, frame_length=frame_length, sigma2_s=sigma2_s
+    )
+    kappa, mu = (0.0, 0.0) if mode.is_isac else (mode.split.kappa, mode.split.mu)
+    const = sum(_exact_log2_snr(kappa, mu, v, frame_length, sigma2_s) for v in eigenvalues)
+    p = db_to_linear(20.0)
+    expected = (1.0 - kappa) * (2 * math.log2(p) + const) / frame_length
+    assert sensing_rate_asymptotic(cfg, mode, p) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT, fdsac(0.3, 0.9)])
+def test_sensing_asymptote_keeps_its_bits_where_the_snr_is_normal(mode):
+    kappa, mu = (0.0, 0.0) if mode.is_isac else (mode.split.kappa, mode.split.mu)
+    lam, big_l = sorted(CFG.sensing_eigenvalues), CFG.frame_length
+    const = math.fsum(math.log2((1.0 - mu) * v * big_l / ((1.0 - kappa) * CFG.sigma2_s)) for v in lam)
+    p = [1.0, db_to_linear(13.0), 1e9]
+    slope = (1.0 - kappa) * len(lam) / big_l
+    expected = [slope * math.log2(x) + (1.0 - kappa) * const / big_l for x in p]
+    assert sensing_rate_asymptotic(CFG, mode, np.array(p)).tolist() == expected
 
 
 def test_sensing_asymptote_tracks_exact_at_40db():

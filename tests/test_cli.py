@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noma_isac
 from noma_isac import cli, montecarlo
@@ -498,6 +500,88 @@ def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, bloc
     doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
     assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+def _row_template_csv(columns, trailer=None):
+    # The CSV writer before whole-column formatting: one "%" template per
+    # row, "%s" for a column whose first cell is a string, else "%.12g".
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    formats = ("%s" if col and isinstance(col[0], str) else "%.12g" for col in values)
+    template = ",".join(formats) + "\n"
+    lines = [",".join(columns) + "\n", *(template % row for row in zip(*values))]
+    return "".join(lines + (["# " + trailer + "\n"] if trailer else []))
+
+
+def _hard_cells():
+    # Cells where a digit-by-digit formatter goes wrong: signed zeros,
+    # subnormals, the fixed/exponential boundaries and their neighbours,
+    # non-finite values, and values at or next to a 12-digit half-way point.
+    up, down = (lambda v: np.nextafter(v, math.inf)), (lambda v: np.nextafter(v, -math.inf))
+    edges = [1e-4, 999999999999.5, 1e12, 9.999999999995e-5, 99999.9999999, 0.5, 1.0, 10.0]
+    cells = [0.0, -0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf, 1e300, -1e-300]
+    cells += [f(v) for v in edges for f in (float, up, down)]
+    rng = np.random.default_rng(12)
+    for k in range(-3, 17):
+        for m in rng.integers(10**11, 10**12, 4).tolist():
+            half = (m + 0.5) * 10.0**-k
+            cells += [half, up(half), down(half), -half]
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, cli._CSV_BLOCK_ROWS])
+def test_csv_table_is_the_row_template_output(tmp_path, monkeypatch, block_rows):
+    # The column writer against the per-row template, on float arrays, lists
+    # mixing Python ints and floats, str arrays (ASCII, non-ASCII and with
+    # NULs inside) and str lists holding ",", "%", non-ASCII text and "\0".
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    floats = _hard_cells()
+    n = floats.size
+    texts = ["x, y", "100%", "%s", "\u00e9\u4e2d", "\0", "a\0b", "", "grid"]
+    columns = {
+        "f%s": floats,
+        "ints": [[3, -7, 10**15, 2**53 + 1, 0][i % 5] if i % 2 else float(i) / 7 for i in range(n)],
+        "ascii": np.array(["corner", "grid", "", "0.5"])[np.arange(n) % 4],
+        "wide": np.array(["\u00e9", "ok", "\u4e2d\u6587"])[np.arange(n) % 3],
+        "nul": np.array(["a\0b", "c"])[np.arange(n) % 2],
+        "text": [texts[i % len(texts)] for i in range(n)],
+        "neg": -floats[::-1],
+    }
+    out = tmp_path / "t.csv"
+    cli._write_table(str(out), "csv", columns, {}, "containment: contained, x = 1")
+    assert out.read_bytes() == _row_template_csv(columns, "containment: contained, x = 1").encode()
+    empty = {key: col[:0] for key, col in columns.items()}
+    cli._write_table(str(out), "csv", empty, {})
+    assert out.read_bytes() == _row_template_csv(empty).encode()
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_csv_float_cells_survive_a_wrong_exponent_estimate(monkeypatch, shift):
+    # log10 off by one for every cell: each cell is checked against the
+    # exact scaled value and, where the estimate is wrong, still comes out
+    # as Python's "%.12g".
+    powers = [10.0**k * (1.0 - j * 1e-13) for k in range(-4, 13) for j in (0, 1, 5, 50)]
+    values = np.concatenate([_hard_cells(), powers, np.nextafter(powers, math.inf)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    lines = "".join(cli._csv_lines({"v": values}, None)).splitlines()
+    assert lines == ["v", *("%.12g" % v for v in values.tolist())]
+
+
+def _near_tie(m, k, side):
+    half = (m + 0.5) * 10.0**-k
+    return float(np.nextafter(half, side * math.inf)) if side else half
+
+
+_TIES = st.builds(
+    _near_tie, st.integers(10**11, 10**12 - 1), st.integers(-4, 17), st.sampled_from([-1, 0, 1])
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats() | _TIES, min_size=1, max_size=40))
+def test_csv_float_cells_are_python_percent_g(values):
+    lines = "".join(cli._csv_lines({"v": np.array(values, dtype=float)}, None)).splitlines()
+    assert lines == ["v", *("%.12g" % v for v in values)]
+
+
 class _InlinePool:
     # Stands in for ThreadPoolExecutor: records max_workers, starts nothing.
     sizes: list = []
@@ -580,6 +664,19 @@ def test_selftest_gives_every_verdict_at_zero_far_target_rate(tmp_path, capsys):
     # The far user's closed-form outage is exactly 0: no log of it is taken.
     path = tmp_path / "zero_rate.cfg"
     path.write_text(dump_config(dataclasses.replace(CFG, target_rate_f=0.0)), encoding="utf-8")
+    rc = main(["selftest", "--config", str(path), "--trials", "20000"])
+    out, err = capsys.readouterr()
+    assert "error:" not in out + err
+    verdicts = [ln for ln in out.splitlines() if ln.startswith(("PASS  ", "FAIL  "))]
+    assert len(verdicts) == 10 and rc in (0, 2)
+
+
+def test_selftest_gives_every_verdict_at_a_subnormal_eigenvalue(tmp_path, capsys):
+    # The sensing asymptote's SNR term underflows to 0 for the eigenvalue
+    # 5e-324: no log of that 0 is taken.
+    cfg = dataclasses.replace(CFG, sensing_eigenvalues=(5e-324, 9.97), frame_length=17, sigma2_s=5.54)
+    path = tmp_path / "subnormal.cfg"
+    path.write_text(dump_config(cfg), encoding="utf-8")
     rc = main(["selftest", "--config", str(path), "--trials", "20000"])
     out, err = capsys.readouterr()
     assert "error:" not in out + err

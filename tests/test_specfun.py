@@ -286,6 +286,96 @@ def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
     assert np.count_nonzero(plain != np.array(expected)) > 1000
 
 
+@pytest.mark.parametrize("tile", [7, 30, 36])
+def test_log2_det_rows_equal_fsum_in_row_tiles(monkeypatch, tile):
+    # 110 rows with the cutoff at 8: tiles of 7 rows go to math.fsum, tiles
+    # of 30 to the cascade, and tiles of 36 to the cascade but the last, of 2.
+    monkeypatch.setattr(specfun, "_FSUM_ROWS", 8)
+    monkeypatch.setattr(specfun, "_TILE", tile)
+    c = 10.0 ** np.random.default_rng(3).uniform(-6.0, 9.0, size=(10, 11))
+    lam = [5.0, 3.0, 3.5, 2.5, 1e-300, 0.0]
+    assert log2_det_i_plus_scaled(c, lam).ravel().tolist() == _fsum_oracle(c.ravel(), lam)
+
+
+def _compacting_series(z):
+    # The Ei(-z) series loop before tiling: the live elements are compacted
+    # after every term.
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    total = EULER_GAMMA + specfun._elementwise(math.log, z)
+    c = np.ones_like(z)
+    for k in range(1, specfun._MAX_ITER):
+        c = c * (-z / k)
+        term = c / k
+        total = total + term
+        done = np.abs(term) <= 1e-17 * np.abs(total)
+        out[idx[done]] = total[done]
+        live = ~done
+        idx, z, c, total = idx[live], z[live], c[live], total[live]
+        if not idx.size:
+            return out
+    raise ArithmeticError(f"Ei series did not converge at z={z[0]!r}")
+
+
+def _compacting_fraction(z):
+    # The continued-fraction loop before tiling, compacting likewise.
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    b = z + 1.0
+    c = np.full_like(z, 1.0 / 1e-300)
+    d = 1.0 / b
+    h = d
+    for i in range(1, specfun._MAX_ITER):
+        a = -float(i) * float(i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        out[idx[done]] = h[done]
+        live = ~done
+        idx, z, b, c, d, h = idx[live], z[live], b[live], c[live], d[live], h[live]
+        if not idx.size:
+            return out
+    raise ArithmeticError(f"E1 continued fraction did not converge at z={z[0]!r}")
+
+
+def _kernel_arguments():
+    # Both cutoffs and their neighbours, a dense log grid, sorted as psi_term
+    # passes them, and the same grid shuffled.
+    cuts = [specfun._SERIES_CUTOFF, specfun._ASYMPTOTIC_CUTOFF]
+    steps = (float, lambda v: np.nextafter(v, 0.0), lambda v: np.nextafter(v, math.inf))
+    edges = [f(c) for c in cuts for f in steps]
+    grid = np.unique(np.concatenate([edges, np.logspace(-12.0, 17.0, 4001), np.linspace(0.5, 9.0, 1001)]))
+    low = grid <= specfun._SERIES_CUTOFF
+    mid = ~low & (grid < specfun._ASYMPTOTIC_CUTOFF)
+    shuffled = np.random.default_rng(4).permutation(grid)
+    return grid, [(grid[low], _compacting_series), (grid[mid], _compacting_fraction)], shuffled
+
+
+@pytest.mark.parametrize("tile", [7, specfun._TILE])
+def test_tiled_ei_equals_the_compacting_kernel(monkeypatch, tile):
+    monkeypatch.setattr(specfun, "_TILE", tile)
+    grid, branches, shuffled = _kernel_arguments()
+    for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
+        assert new(z).tobytes() == old(z).tobytes()
+        assert new(z[::-1]).tobytes() == old(z[::-1]).tobytes()
+    # Unsorted ratios take more steps per tile, not other bits.
+    for scaled in (True, False):
+        whole = specfun._ei_neg(grid, scaled)[np.searchsorted(grid, shuffled)]
+        assert specfun._ei_neg(shuffled, scaled).tobytes() == whole.tobytes()
+    # Where an element has not converged after _MAX_ITER - 1 steps, both raise
+    # and name the first such element.
+    monkeypatch.setattr(specfun, "_MAX_ITER", 4)
+    for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
+        with pytest.raises(ArithmeticError) as expected:
+            old(z)
+        with pytest.raises(ArithmeticError, match="did not converge") as raised:
+            new(z)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_psi_term_repeated_ratios_match_scalar_calls():
     chi = np.array([[1.0, 2.0, 1.0], [3.0, 2.0, 1.0], [1e-8, 1e20, 1e-8]])
     scale = np.array([1.0, 2.0, 1.0])
