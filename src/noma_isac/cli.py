@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from .config import (
     comm_factors,
     db_to_linear,
     fdsac,
-    validate_config,
 )
 from .montecarlo import estimate_ecr, estimate_outage
 from .region import containment_check, fdsac_frontier, isac_corner
@@ -115,17 +114,20 @@ def load_config_file(path: str) -> SystemConfig:
             "('target.strength'/'target.aoa'), not both"
         )
     if "sensing_eigenvalues" in values:
-        items = [v for v in values["sensing_eigenvalues"].split(",") if v.strip()]
+        # An empty value is the empty spectrum; an empty item is an error.
+        items = values["sensing_eigenvalues"].split(",") if values["sensing_eigenvalues"] else []
         fields["sensing_eigenvalues"] = tuple(
-            _parse_float(path, 0, "sensing_eigenvalues", v) for v in items
+            _parse_float(path, 0, "sensing_eigenvalues", v.strip()) for v in items
         )
     elif scene is None:
         raise ValueError(f"{path}: missing key 'sensing_eigenvalues' (or a target scene)")
 
     try:
+        # A scene's spectrum is computed once the antenna count is validated.
+        cfg = SystemConfig(**fields)  # type: ignore[arg-type]
         if scene is not None:
-            fields["sensing_eigenvalues"] = scene_eigenvalues(scene, int(fields["num_rx_antennas"]))
-        return validate_config(SystemConfig(**fields))  # type: ignore[arg-type]
+            cfg = replace(cfg, sensing_eigenvalues=scene_eigenvalues(scene, cfg.num_rx_antennas))
+        return cfg
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -141,14 +143,8 @@ def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
 def dump_config(cfg: SystemConfig) -> str:
     """Serialize a SystemConfig back to key=value text that load_config_file
     reads back to an equal config: every float is written by repr."""
-    lines = []
-    for key in FLOAT_FIELDS:
-        lines.append(f"{key} = {float(getattr(cfg, key))!r}")
-    for key in INT_FIELDS:
-        lines.append(f"{key} = {getattr(cfg, key)}")
-    lines.append(
-        "sensing_eigenvalues = " + ", ".join(repr(float(v)) for v in cfg.sensing_eigenvalues)
-    )
+    lines = [f"{key} = {getattr(cfg, key)!r}" for key in (*FLOAT_FIELDS, *INT_FIELDS)]
+    lines.append("sensing_eigenvalues = " + ", ".join(map(repr, cfg.sensing_eigenvalues)))
     return "\n".join(lines) + "\n"
 
 
@@ -456,6 +452,8 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
     kappa, mu = comm_factors(mode)
     if args.trials > 0 and 0.0 < kappa * cfg.sigma2_c < sys.float_info.min:
         # The per-trial SNR, divided by a subnormal noise power, overflows.
+        if mode.is_isac:
+            raise ValueError(f"{args.config}: the noise power sigma2_c {cfg.sigma2_c!r} is subnormal")
         raise ValueError(f"--kappa {args.kappa!r} makes the noise power kappa * sigma2_c subnormal")
     if command == "outage" and not thresholds(cfg, mode).feasible:
         print(

@@ -8,7 +8,8 @@ interface boundary via :func:`db_to_linear`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,27 +18,17 @@ from .specfun import _elementwise, _float_or_array
 
 __all__ = [
     "ISAC", "Mode", "ResourceSplit", "SystemConfig", "baseline_config", "comm_factors",
-    "db_to_linear", "fdsac", "make_config", "validate_config",
+    "db_to_linear", "fdsac",
 ]
-
-#: The scalar float fields of SystemConfig, in config-file order.
-FLOAT_FIELDS = (
-    "rho1",
-    "rho2",
-    "alpha_n",
-    "alpha_f",
-    "sigma2_c",
-    "sigma2_s",
-    "target_rate_n",
-    "target_rate_f",
-)
-#: The integer fields of SystemConfig, in config-file order.
-INT_FIELDS = ("num_rx_antennas", "frame_length")
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of the two-user downlink with a co-located sensing array.
+
+    Construction, including ``dataclasses.replace``, casts each field to its
+    declared type and raises ValueError naming the first violated invariant,
+    so no invalid config exists.
 
     rho1, rho2          variances of the two unordered Rayleigh channels
     alpha_n, alpha_f    power-allocation factors of the near/far user;
@@ -54,13 +45,58 @@ class SystemConfig:
     rho2: float
     alpha_n: float
     alpha_f: float
-    sigma2_c: float
-    sigma2_s: float
-    num_rx_antennas: int
-    frame_length: int
-    target_rate_n: float
-    target_rate_f: float
-    sensing_eigenvalues: tuple[float, ...]
+    sigma2_c: float = 1.0
+    sigma2_s: float = 1.0
+    num_rx_antennas: int = 8
+    frame_length: int = 30
+    target_rate_n: float = 0.0
+    target_rate_f: float = 0.0
+    sensing_eigenvalues: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        def put(name: str, value: object) -> None:
+            object.__setattr__(self, name, value)
+
+        for name in FLOAT_FIELDS:
+            put(name, float(getattr(self, name)))
+        put("sensing_eigenvalues", tuple(float(v) for v in self.sensing_eigenvalues))
+        for name in FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(lam) for lam in self.sensing_eigenvalues):
+            raise ValueError("sensing_eigenvalues must be finite")
+        if not self.rho1 > 0.0:
+            raise ValueError("rho1 must be positive")
+        if not self.rho2 > 0.0:
+            raise ValueError("rho2 must be positive")
+        if not self.sigma2_c > 0.0:
+            raise ValueError("sigma2_c must be positive")
+        if not self.sigma2_s > 0.0:
+            raise ValueError("sigma2_s must be positive")
+        if not 0.0 < self.alpha_n < 1.0:
+            raise ValueError("alpha_n must lie in (0, 1)")
+        if not 0.0 < self.alpha_f < 1.0:
+            raise ValueError("alpha_f must lie in (0, 1)")
+        if abs((self.alpha_n + self.alpha_f) - 1.0) > math.ulp(1.0):
+            raise ValueError("alpha_n + alpha_f must equal 1")
+        if not self.alpha_n < self.alpha_f:
+            raise ValueError("alpha_n >= alpha_f")
+        for name in INT_FIELDS:
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                value = 0  # not an integer, such as 8.7: rejected below
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+            put(name, value)
+        if self.target_rate_n < 0.0:
+            raise ValueError("target_rate_n must be nonnegative")
+        if self.target_rate_f < 0.0:
+            raise ValueError("target_rate_f must be nonnegative")
+        if len(self.sensing_eigenvalues) > self.num_rx_antennas:
+            raise ValueError("sensing_eigenvalues longer than num_rx_antennas")
+        if any(lam < 0.0 for lam in self.sensing_eigenvalues):
+            raise ValueError("sensing_eigenvalues must be nonnegative")
 
     @property
     def rho3(self) -> float:
@@ -71,6 +107,12 @@ class SystemConfig:
     def sensing_rank(self) -> int:
         """Number of strictly positive sensing eigenvalues."""
         return sum(1 for lam in self.sensing_eigenvalues if lam > 0.0)
+
+
+#: The scalar float and the integer fields of SystemConfig, each in config-file
+#: order; the annotations are strings under ``from __future__ import annotations``.
+FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "float")
+INT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 
 @dataclass(frozen=True)
@@ -136,86 +178,15 @@ def check_power(p: float | np.ndarray) -> np.ndarray:
     return p
 
 
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every invariant of `cfg` and return it unchanged.
-
-    Raises ValueError naming the first violated invariant.
-    """
-    for name in FLOAT_FIELDS:
-        if not math.isfinite(getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite")
-    if not all(math.isfinite(lam) for lam in cfg.sensing_eigenvalues):
-        raise ValueError("sensing_eigenvalues must be finite")
-    if not cfg.rho1 > 0.0:
-        raise ValueError("rho1 must be positive")
-    if not cfg.rho2 > 0.0:
-        raise ValueError("rho2 must be positive")
-    if not cfg.sigma2_c > 0.0:
-        raise ValueError("sigma2_c must be positive")
-    if not cfg.sigma2_s > 0.0:
-        raise ValueError("sigma2_s must be positive")
-    if not 0.0 < cfg.alpha_n < 1.0:
-        raise ValueError("alpha_n must lie in (0, 1)")
-    if not 0.0 < cfg.alpha_f < 1.0:
-        raise ValueError("alpha_f must lie in (0, 1)")
-    if abs((cfg.alpha_n + cfg.alpha_f) - 1.0) > math.ulp(1.0):
-        raise ValueError("alpha_n + alpha_f must equal 1")
-    if not cfg.alpha_n < cfg.alpha_f:
-        raise ValueError("alpha_n >= alpha_f")
-    for name in INT_FIELDS:
-        if not (isinstance(getattr(cfg, name), int) and getattr(cfg, name) >= 1):
-            raise ValueError(f"{name} must be a positive integer")
-    if cfg.target_rate_n < 0.0:
-        raise ValueError("target_rate_n must be nonnegative")
-    if cfg.target_rate_f < 0.0:
-        raise ValueError("target_rate_f must be nonnegative")
-    if len(cfg.sensing_eigenvalues) > cfg.num_rx_antennas:
-        raise ValueError("sensing_eigenvalues longer than num_rx_antennas")
-    if any(lam < 0.0 for lam in cfg.sensing_eigenvalues):
-        raise ValueError("sensing_eigenvalues must be nonnegative")
-    return cfg
-
-
 def db_to_linear(x_db: float | Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Convert dB values to linear power ratios, 10**(x_db/10), elementwise;
     a float gives a float."""
     return _float_or_array(_elementwise(lambda x: 10.0 ** (x / 10.0), np.asarray(x_db, dtype=float)))
 
 
-def make_config(
-    rho1: float,
-    rho2: float,
-    alpha_n: float,
-    alpha_f: float,
-    sigma2_c: float = 1.0,
-    sigma2_s: float = 1.0,
-    num_rx_antennas: int = 8,
-    frame_length: int = 30,
-    target_rate_n: float = 0.0,
-    target_rate_f: float = 0.0,
-    sensing_eigenvalues: Sequence[float] = (),
-) -> SystemConfig:
-    """Build and validate a SystemConfig from keyword-friendly arguments."""
-    return validate_config(
-        SystemConfig(
-            rho1=float(rho1),
-            rho2=float(rho2),
-            alpha_n=float(alpha_n),
-            alpha_f=float(alpha_f),
-            sigma2_c=float(sigma2_c),
-            sigma2_s=float(sigma2_s),
-            num_rx_antennas=int(num_rx_antennas),
-            frame_length=int(frame_length),
-            target_rate_n=float(target_rate_n),
-            target_rate_f=float(target_rate_f),
-            sensing_eigenvalues=tuple(float(v) for v in sensing_eigenvalues),
-        )
-    )
-
-
 def baseline_config() -> SystemConfig:
     """Reference operating point used by the demo sweeps and the selftest."""
-    return make_config(
+    return SystemConfig(
         rho1=0.9,
         rho2=0.2,
         alpha_n=0.2,

@@ -420,12 +420,12 @@ def test_diversity_orders_from_log_log_slopes():
 
 
 def test_closed_forms_hold_away_from_the_baseline():
-    from noma_isac.config import make_config
+    from noma_isac.config import SystemConfig
 
     rng = np.random.default_rng(55)
     for _ in range(3):
         alpha_n = float(rng.uniform(0.05, 0.45))
-        cfg = make_config(
+        cfg = SystemConfig(
             rho1=float(10.0 ** rng.uniform(-1.0, 0.5)),
             rho2=float(10.0 ** rng.uniform(-1.0, 0.5)),
             alpha_n=alpha_n,

@@ -114,13 +114,31 @@ def test_undecodable_config_file_names_the_file(tmp_path, capsys):
 
 
 def test_scene_with_zero_antennas_names_the_file(tmp_path, capsys):
-    lines = dump_config(CFG).replace("num_rx_antennas = 8", "num_rx_antennas = 0").splitlines()
-    text = [ln for ln in lines if not ln.startswith("sensing_eigenvalues")]
-    path = tmp_path / "scene.cfg"
-    path.write_text("\n".join(text + ["target.strength = 2.0", "target.aoa = 0.4"]), encoding="utf-8")
-    assert main(["sensing", "--config", str(path), "--output", str(tmp_path / "sr.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    for count in ("0", "-3"):
+        lines = dump_config(CFG).replace("num_rx_antennas = 8", f"num_rx_antennas = {count}").splitlines()
+        text = [ln for ln in lines if not ln.startswith("sensing_eigenvalues")]
+        path = tmp_path / "scene.cfg"
+        path.write_text("\n".join(text + ["target.strength = 2.0", "target.aoa = 0.4"]), encoding="utf-8")
+        assert main(["sensing", "--config", str(path), "--output", str(tmp_path / "sr.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: num_rx_antennas must be a positive integer\n"
+
+
+@pytest.mark.parametrize("spectrum", ["1,,2", "1, 2,", ",", "1, ,2"])
+def test_empty_eigenvalue_item_is_rejected(tmp_path, spectrum):
+    lines = [ln for ln in dump_config(CFG).splitlines() if not ln.startswith("sensing_eigenvalues")]
+    path = tmp_path / "gap.cfg"
+    path.write_text("\n".join(lines + [f"sensing_eigenvalues = {spectrum}"]), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^.*: key 'sensing_eigenvalues' must be a number, got ''$"):
+        load_config_file(str(path))
+
+
+def test_empty_spectrum_round_trips(tmp_path):
+    cfg = dataclasses.replace(CFG, sensing_eigenvalues=())
+    path = tmp_path / "empty.cfg"
+    path.write_text(dump_config(cfg), encoding="utf-8")
+    assert "sensing_eigenvalues = \n" in dump_config(cfg)
+    assert load_config_file(str(path)) == cfg
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -204,6 +222,17 @@ def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["outage", "ecr"])
+def test_subnormal_noise_power_names_the_config_in_isac_mode(tmp_path, capsys, command):
+    # --kappa is not in effect in isac mode, so the file's sigma2_c is blamed.
+    path = tmp_path / "subnormal.cfg"
+    path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=5e-323)), encoding="utf-8")
+    assert main([command, "--config", str(path), "--trials", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: the noise power sigma2_c 5e-323 is subnormal\n"
 
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 18.6 GiB")])

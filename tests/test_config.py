@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from noma_isac.config import (
@@ -10,18 +11,16 @@ from noma_isac.config import (
     ISAC,
     Mode,
     ResourceSplit,
+    SystemConfig,
     baseline_config,
     comm_factors,
     db_to_linear,
     fdsac,
-    make_config,
-    validate_config,
 )
 
 
 def test_baseline_config_is_valid():
     cfg = baseline_config()
-    assert validate_config(cfg) is cfg
     assert cfg.rho1 == 0.9 and cfg.rho2 == 0.2
     assert cfg.alpha_n == 0.2 and cfg.alpha_f == 0.8
     assert cfg.num_rx_antennas == 8 and cfg.frame_length == 30
@@ -30,20 +29,19 @@ def test_baseline_config_is_valid():
 
 
 def test_validate_is_idempotent():
+    # replace() validates again, and a validated config passes unchanged.
     cfg = baseline_config()
-    assert validate_config(validate_config(cfg)) == cfg
+    assert dataclasses.replace(dataclasses.replace(cfg)) == cfg
 
 
 def test_equal_power_split_rejected():
-    cfg = dataclasses.replace(baseline_config(), alpha_n=0.5, alpha_f=0.5)
     with pytest.raises(ValueError, match="alpha_n >= alpha_f"):
-        validate_config(cfg)
+        dataclasses.replace(baseline_config(), alpha_n=0.5, alpha_f=0.5)
 
 
 def test_zero_rho1_rejected():
-    cfg = dataclasses.replace(baseline_config(), rho1=0.0)
     with pytest.raises(ValueError, match="rho1 must be positive"):
-        validate_config(cfg)
+        dataclasses.replace(baseline_config(), rho1=0.0)
 
 
 @pytest.mark.parametrize(
@@ -62,9 +60,8 @@ def test_zero_rho1_rejected():
     ],
 )
 def test_field_invariants(field, value, message):
-    cfg = dataclasses.replace(baseline_config(), **{field: value})
     with pytest.raises(ValueError, match=message):
-        validate_config(cfg)
+        dataclasses.replace(baseline_config(), **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -76,21 +73,18 @@ def test_field_invariants(field, value, message):
     ],
 )
 def test_non_finite_values_rejected(field, value):
-    cfg = dataclasses.replace(baseline_config(), **{field: value})
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        validate_config(cfg)
+        dataclasses.replace(baseline_config(), **{field: value})
 
 
 def test_allocation_must_sum_to_one():
-    cfg = dataclasses.replace(baseline_config(), alpha_n=0.2, alpha_f=0.7)
     with pytest.raises(ValueError, match="must equal 1"):
-        validate_config(cfg)
+        dataclasses.replace(baseline_config(), alpha_n=0.2, alpha_f=0.7)
 
 
 def test_spectrum_cannot_exceed_antenna_count():
-    cfg = dataclasses.replace(baseline_config(), num_rx_antennas=4)
     with pytest.raises(ValueError, match="longer than num_rx_antennas"):
-        validate_config(cfg)
+        dataclasses.replace(baseline_config(), num_rx_antennas=4)
 
 
 def test_rho3_combines_the_unordered_variances():
@@ -129,10 +123,24 @@ def test_mode_tags_and_factors():
 
 
 def test_make_config_casts_and_validates():
-    cfg = make_config(rho1=1, rho2=2, alpha_n="0.3", alpha_f=0.7, sensing_eigenvalues=[1, 2])
+    cfg = SystemConfig(rho1=1, rho2=2, alpha_n="0.3", alpha_f=0.7, sensing_eigenvalues=[1, 2])
     assert isinstance(cfg.rho1, float) and cfg.sensing_eigenvalues == (1.0, 2.0)
     with pytest.raises(ValueError):
-        make_config(rho1=1.0, rho2=1.0, alpha_n=0.6, alpha_f=0.4)
+        SystemConfig(rho1=1.0, rho2=1.0, alpha_n=0.6, alpha_f=0.4)
+
+
+@pytest.mark.parametrize("count", [8.7, 8.0, "8"])
+def test_integer_fields_take_integers_only(count):
+    with pytest.raises(ValueError, match="num_rx_antennas must be a positive integer"):
+        SystemConfig(rho1=1.0, rho2=1.0, alpha_n=0.3, alpha_f=0.7, num_rx_antennas=count)
+    cfg = SystemConfig(rho1=1.0, rho2=1.0, alpha_n=0.3, alpha_f=0.7, num_rx_antennas=np.int64(8))
+    assert type(cfg.num_rx_antennas) is int and cfg.num_rx_antennas == 8
+
+
+def test_replace_rejects_an_invalid_config():
+    # No closed form or estimator can be handed this config.
+    with pytest.raises(ValueError, match="^rho2 must be positive$"):
+        dataclasses.replace(baseline_config(), alpha_n=0.9, alpha_f=0.1, rho2=-0.2)
 
 
 def test_configs_are_immutable():

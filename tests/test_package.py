@@ -21,16 +21,16 @@ PUBLIC = sorted([
     "comm_factors", "containment_check", "db_to_linear", "dual_function_signal",
     "ergodic_rates", "ergodic_rates_asymptotic", "estimate_ecr", "estimate_outage",
     "estimate_slope", "exp_int_ei", "fdsac", "fdsac_frontier", "gain_samples", "isac_corner",
-    "log2_det_i_plus_scaled", "make_config", "orthogonal_streams", "outage_asymptotic",
+    "log2_det_i_plus_scaled", "orthogonal_streams", "outage_asymptotic",
     "outage_probability", "psi_term", "reference_table", "scene_eigenvalues",
     "sensing_mi_bruteforce", "sensing_mi_reduced", "sensing_rate", "sensing_rate_asymptotic",
     "split_ergodic_rates", "split_sensing_rate", "steering_vector", "sum_rate", "thresholds",
-    "trial_uniforms", "validate_config",
+    "trial_uniforms",
 ])
 
 
 def test_package_exports_the_public_names():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 47
     assert sorted(noma_isac.__all__) == PUBLIC
 
 

@@ -20,7 +20,7 @@ from noma_isac.analytic import (
     thresholds,
 )
 from noma_isac.cli import dump_config, load_config_file
-from noma_isac.config import ISAC, db_to_linear, fdsac, make_config
+from noma_isac.config import ISAC, SystemConfig, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr, estimate_outage
 from noma_isac.region import containment_check, fdsac_frontier, isac_corner
 
@@ -31,7 +31,7 @@ _FAST = settings(derandomize=True, max_examples=25, deadline=None, database=None
 def configs(draw):
     alpha_n = draw(st.floats(0.05, 0.45))
     antennas = draw(st.integers(1, 8))
-    return make_config(
+    return SystemConfig(
         rho1=draw(st.floats(0.05, 5.0)),
         rho2=draw(st.floats(0.05, 5.0)),
         alpha_n=alpha_n,
