@@ -148,10 +148,6 @@ def dump_config(cfg: SystemConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 #: Rows of a table formatted per block: enough to amortise the numpy and
 #: json.dumps calls, few enough that a block's buffers stay small.
 _CSV_BLOCK_ROWS = _JSON_BLOCK_ROWS = 4096
@@ -271,21 +267,6 @@ def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
     return [value, *groups[::-1]]
 
 
-def _text_cells(column: Sequence | np.ndarray) -> np.ndarray:
-    """Cells of str(cell) as pad-filled uint8 rows; an ASCII str array
-    without NULs inside its cells is viewed, not encoded."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "U":
-        codes = np.ascontiguousarray(column, column.dtype.newbyteorder("="))
-        codes = codes.view(np.uint32).reshape(column.size, -1)
-        # A str array pads each cell with trailing NULs.
-        text = codes != 0
-        if codes.max() < 128 and np.all(text[:, :-1] >= text[:, 1:]):
-            return np.where(text, codes, 0xFF).astype(np.uint8)
-        column = column.tolist()
-    empty = np.zeros((len(column), 0), np.uint8)
-    return _with_cells(empty, np.arange(len(column)), [str(cell) for cell in column])
-
-
 def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndarray:
     # The cells with those rows replaced by the UTF-8 bytes of text, widened
     # to hold the longest.
@@ -300,20 +281,33 @@ def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndar
     return cells
 
 
+def _label_cells(labels: Sequence) -> np.ndarray:
+    # Each label's CSV cell as a pad-filled uint8 row: None is empty, a str
+    # is itself and a number is '%.12g'.
+    text = ["" if v is None else v if isinstance(v, str) else "%.12g" % v for v in labels]
+    return _with_cells(np.zeros((len(text), 0), np.uint8), np.arange(len(text)), text)
+
+
 def _write_table(
     output: str,
     fmt: str,
     columns: dict[str, Sequence | np.ndarray],
     metadata: dict,
     trailer: Optional[str] = None,
+    labels: Optional[dict[str, Sequence]] = None,
 ) -> None:
     """Write equal-length named columns as a CSV or JSON table, in key order.
 
-    A CSV column whose first cell is a string is written as str(cell), any
-    other as '%.12g' % cell, a block of rows at a time.  The JSON document
-    is the one json.dumps writes with indent=2 and sorted keys.
+    A column holds floats or, where labels has its key, integer codes into
+    that short sequence of str, float or None labels.  A CSV cell is written
+    as '%.12g' % cell, a str as it is and None as empty, a block of rows at
+    a time.  The JSON document is the one json.dumps writes with indent=2
+    and sorted keys, each code replaced by its label.
     """
-    lines = _csv_lines(columns, trailer) if fmt == "csv" else _json_lines(columns, metadata)
+    if fmt == "csv":
+        lines = _csv_lines(columns, trailer, labels)
+    else:
+        lines = _json_lines(columns, metadata, labels or {})
     if output == "-":
         sys.stdout.writelines(lines)
     else:
@@ -321,21 +315,26 @@ def _write_table(
             fh.writelines(lines)
 
 
-def _csv_lines(columns: dict[str, Sequence | np.ndarray], trailer: Optional[str]):
+def _csv_lines(
+    columns: dict[str, Sequence | np.ndarray],
+    trailer: Optional[str],
+    labels: Optional[dict[str, Sequence]] = None,
+):
     # Each block's cells go into one uint8 array of rows, each cell followed
     # by "," and the last by "\n", whose pad bytes are then deleted.  The
-    # float columns of a block are formatted in one call.
+    # float columns of a block are formatted in one call; a labelled column
+    # gathers its labels' cells by code.
     yield ",".join(columns) + "\n"
-    values = list(columns.values())
-    text = [bool(len(c)) and isinstance(c[0], str) for c in values]
-    numbers = [np.asarray(c, float) for c, is_text in zip(values, text) if not is_text]
-    rows = len(values[0]) if values else 0
+    labels = labels or {}
+    rendered = {key: _label_cells(labels[key]) for key in labels}
+    numbers = [np.asarray(c, float) for key, c in columns.items() if key not in labels]
+    rows = len(next(iter(columns.values()), ()))
     for first in range(0, rows, _CSV_BLOCK_ROWS):
         block = slice(first, first + _CSV_BLOCK_ROWS)
         numeric = [c[block] for c in numbers]
         floats = iter(np.split(_g12_cells(np.concatenate(numeric)), len(numeric)) if numeric else ())
         cells = [
-            _text_cells(c[block]) if is_text else next(floats) for c, is_text in zip(values, text)
+            rendered[key][c[block]] if key in labels else next(floats) for key, c in columns.items()
         ]
         comma = np.full((cells[0].shape[0], 1), ord(","), np.uint8)
         line = np.concatenate([part for c in cells for part in (c, comma)], axis=1)
@@ -345,20 +344,25 @@ def _csv_lines(columns: dict[str, Sequence | np.ndarray], trailer: Optional[str]
         yield "# " + trailer + "\n"
 
 
-def _json_lines(columns: dict[str, Sequence | np.ndarray], metadata: dict):
+def _json_lines(
+    columns: dict[str, Sequence | np.ndarray], metadata: dict, labels: dict[str, Sequence]
+):
     # json.dumps({"metadata": ..., "rows": [{key: cell}, ...]}, indent=2,
-    # sort_keys=True) + "\n", line by line.  The C encoder encodes each
-    # column a block of rows at a time, with "\0" between cells; no encoded
-    # cell holds one, as json escapes a string's control characters.
+    # sort_keys=True) + "\n", line by line.  Each label is encoded once.  The
+    # C encoder encodes each float column a block of rows at a time, with
+    # "\0" between cells; no encoded cell holds one.
     keys = sorted(columns)
     fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
     template = "    {\n      " + ",\n      ".join(fields) + "\n    }"
     yield json.dumps({"metadata": metadata}, indent=2, sort_keys=True)[:-2] + ',\n  "rows": ['
+    text = {key: np.array([json.dumps(v) for v in labels[key]], object) for key in labels}
+    numbers = {key: np.asarray(columns[key], float) for key in keys if key not in labels}
     separator = "\n"
     for start in range(0, len(columns[keys[0]]), _JSON_BLOCK_ROWS):
-        block = (columns[key][start : start + _JSON_BLOCK_ROWS] for key in keys)
-        parts = (p.tolist() if isinstance(p, np.ndarray) else p for p in block)
-        cells = (json.dumps(part, separators=("\0", ":"))[1:-1].split("\0") for part in parts)
+        block = slice(start, start + _JSON_BLOCK_ROWS)
+        parts = (json.dumps(c[block].tolist(), separators=("\0", ":")) for c in numbers.values())
+        floats = (part[1:-1].split("\0") for part in parts)
+        cells = [text[key][columns[key][block]] if key in labels else next(floats) for key in keys]
         for row in zip(*cells):
             yield separator + template % row
             separator = ",\n"
@@ -397,6 +401,15 @@ def _check_seed(seed: int) -> None:
 
 #: Most float64 elements one numpy array can hold.
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
+
+def _check_noise_power(path: str, cfg: SystemConfig, kappa: float, split: str) -> None:
+    # The per-trial SNR overflows at a subnormal noise power: sigma2_c, blamed
+    # on the config file, or kappa * sigma2_c, blamed on `split`, which set kappa.
+    if 0.0 < cfg.sigma2_c < sys.float_info.min:
+        raise ValueError(f"{path}: the noise power sigma2_c {cfg.sigma2_c!r} is subnormal")
+    if 0.0 < kappa * cfg.sigma2_c < sys.float_info.min:
+        raise ValueError(f"{split} {kappa!r} makes the noise power kappa * sigma2_c subnormal")
 
 
 def _snr_grid(args: argparse.Namespace) -> list[float]:
@@ -439,7 +452,9 @@ def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np
     return dict(zip(names, (ecr_n, ecr_f, ecr_n + ecr_f, *asym)))
 
 
-def _sweep_command(command: str, args: argparse.Namespace) -> int:
+def _sweep_command(args: argparse.Namespace) -> int:
+    # outage or ecr, by the subcommand's name.
+    command = args.command
     cfg = load_config_file(args.config)
     split = _split_from_args(args)
     mode = ISAC if args.mode == "isac" else split
@@ -450,11 +465,8 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
         raise ValueError(f"--workers {args.workers} must be at least 1")
     _check_seed(args.seed)
     kappa, mu = comm_factors(mode)
-    if args.trials > 0 and 0.0 < kappa * cfg.sigma2_c < sys.float_info.min:
-        # The per-trial SNR, divided by a subnormal noise power, overflows.
-        if mode.is_isac:
-            raise ValueError(f"{args.config}: the noise power sigma2_c {cfg.sigma2_c!r} is subnormal")
-        raise ValueError(f"--kappa {args.kappa!r} makes the noise power kappa * sigma2_c subnormal")
+    if args.trials > 0:
+        _check_noise_power(args.config, cfg, kappa, "--kappa")
     if command == "outage" and not thresholds(cfg, mode).feasible:
         print(
             "warning: infeasible power allocation (alpha_f <= gamma_bar_f * alpha_n "
@@ -474,14 +486,6 @@ def _sweep_command(command: str, args: argparse.Namespace) -> int:
     )
     _write_table(args.output, args.format, columns, meta)
     return 0
-
-
-def cmd_outage(args: argparse.Namespace) -> int:
-    return _sweep_command("outage", args)
-
-
-def cmd_ecr(args: argparse.Namespace) -> int:
-    return _sweep_command("ecr", args)
 
 
 def cmd_sensing(args: argparse.Namespace) -> int:
@@ -514,28 +518,21 @@ def cmd_region(args: argparse.Namespace) -> int:
         frontier = fdsac_frontier(cfg, p, args.grid_n)
     report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
-    # The corner row, every grid point, then the Pareto points again.
-    grid_size, pareto = frontier.kappa.size, frontier.pareto
-    rows = np.concatenate(([0], np.arange(1, grid_size + 1), pareto + 1))
-
-    def column(at_corner: object, values: np.ndarray) -> np.ndarray:
-        return np.concatenate(([at_corner], values))[rows]
-
-    def split_column(values: np.ndarray) -> np.ndarray:
-        # kappa and mu take grid_n distinct values: a CSV formats each once,
-        # and leaves the corner's cell empty.
-        if args.format == "json":
-            return column(None, values)
-        distinct, inverse = np.unique(values, return_inverse=True)
-        return np.array(["", *map(_fmt, distinct.tolist())])[column(0, inverse + 1)]
-
+    # The corner row, every grid point, then the Pareto points again.  The
+    # grid's kappa varies slowest and mu fastest over the same grid_n
+    # fractions, which label both split columns; code 0 is the corner's
+    # empty cell.
+    grid_n, grid_size, pareto = args.grid_n, frontier.kappa.size, frontier.pareto
+    points = np.concatenate((np.arange(grid_size), pareto))
+    fractions = (None, *frontier.mu[:grid_n].tolist())
     columns = {
-        "kind": np.array(["corner", "grid", "pareto"]).repeat([1, grid_size, pareto.size]),
-        "kappa": split_column(frontier.kappa),
-        "mu": split_column(frontier.mu),
-        "rate_s": column(corner.rate_s, frontier.rate_s),
-        "rate_c": column(corner.rate_c, frontier.rate_c),
+        "kind": np.repeat([0, 1, 2], [1, grid_size, pareto.size]),
+        "kappa": np.concatenate(([0], points // grid_n + 1)),
+        "mu": np.concatenate(([0], points % grid_n + 1)),
+        "rate_s": np.concatenate(([corner.rate_s], frontier.rate_s[points])),
+        "rate_c": np.concatenate(([corner.rate_c], frontier.rate_c[points])),
     }
+    labels = {"kind": ("corner", "grid", "pareto"), "kappa": fractions, "mu": fractions}
     meta = _metadata(
         "region",
         cfg,
@@ -543,18 +540,19 @@ def cmd_region(args: argparse.Namespace) -> int:
         grid_n=args.grid_n,
         containment={"verdict": verdict, "max_violation": report.max_violation},
     )
-    trailer = f"containment: {verdict}, max_violation = {_fmt(report.max_violation)}"
-    _write_table(args.output, args.format, columns, meta, trailer)
+    trailer = f"containment: {verdict}, max_violation = {report.max_violation:.12g}"
+    _write_table(args.output, args.format, columns, meta, trailer, labels)
     return 0
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .acceptance import run_all
+    from .acceptance import SPLIT_KAPPA, run_all
 
     cfg = load_config_file(args.config)
     if args.trials < 1:
         raise ValueError(f"--trials {args.trials} must be at least 1")
     _check_seed(args.seed)
+    _check_noise_power(args.config, cfg, SPLIT_KAPPA, f"{args.config}: the selftest's split kappa")
     results = run_all(cfg, args.trials, args.seed)
     width = max(len(res.name) for res in results)
     for res in results:
@@ -591,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noma-isac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func in (("outage", cmd_outage), ("ecr", cmd_ecr), ("sensing", cmd_sensing)):
+    for name in ("outage", "ecr", "sensing"):
         sp = sub.add_parser(name, help=f"{name} sweep table")
         _add_io_flags(sp)
         _add_grid_flags(sp)
@@ -600,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=1)
             sp.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
             sp.add_argument("--workers", type=int, default=1, help="threads over each block's powers")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_sensing if name == "sensing" else _sweep_command)
 
     sp = sub.add_parser("region", help="rate region and containment check")
     _add_io_flags(sp)

@@ -298,10 +298,7 @@ def sensing_mi_bruteforce(
         raise ValueError("sigma2_s must be positive")
     stacked = np.kron(np.eye(m), x[:, None])
     a = np.eye(big_l * m) + stacked @ corr.entries @ stacked.conj().T / sigma2_s
-    sign, logdet = np.linalg.slogdet(a)
-    if sign.real <= 0.0:
-        raise ArithmeticError("determinant must be positive")
-    return float(logdet) / _LN2
+    return _log2_det(a)
 
 
 def sensing_mi_reduced(
@@ -313,6 +310,10 @@ def sensing_mi_reduced(
         raise ValueError("sigma2_s must be positive")
     energy = float(np.vdot(x, x).real)
     a = np.eye(corr.size) + energy * corr.entries / sigma2_s
+    return _log2_det(a)
+
+
+def _log2_det(a: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(a)
     if sign.real <= 0.0:
         raise ArithmeticError("determinant must be positive")

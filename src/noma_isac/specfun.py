@@ -35,15 +35,17 @@ _TILE = 8192
 _FSUM_ROWS = 64
 
 
-def exp_int_ei(x: float) -> float:
+def exp_int_ei(x: float | np.ndarray) -> float | np.ndarray:
     """Exponential integral Ei(x) on the negative real axis.
 
     Ei(x) = -int_{-x}^{inf} e^{-t}/t dt for x < 0; strictly negative,
-    vanishing as x -> -inf and diverging to -inf as x -> 0-.
+    vanishing as x -> -inf and diverging to -inf as x -> 0-.  Broadcasts
+    over an array of x; a scalar x gives a float.
     """
-    if not x < 0.0:
-        raise ValueError(f"exp_int_ei requires x < 0, got {x!r}")
-    return float(_ei_neg(np.array([-x]), scaled=False)[0])
+    x = np.asarray(x, dtype=float)
+    if not np.all(x < 0.0):
+        raise ValueError("exp_int_ei requires x < 0")
+    return _float_or_array(_ei_neg(-x.ravel(), scaled=False).reshape(x.shape))
 
 
 def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.ndarray:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import noma_isac
 from noma_isac import cli, montecarlo
 from noma_isac.cli import dump_config, load_config_file, main
-from noma_isac.config import baseline_config
+from noma_isac.config import baseline_config, db_to_linear
+from noma_isac.region import containment_check, fdsac_frontier, isac_corner
 
 CFG = baseline_config()
 
@@ -233,6 +234,36 @@ def test_subnormal_noise_power_names_the_config_in_isac_mode(tmp_path, capsys, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {path}: the noise power sigma2_c 5e-323 is subnormal\n"
+
+
+@pytest.mark.parametrize("kappa", ["0.5", "1e-320", "0"])
+@pytest.mark.parametrize("command", ["outage", "ecr"])
+def test_subnormal_noise_power_names_the_config_in_fdsac_mode(tmp_path, capsys, command, kappa):
+    # sigma2_c itself is subnormal, whatever --kappa is.
+    path = tmp_path / "subnormal.cfg"
+    path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=5e-323)), encoding="utf-8")
+    argv = [command, "--config", str(path), "--mode", "fdsac", "--kappa", kappa, "--trials", "1000"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: the noise power sigma2_c 5e-323 is subnormal\n"
+
+
+@pytest.mark.parametrize(
+    "sigma2_c,blamed",
+    [
+        (5e-323, "the noise power sigma2_c 5e-323 is subnormal"),
+        # Normal, but half of it, at the selftest's 0.5/0.5 split, is not.
+        (3e-308, "the selftest's split kappa 0.5 makes the noise power kappa * sigma2_c subnormal"),
+    ],
+)
+def test_selftest_rejects_a_subnormal_noise_power(tmp_path, capsys, sigma2_c, blamed):
+    path = tmp_path / "subnormal.cfg"
+    path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=sigma2_c)), encoding="utf-8")
+    assert main(["selftest", "--config", str(path), "--trials", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: {blamed}\n"
 
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 18.6 GiB")])
@@ -509,30 +540,49 @@ def test_json_outputs_are_byte_deterministic(cfg_file, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
+def _json_document(columns, metadata, labels=None):
+    # The whole document dumped at once, each labelled column's codes
+    # replaced by their labels first.
+    labels = labels or {}
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    cells = [[labels[key][i] for i in c] if key in labels else c for key, c in zip(columns, cells)]
+    doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("block_rows", [2, 4096])
 @pytest.mark.parametrize("rows", [0, 1, 3])
 def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, block_rows):
     # The row-template writer against the whole document dumped at once, on
     # cells whose encodings hold separators, quotes, escapes and "%", in one
-    # block of rows or several.
+    # block of rows or several.  The labelled columns hold str labels, and
+    # None, nan and the int 3, whose codes come out of order and skip one.
     monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", block_rows)
     columns = {
         "z%s key": np.array([1.5, -0.0, 1e-320])[:rows],
-        'a, "b"': ["x, y", "\0%s\n", "\u00e9"][:rows],
-        "m": [None, math.nan, 3][:rows],
+        'a, "b"': np.array([3, 0, 2])[:rows],
+        "m": np.array([2, 1, 0])[:rows],
         "inf": (math.inf, -math.inf, 2.5)[:rows],
     }
+    labels = {'a, "b"': ["x, y", "unused", "\u00e9", "\0%s\n"], "m": [None, math.nan, 3]}
     metadata = {"command": "t", "grid": [1.0, 2.5], "nested": {"b": None, "a": "q"}}
     out = tmp_path / "t.json"
-    cli._write_table(str(out), "json", columns, metadata)
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    doc = {"metadata": metadata, "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
-    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    cli._write_table(str(out), "json", columns, metadata, None, labels)
+    assert out.read_text(encoding="utf-8") == _json_document(columns, metadata, labels)
 
-def _row_template_csv(columns, trailer=None):
+
+def _row_template_csv(columns, trailer=None, labels=None):
     # The CSV writer before whole-column formatting: one "%" template per
-    # row, "%s" for a column whose first cell is a string, else "%.12g".
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    # row, "%s" for a column whose first cell is a string, else "%.12g".  A
+    # labelled column is expanded first, to its labels' text: None is "", a
+    # str is itself and a number is "%.12g".
+    labels = labels or {}
+    values = []
+    for key, column in columns.items():
+        if key in labels:
+            text = [v if isinstance(v, str) else "" if v is None else "%.12g" % v for v in labels[key]]
+            column = [text[code] for code in column]
+        values.append(column.tolist() if isinstance(column, np.ndarray) else column)
     formats = ("%s" if col and isinstance(col[0], str) else "%.12g" for col in values)
     template = ",".join(formats) + "\n"
     lines = [",".join(columns) + "\n", *(template % row for row in zip(*values))]
@@ -558,27 +608,84 @@ def _hard_cells():
 @pytest.mark.parametrize("block_rows", [1, 3, cli._CSV_BLOCK_ROWS])
 def test_csv_table_is_the_row_template_output(tmp_path, monkeypatch, block_rows):
     # The column writer against the per-row template, on float arrays, lists
-    # mixing Python ints and floats, str arrays (ASCII, non-ASCII and with
-    # NULs inside) and str lists holding ",", "%", non-ASCII text and "\0".
+    # mixing Python ints and floats, and labelled columns whose labels are
+    # ASCII, non-ASCII, with NULs inside, holding ",", "%" and "\0", or
+    # mixing None, floats, nan and the int 3.
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
     floats = _hard_cells()
     n = floats.size
     texts = ["x, y", "100%", "%s", "\u00e9\u4e2d", "\0", "a\0b", "", "grid"]
+    labels = {
+        "ascii": ["corner", "grid", "", "0.5"],
+        "wide": ["\u00e9", "ok", "\u4e2d\u6587"],
+        "nul": ["a\0b", "c"],
+        "text": texts,
+        "split": [None, 0.1, -0.0, math.nan, 3, 1e-320, 2 / 3],
+    }
     columns = {
         "f%s": floats,
         "ints": [[3, -7, 10**15, 2**53 + 1, 0][i % 5] if i % 2 else float(i) / 7 for i in range(n)],
-        "ascii": np.array(["corner", "grid", "", "0.5"])[np.arange(n) % 4],
-        "wide": np.array(["\u00e9", "ok", "\u4e2d\u6587"])[np.arange(n) % 3],
-        "nul": np.array(["a\0b", "c"])[np.arange(n) % 2],
-        "text": [texts[i % len(texts)] for i in range(n)],
+        **{key: np.arange(n) % len(labels[key]) for key in labels},
         "neg": -floats[::-1],
     }
     out = tmp_path / "t.csv"
-    cli._write_table(str(out), "csv", columns, {}, "containment: contained, x = 1")
-    assert out.read_bytes() == _row_template_csv(columns, "containment: contained, x = 1").encode()
+    cli._write_table(str(out), "csv", columns, {}, "containment: contained, x = 1", labels)
+    expected = _row_template_csv(columns, "containment: contained, x = 1", labels)
+    assert out.read_bytes() == expected.encode()
     empty = {key: col[:0] for key, col in columns.items()}
-    cli._write_table(str(out), "csv", empty, {})
+    cli._write_table(str(out), "csv", empty, {}, None, labels)
     assert out.read_bytes() == _row_template_csv(empty).encode()
+
+
+def _region_before_labels(cfg, p_db, grid_n, fmt):
+    # The region table as cmd_region built it before labelled columns: the
+    # split fractions recovered by np.unique and formatted once into str
+    # cells for CSV, and object arrays holding None at the corner for JSON.
+    p = db_to_linear(p_db)
+    corner, frontier = isac_corner(cfg, p), fdsac_frontier(cfg, p, grid_n)
+    report = containment_check(corner, frontier)
+    verdict = "contained" if report.holds else "not contained"
+    grid_size, pareto = frontier.kappa.size, frontier.pareto
+    rows = np.concatenate(([0], np.arange(1, grid_size + 1), pareto + 1))
+
+    def column(at_corner, values):
+        return np.concatenate(([at_corner], values))[rows]
+
+    def split_column(values):
+        if fmt == "json":
+            return column(None, values)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return np.array(["", *("%.12g" % v for v in distinct.tolist())])[column(0, inverse + 1)]
+
+    columns = {
+        "kind": np.array(["corner", "grid", "pareto"]).repeat([1, grid_size, pareto.size]),
+        "kappa": split_column(frontier.kappa),
+        "mu": split_column(frontier.mu),
+        "rate_s": column(corner.rate_s, frontier.rate_s),
+        "rate_c": column(corner.rate_c, frontier.rate_c),
+    }
+    if fmt == "csv":
+        trailer = f"containment: {verdict}, max_violation = {'%.12g' % report.max_violation}"
+        return _row_template_csv(columns, trailer)
+    meta = {
+        "command": "region",
+        "config": dataclasses.asdict(cfg),
+        "p_db": p_db,
+        "grid_n": grid_n,
+        "containment": {"verdict": verdict, "max_violation": report.max_violation},
+    }
+    return _json_document(columns, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid_n", [2, 3, 21])
+@pytest.mark.parametrize("p_db", [-30.0, 5.0, 40.0])
+def test_region_table_is_the_unique_sorted_construction(cfg_file, tmp_path, fmt, grid_n, p_db):
+    out = tmp_path / f"region.{fmt}"
+    argv = ["region", "--config", cfg_file, "--format", fmt, "--grid-n", str(grid_n)]
+    assert main(argv + ["--p-db", str(p_db), "--output", str(out)]) == 0
+    expected = _region_before_labels(CFG, p_db, grid_n, fmt)
+    assert out.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("shift", [-1.0, 1.0])

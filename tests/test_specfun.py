@@ -106,6 +106,27 @@ def test_psi_term_pinned_at_series_cutoff_neighbours():
     ]
 
 
+def test_ei_array_matches_scalar_calls():
+    # Every branch, the cutoffs 5 and 1e16 and their float neighbours, in
+    # one array call against one call per element, bit for bit.
+    cutoffs = np.array([specfun._SERIES_CUTOFF, specfun._ASYMPTOTIC_CUTOFF])
+    z = np.concatenate(
+        [
+            10.0 ** np.random.default_rng(9).uniform(-8.0, 20.0, size=4994),
+            cutoffs,
+            np.nextafter(cutoffs, 0.0),
+            np.nextafter(cutoffs, np.inf),
+        ]
+    )
+    got = exp_int_ei(-z.reshape(2, -1))
+    assert got.shape == (2, z.size // 2)
+    scalar = [exp_int_ei(-v) for v in z.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert got.ravel().view(np.int64).tolist() == np.array(scalar).view(np.int64).tolist()
+    with pytest.raises(ValueError):
+        exp_int_ei(np.array([-1.0, 0.0, -2.0]))
+
+
 def test_psi_term_array_matches_scalar_calls():
     rng = np.random.default_rng(8)
     chi = 10.0 ** rng.uniform(-6.0, 6.0, size=(40, 3))
