@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,17 +60,18 @@ def load_config_file(path: str) -> SystemConfig:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
 
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     strengths: list[float] = []
     aoas: list[float] = []
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
+        key, equals, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if not (equals and key):
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key == "target.strength":
             strengths.append(_parse_float(path, lineno, key, value))
         elif key == "target.aoa":
@@ -77,7 +79,7 @@ def load_config_file(path: str) -> SystemConfig:
         elif key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
-            values[key] = value
+            values[key], linenos[key] = value, lineno
 
     scene = None
     if strengths or aoas:
@@ -99,14 +101,14 @@ def load_config_file(path: str) -> SystemConfig:
     for key in FLOAT_FIELDS:
         if key not in values:
             raise ValueError(f"{path}: missing key {key!r}")
-        fields[key] = _parse_float(path, 0, key, values[key])
+        fields[key] = _parse_float(path, linenos[key], key, values[key])
     for key in INT_FIELDS:
         if key not in values:
             raise ValueError(f"{path}: missing key {key!r}")
         try:
             fields[key] = int(values[key])
         except ValueError as exc:
-            raise ValueError(f"{path}: key {key!r} must be an integer") from exc
+            raise ValueError(f"{path}:{linenos[key]}: key {key!r} must be an integer") from exc
 
     if "sensing_eigenvalues" in values and scene is not None:
         raise ValueError(
@@ -116,8 +118,9 @@ def load_config_file(path: str) -> SystemConfig:
     if "sensing_eigenvalues" in values:
         # An empty value is the empty spectrum; an empty item is an error.
         items = values["sensing_eigenvalues"].split(",") if values["sensing_eigenvalues"] else []
+        lineno = linenos["sensing_eigenvalues"]
         fields["sensing_eigenvalues"] = tuple(
-            _parse_float(path, 0, "sensing_eigenvalues", v.strip()) for v in items
+            _parse_float(path, lineno, "sensing_eigenvalues", v.strip()) for v in items
         )
     elif scene is None:
         raise ValueError(f"{path}: missing key 'sensing_eigenvalues' (or a target scene)")
@@ -136,8 +139,7 @@ def _parse_float(path: str, lineno: int, key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError as exc:
-        where = f"{path}:{lineno}: " if lineno else f"{path}: "
-        raise ValueError(f"{where}key {key!r} must be a number, got {value!r}") from exc
+        raise ValueError(f"{path}:{lineno}: key {key!r} must be a number, got {value!r}") from exc
 
 
 def dump_config(cfg: SystemConfig) -> str:
@@ -150,7 +152,7 @@ def dump_config(cfg: SystemConfig) -> str:
 
 #: Rows of a table formatted per block: enough to amortise the numpy and
 #: json.dumps calls, few enough that a block's buffers stay small.
-_CSV_BLOCK_ROWS = _JSON_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096
 
 #: 10**k for k in [0, 15], exact floats.
 _POW10 = np.array([float(10**k) for k in range(16)])
@@ -281,11 +283,15 @@ def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndar
     return cells
 
 
-def _label_cells(labels: Sequence) -> np.ndarray:
-    # Each label's CSV cell as a pad-filled uint8 row: None is empty, a str
-    # is itself and a number is '%.12g'.
-    text = ["" if v is None else v if isinstance(v, str) else "%.12g" % v for v in labels]
+def _text_cells(text: list[str]) -> np.ndarray:
+    # Each str as a pad-filled uint8 row of its UTF-8 bytes.
     return _with_cells(np.zeros((len(text), 0), np.uint8), np.arange(len(text)), text)
+
+
+def _repr_cells(v: np.ndarray) -> np.ndarray:
+    # The json module's cells of a nonempty float array: repr, NaN or
+    # +-Infinity, from the C encoder with "\0", which no cell holds, between them.
+    return _text_cells(json.dumps(v.tolist(), separators=("\0", ":"))[1:-1].split("\0"))
 
 
 def _write_table(
@@ -300,14 +306,32 @@ def _write_table(
 
     A column holds floats or, where labels has its key, integer codes into
     that short sequence of str, float or None labels.  A CSV cell is written
-    as '%.12g' % cell, a str as it is and None as empty, a block of rows at
-    a time.  The JSON document is the one json.dumps writes with indent=2
-    and sorted keys, each code replaced by its label.
+    as '%.12g' % cell, a str as it is and None as empty.  The JSON document
+    is the one json.dumps writes with indent=2 and sorted keys, each code
+    replaced by its label.  Either is written a block of rows at a time.
     """
+    labels = labels or {}
     if fmt == "csv":
-        lines = _csv_lines(columns, trailer, labels)
+        head = ",".join(columns) + "\n"
+        fragments = ["", *[","] * (len(columns) - 1), "\n"]
+        text = {
+            key: ["" if v is None else v if isinstance(v, str) else "%.12g" % v for v in values]
+            for key, values in labels.items()
+        }
+        blocks = _table_lines(columns, text, _g12_cells, fragments)
+        end = "# " + trailer + "\n" if trailer else ""
     else:
-        lines = _json_lines(columns, metadata, labels or {})
+        # Each row starts with ",", its separator from the row before; the first drops it.
+        columns = dict(sorted(columns.items()))
+        head = json.dumps({"metadata": metadata}, indent=2, sort_keys=True)[:-2] + ',\n  "rows": ['
+        fragments = [",\n      " + json.dumps(key) + ": " for key in columns] + ["\n    }"]
+        fragments[0] = ",\n    {" + fragments[0][1:]
+        text = {key: [json.dumps(v) for v in values] for key, values in labels.items()}
+        blocks = _table_lines(columns, text, _repr_cells, fragments)
+        first = next(blocks, "")
+        blocks = itertools.chain([first[1:]], blocks)
+        end = "\n  ]\n}\n" if first else "]\n}\n"
+    lines = itertools.chain([head], blocks, [end])
     if output == "-":
         sys.stdout.writelines(lines)
     else:
@@ -315,58 +339,24 @@ def _write_table(
             fh.writelines(lines)
 
 
-def _csv_lines(
-    columns: dict[str, Sequence | np.ndarray],
-    trailer: Optional[str],
-    labels: Optional[dict[str, Sequence]] = None,
-):
-    # Each block's cells go into one uint8 array of rows, each cell followed
-    # by "," and the last by "\n", whose pad bytes are then deleted.  The
-    # float columns of a block are formatted in one call; a labelled column
-    # gathers its labels' cells by code.
-    yield ",".join(columns) + "\n"
-    labels = labels or {}
-    rendered = {key: _label_cells(labels[key]) for key in labels}
-    numbers = [np.asarray(c, float) for key, c in columns.items() if key not in labels]
+def _table_lines(
+    columns: dict, label_text: dict[str, list[str]], float_cells: Callable, fragments: list[str]
+) -> Iterator[str]:
+    # A block's rows go into one uint8 array, fragments[j] before cell j and
+    # the last after the last cell, and its pad bytes are deleted.  The block's
+    # floats are formatted in one call; a label column gathers cells by code.
+    coded = {key: _text_cells(text) for key, text in label_text.items()}
+    numbers = [np.asarray(c, float) for key, c in columns.items() if key not in coded]
+    marks = [np.frombuffer(f.encode("utf-8"), np.uint8) for f in fragments]
     rows = len(next(iter(columns.values()), ()))
-    for first in range(0, rows, _CSV_BLOCK_ROWS):
-        block = slice(first, first + _CSV_BLOCK_ROWS)
-        numeric = [c[block] for c in numbers]
-        floats = iter(np.split(_g12_cells(np.concatenate(numeric)), len(numeric)) if numeric else ())
-        cells = [
-            rendered[key][c[block]] if key in labels else next(floats) for key, c in columns.items()
-        ]
-        comma = np.full((cells[0].shape[0], 1), ord(","), np.uint8)
-        line = np.concatenate([part for c in cells for part in (c, comma)], axis=1)
-        line[:, -1] = ord("\n")
+    for first in range(0, rows, _BLOCK_ROWS):
+        block = slice(first, first + _BLOCK_ROWS)
+        values = [c[block] for c in numbers]
+        floats = iter(np.split(float_cells(np.concatenate(values)), len(values)) if values else ())
+        cells = [coded[k][c[block]] if k in coded else next(floats) for k, c in columns.items()]
+        parts = [np.broadcast_to(mark, (len(cells[0]), mark.size)) for mark in marks]
+        line = np.concatenate([*itertools.chain(*zip(parts, cells)), parts[-1]], axis=1)
         yield line.tobytes().translate(None, b"\xff").decode()
-    if trailer:
-        yield "# " + trailer + "\n"
-
-
-def _json_lines(
-    columns: dict[str, Sequence | np.ndarray], metadata: dict, labels: dict[str, Sequence]
-):
-    # json.dumps({"metadata": ..., "rows": [{key: cell}, ...]}, indent=2,
-    # sort_keys=True) + "\n", line by line.  Each label is encoded once.  The
-    # C encoder encodes each float column a block of rows at a time, with
-    # "\0" between cells; no encoded cell holds one.
-    keys = sorted(columns)
-    fields = (json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "    {\n      " + ",\n      ".join(fields) + "\n    }"
-    yield json.dumps({"metadata": metadata}, indent=2, sort_keys=True)[:-2] + ',\n  "rows": ['
-    text = {key: np.array([json.dumps(v) for v in labels[key]], object) for key in labels}
-    numbers = {key: np.asarray(columns[key], float) for key in keys if key not in labels}
-    separator = "\n"
-    for start in range(0, len(columns[keys[0]]), _JSON_BLOCK_ROWS):
-        block = slice(start, start + _JSON_BLOCK_ROWS)
-        parts = (json.dumps(c[block].tolist(), separators=("\0", ":")) for c in numbers.values())
-        floats = (part[1:-1].split("\0") for part in parts)
-        cells = [text[key][columns[key][block]] if key in labels else next(floats) for key in keys]
-        for row in zip(*cells):
-            yield separator + template % row
-            separator = ",\n"
-    yield ("]" if separator == "\n" else "\n  ]") + "\n}\n"
 
 
 def _metadata(command: str, cfg: SystemConfig, **extra: object) -> dict:

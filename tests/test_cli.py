@@ -1,13 +1,16 @@
 """Command-line surface: config parsing, table schemas, determinism, and
 exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +95,28 @@ def test_config_errors(tmp_path):
     bad.write_text("rho1 = 0.9\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing key"):
         load_config_file(str(bad))
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("rho1", "abc", "key 'rho1' must be a number, got 'abc'"),
+        ("num_rx_antennas", "1e3", "key 'num_rx_antennas' must be an integer"),
+        ("sensing_eigenvalues", "1, x", "key 'sensing_eigenvalues' must be a number, got 'x'"),
+        ("", "5", "expected key=value, got '= 5'"),
+        ("", "", "expected key=value, got '='"),
+    ],
+)
+def test_config_error_names_its_line(tmp_path, capsys, key, value, message):
+    # A bad value, or a line with an empty key, is reported at its line,
+    # counting comment and blank lines.  The empty key's line comes last.
+    lines = ["# system", "", *dump_config(CFG).splitlines(), "# end"]
+    at = next((i for i, ln in enumerate(lines) if key and ln.startswith(key + " =")), len(lines))
+    lines[at : at + 1] = [f"{key} = {value}".strip()]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["sensing", "--config", str(path), "--output", str(tmp_path / "sr.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{at + 1}: {message}\n"
 
 
 def test_scene_with_explicit_spectrum_exits_one(tmp_path, capsys):
@@ -550,19 +575,19 @@ def _json_document(columns, metadata, labels=None):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("block_rows", [2, 4096])
-@pytest.mark.parametrize("rows", [0, 1, 3])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+@pytest.mark.parametrize("rows", [0, 1, 3, 7])
 def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, block_rows):
-    # The row-template writer against the whole document dumped at once, on
-    # cells whose encodings hold separators, quotes, escapes and "%", in one
-    # block of rows or several.  The labelled columns hold str labels, and
-    # None, nan and the int 3, whose codes come out of order and skip one.
-    monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", block_rows)
+    # The block writer against the whole document dumped at once, on cells
+    # whose encodings hold separators, quotes, escapes and "%", in one block
+    # of rows or several.  The labelled columns hold str labels, and None,
+    # nan and the int 3, whose codes come out of order and skip one.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     columns = {
-        "z%s key": np.array([1.5, -0.0, 1e-320])[:rows],
-        'a, "b"': np.array([3, 0, 2])[:rows],
-        "m": np.array([2, 1, 0])[:rows],
-        "inf": (math.inf, -math.inf, 2.5)[:rows],
+        "z%s key": np.array([1.5, -0.0, 1e-320, math.nan, 5e-324, -1e300, 1e16])[:rows],
+        'a, "b"': np.array([3, 0, 2, 3, 0, 2, 3])[:rows],
+        "m": np.array([2, 1, 0, 0, 2, 1, 2])[:rows],
+        "inf": (math.inf, -math.inf, 2.5, 0.1, -7.0, 1e-7, 123456789.0)[:rows],
     }
     labels = {'a, "b"': ["x, y", "unused", "\u00e9", "\0%s\n"], "m": [None, math.nan, 3]}
     metadata = {"command": "t", "grid": [1.0, 2.5], "nested": {"b": None, "a": "q"}}
@@ -605,13 +630,13 @@ def _hard_cells():
     return np.array(cells)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, cli._CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, cli._BLOCK_ROWS])
 def test_csv_table_is_the_row_template_output(tmp_path, monkeypatch, block_rows):
     # The column writer against the per-row template, on float arrays, lists
     # mixing Python ints and floats, and labelled columns whose labels are
     # ASCII, non-ASCII, with NULs inside, holding ",", "%" and "\0", or
     # mixing None, floats, nan and the int 3.
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     floats = _hard_cells()
     n = floats.size
     texts = ["x, y", "100%", "%s", "\u00e9\u4e2d", "\0", "a\0b", "", "grid"]
@@ -688,6 +713,14 @@ def test_region_table_is_the_unique_sorted_construction(cfg_file, tmp_path, fmt,
     assert out.read_text(encoding="utf-8") == expected
 
 
+def _table_text(fmt, columns, metadata=None):
+    # The table _write_table writes to stdout.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_table("-", fmt, columns, metadata or {})
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("shift", [-1.0, 1.0])
 def test_csv_float_cells_survive_a_wrong_exponent_estimate(monkeypatch, shift):
     # log10 off by one for every cell: each cell is checked against the
@@ -697,7 +730,7 @@ def test_csv_float_cells_survive_a_wrong_exponent_estimate(monkeypatch, shift):
     values = np.concatenate([_hard_cells(), powers, np.nextafter(powers, math.inf)])
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-    lines = "".join(cli._csv_lines({"v": values}, None)).splitlines()
+    lines = _table_text("csv", {"v": values}).splitlines()
     assert lines == ["v", *("%.12g" % v for v in values.tolist())]
 
 
@@ -714,8 +747,18 @@ _TIES = st.builds(
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.lists(st.floats() | _TIES, min_size=1, max_size=40))
 def test_csv_float_cells_are_python_percent_g(values):
-    lines = "".join(cli._csv_lines({"v": np.array(values, dtype=float)}, None)).splitlines()
+    lines = _table_text("csv", {"v": np.array(values, dtype=float)}).splitlines()
     assert lines == ["v", *("%.12g" % v for v in values)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_json_float_cells_are_json_dumps(values):
+    # Any floats, the empty table included, over blocks of three rows.
+    metadata = {"command": "t"}
+    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+        text = _table_text("json", {"v": np.array(values, dtype=float)}, metadata)
+    assert text == _json_document({"v": values}, metadata)
 
 
 class _InlinePool:
