@@ -178,7 +178,7 @@ def check_sensing_identities(cfg: SystemConfig, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst_spectral = 0.0
     for _ in range(20):
-        m = int(rng.integers(2, cfg.num_rx_antennas + 1))
+        m = int(rng.integers(2, max(cfg.num_rx_antennas, 2) + 1))
         lam = rng.uniform(0.0, 5.0, size=m)
         if rng.random() < 0.25:
             lam[0] = 0.0

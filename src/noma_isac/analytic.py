@@ -55,8 +55,8 @@ class Thresholds:
 
 
 def _chis(cfg: SystemConfig, kappa_t, mu_t) -> tuple:
-    # chi_b = kappa_t*sigma2_c/(mu_t*rho_b), elementwise for arrays.
-    scale = kappa_t * cfg.sigma2_c / mu_t
+    # chi_b = kappa_t*sigma2_c/(mu_t*rho_b) in numpy floats, under numpy's error state.
+    scale = np.multiply(kappa_t, cfg.sigma2_c) / mu_t
     return scale / cfg.rho1, scale / cfg.rho2, scale / cfg.rho3
 
 
@@ -148,6 +148,9 @@ def split_ergodic_rates(
     kappa_on, p_on = kappa[on], p[on]
     chi1, chi2, chi3 = _chis(cfg, kappa_on, mu[on])
     scale_n = cfg.alpha_n * p_on
+    if not all(np.all(v > 0.0) for v in (chi1, chi2, chi3, scale_n)):
+        # A subnormal product rounded to 0, where Ei(-chi/scale) is undefined.
+        raise FloatingPointError("underflow to 0 in kappa*sigma2_c/(mu*rho_b) or alpha_n*p")
     psi3 = psi_term(chi3, scale_n)
     ecr_n[on] = kappa_on / _LN2 * (psi3 - psi_term(chi2, scale_n) - psi_term(chi1, scale_n))
     ecr_f[on] = kappa_on / _LN2 * (psi3 - psi_term(chi3, p_on))
@@ -164,10 +167,21 @@ def ergodic_rates_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple
     kappa_t, mu_t = comm_factors(mode)
     if not has_comm_resources(kappa_t, mu_t):
         return _float_or_array(np.zeros(p.shape)), _float_or_array(np.zeros(p.shape))
-    offset = kappa_t * cfg.sigma2_c / (mu_t * cfg.alpha_n * (cfg.rho1 + cfg.rho2))
-    ecr_n = kappa_t * _log2(p) - kappa_t * EULER_GAMMA / _LN2 - kappa_t * math.log2(offset)
+    log2_offset = _log2_quotient((kappa_t, cfg.sigma2_c), (mu_t, cfg.alpha_n, cfg.rho1 + cfg.rho2))
+    ecr_n = kappa_t * _log2(p) - kappa_t * EULER_GAMMA / _LN2 - kappa_t * log2_offset
     ecr_f = np.full(p.shape, -kappa_t * math.log2(cfg.alpha_n))
     return _float_or_array(ecr_n), _float_or_array(ecr_f)
+
+
+def _log2_quotient(numerator: tuple, denominator: tuple) -> float:
+    # log2 of the product of the positive numerator factors over that of the
+    # denominator's; where the quotient is not a positive normal float, the
+    # fsum of the factors' log2s.
+    scale = math.prod(denominator)
+    quotient = math.prod(numerator) / scale if scale else 0.0
+    if sys.float_info.min <= quotient < math.inf:
+        return math.log2(quotient)
+    return math.fsum([*map(math.log2, numerator), *(-math.log2(v) for v in denominator)])
 
 
 def _sensing_split(mode: Mode) -> tuple[float, float]:
@@ -219,17 +233,9 @@ def sensing_rate_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> _Float
     if r == 0 or kappa == 1.0 or mu == 1.0:
         return _float_or_array(np.zeros(p.shape))
 
-    def log2_snr(v: float) -> float:
-        # log2 of (1 - mu) * v * L / ((1 - kappa) * sigma2_s); where that is
-        # not a positive normal float, the fsum of its factors' log2s.
-        scale = (1.0 - kappa) * cfg.sigma2_s
-        snr = (1.0 - mu) * v * big_l / scale if scale else 0.0
-        if sys.float_info.min <= snr < math.inf:
-            return math.log2(snr)
-        numerator = map(math.log2, (1.0 - mu, v, big_l))
-        return math.fsum([*numerator, -math.log2(1.0 - kappa), -math.log2(cfg.sigma2_s)])
-
-    const = math.fsum(log2_snr(v) for v in sorted(lam))
+    # Each term is log2 of the SNR (1 - mu) * v * L / ((1 - kappa) * sigma2_s).
+    sensing_noise = (1.0 - kappa, cfg.sigma2_s)
+    const = math.fsum(_log2_quotient((1.0 - mu, v, big_l), sensing_noise) for v in sorted(lam))
     slope = (1.0 - kappa) * r / big_l
     return _float_or_array(slope * _log2(p) + (1.0 - kappa) * const / big_l)
 

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -375,15 +374,6 @@ def _linear_power(option: str, db: float) -> float:
     return p
 
 
-@contextmanager
-def _named_power(option: str, db: float):
-    """Report an overflow of the closed forms as a fault of the dB option."""
-    try:
-        yield
-    except ArithmeticError as exc:
-        raise ValueError(f"{option} {db:g} dB is out of range: {exc}") from None
-
-
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError(f"--seed {seed} must lie in [0, 2**64)")
@@ -391,15 +381,6 @@ def _check_seed(seed: int) -> None:
 
 #: Most float64 elements one numpy array can hold.
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8
-
-
-def _check_noise_power(path: str, cfg: SystemConfig, kappa: float, split: str) -> None:
-    # The per-trial SNR overflows at a subnormal noise power: sigma2_c, blamed
-    # on the config file, or kappa * sigma2_c, blamed on `split`, which set kappa.
-    if 0.0 < cfg.sigma2_c < sys.float_info.min:
-        raise ValueError(f"{path}: the noise power sigma2_c {cfg.sigma2_c!r} is subnormal")
-    if 0.0 < kappa * cfg.sigma2_c < sys.float_info.min:
-        raise ValueError(f"{split} {kappa!r} makes the noise power kappa * sigma2_c subnormal")
 
 
 def _snr_grid(args: argparse.Namespace) -> list[float]:
@@ -455,22 +436,19 @@ def _sweep_command(args: argparse.Namespace) -> int:
         raise ValueError(f"--workers {args.workers} must be at least 1")
     _check_seed(args.seed)
     kappa, mu = comm_factors(mode)
+    powers = db_to_linear(grid)
+    columns = {"snr_db": grid, **_closed_form_columns(command, cfg, mode, powers)}
     if args.trials > 0:
-        _check_noise_power(args.config, cfg, kappa, "--kappa")
+        estimator = estimate_outage if command == "outage" else estimate_ecr
+        estimates = estimator(cfg, mode, powers.tolist(), args.trials, args.seed, args.workers)
+        cells = [(n.value, f.value, n.std_error, f.std_error) for n, f in estimates]
+        columns.update(zip(_MC_COLUMNS[command], zip(*cells)))
     if command == "outage" and not thresholds(cfg, mode).feasible:
         print(
             "warning: infeasible power allocation (alpha_f <= gamma_bar_f * alpha_n "
             "or zero communication resources); outage probability is 1",
             file=sys.stderr,
         )
-    powers = db_to_linear(grid)
-    with _named_power("--snr-db-max", args.snr_db_max):
-        columns = {"snr_db": grid, **_closed_form_columns(command, cfg, mode, powers)}
-        if args.trials > 0:
-            estimator = estimate_outage if command == "outage" else estimate_ecr
-            estimates = estimator(cfg, mode, powers.tolist(), args.trials, args.seed, args.workers)
-            cells = [(n.value, f.value, n.std_error, f.std_error) for n, f in estimates]
-            columns.update(zip(_MC_COLUMNS[command], zip(*cells)))
     meta = _metadata(
         command, cfg, mode=mode.tag, kappa=kappa, mu=mu, snr_db=grid, trials=args.trials, seed=args.seed
     )
@@ -483,14 +461,13 @@ def cmd_sensing(args: argparse.Namespace) -> int:
     split = _split_from_args(args)
     grid = _snr_grid(args)
     powers = db_to_linear(grid)
-    with _named_power("--snr-db-max", args.snr_db_max):
-        columns = {
-            "snr_db": grid,
-            "sr_isac": sensing_rate(cfg, ISAC, powers),
-            "sr_isac_asym": sensing_rate_asymptotic(cfg, ISAC, powers),
-            "sr_fdsac": sensing_rate(cfg, split, powers),
-            "sr_fdsac_asym": sensing_rate_asymptotic(cfg, split, powers),
-        }
+    columns = {
+        "snr_db": grid,
+        "sr_isac": sensing_rate(cfg, ISAC, powers),
+        "sr_isac_asym": sensing_rate_asymptotic(cfg, ISAC, powers),
+        "sr_fdsac": sensing_rate(cfg, split, powers),
+        "sr_fdsac_asym": sensing_rate_asymptotic(cfg, split, powers),
+    }
     meta = _metadata("sensing", cfg, kappa=args.kappa, mu=args.mu, snr_db=grid)
     _write_table(args.output, args.format, columns, meta)
     return 0
@@ -503,9 +480,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise ValueError(f"--grid-n {args.grid_n} must be at least 2")
     if args.grid_n**2 > _MAX_ELEMENTS:
         raise ValueError(f"--grid-n {args.grid_n} gives more points than an array holds")
-    with _named_power("--p-db", args.p_db):
-        corner = isac_corner(cfg, p)
-        frontier = fdsac_frontier(cfg, p, args.grid_n)
+    corner = isac_corner(cfg, p)
+    frontier = fdsac_frontier(cfg, p, args.grid_n)
     report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
     # The corner row, every grid point, then the Pareto points again.  The
@@ -536,13 +512,12 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .acceptance import SPLIT_KAPPA, run_all
+    from .acceptance import run_all
 
     cfg = load_config_file(args.config)
     if args.trials < 1:
         raise ValueError(f"--trials {args.trials} must be at least 1")
     _check_seed(args.seed)
-    _check_noise_power(args.config, cfg, SPLIT_KAPPA, f"{args.config}: the selftest's split kappa")
     results = run_all(cfg, args.trials, args.seed)
     width = max(len(res.name) for res in results)
     for res in results:
@@ -604,19 +579,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _inputs_in_effect(args: argparse.Namespace) -> str:
+    # The numeric inputs the command's arithmetic reads, the grid's top first.
+    named = []
+    if args.command in ("outage", "ecr", "sensing"):
+        named += [f"--snr-db-max {args.snr_db_max!r} dB", f"--snr-db-min {args.snr_db_min!r} dB"]
+        if args.command == "sensing" or args.mode == "fdsac":
+            named += [f"--kappa {args.kappa!r}", f"--mu {args.mu!r}"]
+    if args.command == "region":
+        named.append(f"--p-db {args.p_db!r} dB")
+    return ", ".join([*named, f"--config {args.config}"])
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Every float fault but underflow raises where it happens, so no numpy
+        # warning reaches stderr; worker threads set their own error state.
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
-        # Overflow or non-convergence from an extreme input, such as --p-db 4000.
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Overflow, division by zero, nan or non-convergence, at inputs the
+        # formulas cannot carry, such as --snr-db-max 1545 or a subnormal sigma2_c.
+        print(f"error: {_inputs_in_effect(args)}: out of range: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # A grid too large for this host, such as region --grid-n 50000.

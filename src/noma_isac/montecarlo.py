@@ -102,10 +102,10 @@ def _per_block(
     if not has_comm_resources(*comm_factors(mode)):
         return [(no_resources,) for _ in powers]
 
-    # An overflowing received power raises FloatingPointError rather than
-    # passing on inf or nan.  As a decorator, errstate sets numpy's error
-    # state, which is per thread, in the thread that runs each call.
-    raising = np.errstate(over="raise", invalid="raise")
+    # An overflowing received power, or a noise power rounded to 0, raises
+    # FloatingPointError rather than passing on inf or nan.  As a decorator,
+    # errstate sets numpy's error state, per thread, in the thread of each call.
+    raising = np.errstate(over="raise", divide="raise", invalid="raise")
 
     def each_block(map_) -> list[tuple]:
         blocks = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,10 +31,6 @@ _MAX_ITER = 500
 #: log2_det_i_plus_scaled, so that a call's temporaries stay small.
 _TILE = 8192
 
-# Tiles with fewer rows than this sum each row with math.fsum: below it the
-# TwoSum cascade's fixed cost (about 65 us at 8 terms) dominates.
-_FSUM_ROWS = 64
-
 
 def exp_int_ei(x: float | np.ndarray) -> float | np.ndarray:
     """Exponential integral Ei(x) on the negative real axis.
@@ -54,7 +51,7 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     Strictly negative for all positive inputs. Large ratios are evaluated in
     pre-scaled form so the product never overflows.  Broadcasts over arrays
     of chi and scale; scalar inputs give a float.  The kernel sees only the
-    ratio chi/scale and evaluates each distinct ratio once.
+    normal ratios chi/scale and evaluates each distinct ratio once.
     """
     chi = np.asarray(chi, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -62,9 +59,16 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
         raise ValueError("psi_term requires chi > 0")
     if not np.all(scale > 0.0):
         raise ValueError("psi_term requires scale > 0")
-    z = chi / scale
+    z = np.asarray(chi / scale)
+    # Below the normal range ln z loses bits, and at 0 it is undefined; there
+    # Ei(-z) * e^z is gamma + ln z to rounding, with ln z = ln chi - ln scale.
+    tiny = z < sys.float_info.min
+    z[tiny] = 1.0
     distinct, inverse = np.unique(z, return_inverse=True)
-    return _float_or_array(_ei_neg(distinct, scaled=True)[inverse].reshape(z.shape))
+    psi = _ei_neg(distinct, scaled=True)[inverse.ravel()].reshape(z.shape)
+    ln = [_elementwise(math.log, np.broadcast_to(v, z.shape)[tiny]) for v in (chi, scale)]
+    psi[tiny] = EULER_GAMMA + (ln[0] - ln[1])
+    return _float_or_array(psi)
 
 
 def log2_det_i_plus_scaled(
@@ -85,8 +89,8 @@ def log2_det_i_plus_scaled(
     hi is the correctly rounded sum when B = 0, or when
     -d_down/2 < lo - B and lo + B < d_up/2, d being the gaps from hi to its
     float neighbours.  Other rows, rows with non-finite terms and zero sums
-    (which take fsum's sign of zero) are summed by math.fsum, and so is every
-    row of a tile of fewer than _FSUM_ROWS rows; rows go in tiles of _TILE.
+    (which take fsum's sign of zero) are summed by math.fsum; rows go in
+    tiles of _TILE.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0):
@@ -105,8 +109,6 @@ def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
     # math.fsum of each row of a 2-D array, bit for bit; see
     # log2_det_i_plus_scaled for the rule.
     rows, m = terms.shape
-    if rows < _FSUM_ROWS:
-        return np.array([math.fsum(row) for row in terms.tolist()], dtype=float)
     if m == 0:
         return np.zeros(rows)
     s, e, bound = terms[:, 0], np.zeros(rows), np.zeros(rows)

@@ -131,3 +131,11 @@ def test_determinism_check_fails_when_a_run_fails(monkeypatch, capsys):
     result = check_determinism(CFG, 1)
     assert not result.passed and result.detail == "a run exited with an error"
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sensing_identities_pass_on_one_receive_antenna():
+    # The random test matrices have at least 2 rows, whatever the config's
+    # antenna count.
+    cfg = dataclasses.replace(CFG, num_rx_antennas=1, sensing_eigenvalues=(5.0,))
+    result = check_sensing_identities(cfg, seed=1)
+    assert result.passed, result.detail

@@ -23,6 +23,7 @@ from noma_isac.analytic import (
 from noma_isac.config import ISAC, baseline_config, comm_factors, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr, estimate_outage, estimate_slope
 from noma_isac.region import fdsac_frontier, isac_corner
+from noma_isac.specfun import EULER_GAMMA
 
 CFG = baseline_config()
 HALF_SPLIT = fdsac(0.5, 0.5)
@@ -280,6 +281,32 @@ def test_ergodic_asymptote_tracks_exact_at_40db():
     exact_n, _ = ergodic_rates(CFG, ISAC, p)
     asym_n, _ = ergodic_rates_asymptotic(CFG, ISAC, p)
     assert abs(exact_n - asym_n) < 0.02
+
+
+@pytest.mark.parametrize(
+    "fields", [{"sigma2_c": 5e-323}, {"sigma2_c": 5e-323, "rho1": 1e300}], ids=["subnormal", "zero"]
+)
+@pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT])
+def test_ergodic_asymptote_survives_an_underflowing_offset(fields, mode):
+    # kappa * sigma2_c / (mu * alpha_n * (rho1 + rho2)) is subnormal or 0; its
+    # log2 comes from its factors instead.
+    cfg = dataclasses.replace(CFG, **fields)
+    kappa, mu = comm_factors(mode)
+    ratio = Fraction(kappa) * Fraction(cfg.sigma2_c) / (
+        Fraction(mu) * Fraction(cfg.alpha_n) * Fraction(cfg.rho1 + cfg.rho2)
+    )
+    log2_offset = math.log2(ratio.numerator) - math.log2(ratio.denominator)
+    p = db_to_linear(20.0)
+    expected = kappa * (math.log2(p) - EULER_GAMMA / math.log(2.0) - log2_offset)
+    assert ergodic_rates_asymptotic(cfg, mode, p)[0] == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("sigma2_c,kappa", [(5e-323, 1e-5), (1e-5, 1e-320)])
+def test_ergodic_rates_raise_where_chi_underflows_to_zero(sigma2_c, kappa):
+    # kappa * sigma2_c rounds to 0, where Ei(-chi/scale) is undefined.
+    cfg = dataclasses.replace(CFG, sigma2_c=sigma2_c)
+    with pytest.raises(FloatingPointError, match="underflow to 0"):
+        ergodic_rates(cfg, fdsac(kappa, 0.5), 10.0)
 
 
 def test_zero_resource_split_gives_zero_rates():

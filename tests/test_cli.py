@@ -197,6 +197,13 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
     assert err.startswith("error: --p-db") and err.count("\n") == 1
 
 
+# kappa * sigma2_c is subnormal, and the per-trial SNR overflows.
+_UNDERFLOWING_KAPPA = [
+    ["ecr", "--mode", "fdsac", "--kappa", "1e-320", "--trials", "1000"],
+    ["outage", "--mode", "fdsac", "--kappa", "1e-308", "--trials", "1000"],
+]
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [
@@ -224,9 +231,7 @@ def test_region_power_overflow_exits_one(cfg_file, tmp_path, capsys):
         (["outage", "--snr-db-min", "1545", "--snr-db-max", "1545"], "--snr-db-max"),
         (["outage", "--snr-db-min", "1545", "--snr-db-max", "1545", "--trials", "100"],
          "--snr-db-max"),
-        # kappa * sigma2_c is subnormal, and the per-trial SNR overflows.
-        (["ecr", "--mode", "fdsac", "--kappa", "1e-320", "--trials", "1000"], "--kappa"),
-        (["outage", "--mode", "fdsac", "--kappa", "1e-308", "--trials", "1000"], "--kappa"),
+        *((argv, "--kappa") for argv in _UNDERFLOWING_KAPPA),
         (["region", "--grid-n", "1"], "--grid-n"),
         (["region", "--grid-n", "-3"], "--grid-n"),
         # Grids with more points than a numpy array can index.
@@ -247,48 +252,116 @@ def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert err.count("\n") == 1
+    if argv in _UNDERFLOWING_KAPPA:
+        # A float fault names every input in effect, the option among them.
+        assert err.startswith("error: --snr-db-max ") and f", {option} {argv[4]}, " in err
+    else:
+        assert err.startswith(f"error: {option} ")
+
+
+_GRID = "--snr-db-max 40.0 dB, --snr-db-min 0.0 dB"
 
 
 @pytest.mark.parametrize("command", ["outage", "ecr"])
 def test_subnormal_noise_power_names_the_config_in_isac_mode(tmp_path, capsys, command):
-    # --kappa is not in effect in isac mode, so the file's sigma2_c is blamed.
+    # p / sigma2_c overflows; --kappa is not in effect in isac mode.
     path = tmp_path / "subnormal.cfg"
     path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=5e-323)), encoding="utf-8")
     assert main([command, "--config", str(path), "--trials", "1000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {path}: the noise power sigma2_c 5e-323 is subnormal\n"
+    assert err == f"error: {_GRID}, --config {path}: out of range: overflow encountered in divide\n"
 
 
 @pytest.mark.parametrize("kappa", ["0.5", "1e-320", "0"])
 @pytest.mark.parametrize("command", ["outage", "ecr"])
 def test_subnormal_noise_power_names_the_config_in_fdsac_mode(tmp_path, capsys, command, kappa):
-    # sigma2_c itself is subnormal, whatever --kappa is.
+    # sigma2_c is subnormal: the fault, wherever it happens, names the split
+    # and the file.  At kappa 0 no noise power is formed, and the run succeeds.
     path = tmp_path / "subnormal.cfg"
     path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=5e-323)), encoding="utf-8")
     argv = [command, "--config", str(path), "--mode", "fdsac", "--kappa", kappa, "--trials", "1000"]
-    assert main(argv) == 1
+    rc = main(argv)
     out, err = capsys.readouterr()
+    if kappa == "0":
+        assert rc == 0 and out.count("\n") == 10
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+        return
+    assert rc == 1
     assert out == ""
-    assert err == f"error: {path}: the noise power sigma2_c 5e-323 is subnormal\n"
+    inputs = f"{_GRID}, --kappa {float(kappa)!r}, --mu 0.5, --config {path}"
+    assert err.startswith(f"error: {inputs}: out of range: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
-    "sigma2_c,blamed",
+    "sigma2_c",
     [
-        (5e-323, "the noise power sigma2_c 5e-323 is subnormal"),
+        pytest.param(5e-323, id="5e-323-the noise power sigma2_c 5e-323 is subnormal"),
         # Normal, but half of it, at the selftest's 0.5/0.5 split, is not.
-        (3e-308, "the selftest's split kappa 0.5 makes the noise power kappa * sigma2_c subnormal"),
+        pytest.param(
+            3e-308,
+            id="3e-308-the selftest's split kappa 0.5 makes the noise power kappa * sigma2_c subnormal",
+        ),
     ],
 )
-def test_selftest_rejects_a_subnormal_noise_power(tmp_path, capsys, sigma2_c, blamed):
+def test_selftest_rejects_a_subnormal_noise_power(tmp_path, capsys, sigma2_c):
     path = tmp_path / "subnormal.cfg"
     path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=sigma2_c)), encoding="utf-8")
     assert main(["selftest", "--config", str(path), "--trials", "1000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {path}: {blamed}\n"
+    assert err == f"error: --config {path}: out of range: overflow encountered in divide\n"
+
+
+_FDSAC = ["--mode", "fdsac"]
+
+
+@pytest.mark.parametrize(
+    "sigma2_c,argv,inputs,fault",
+    [
+        (5e-308, ["selftest", "--trials", "1000"], "", "overflow encountered in divide"),
+        (5e-308, ["outage", "--trials", "1000"], _GRID, "overflow encountered in divide"),
+        (1.0, ["ecr", *_FDSAC, "--mu", "1e-320"], f"{_GRID}, --kappa 0.5, --mu 1e-320",
+         "overflow encountered in divide"),
+        # chi = kappa * sigma2_c / mu overflows in the outage closed forms.
+        (1.0, ["outage", *_FDSAC, "--mu", "1e-320"], f"{_GRID}, --kappa 0.5, --mu 1e-320",
+         "overflow encountered in scalar divide"),
+        (1.0, ["outage", "--snr-db-min=-3000", "--snr-db-max=-3000"],
+         "--snr-db-max -3000.0 dB, --snr-db-min -3000.0 dB", "divide by zero encountered in divide"),
+        (5e-323, ["ecr", *_FDSAC, "--kappa", "1e-5"], f"{_GRID}, --kappa 1e-05, --mu 0.5",
+         "underflow to 0 in kappa*sigma2_c/(mu*rho_b) or alpha_n*p"),
+        (1e-5, ["ecr", *_FDSAC, "--kappa", "1e-320"], f"{_GRID}, --kappa 1e-320, --mu 0.5",
+         "underflow to 0 in kappa*sigma2_c/(mu*rho_b) or alpha_n*p"),
+        *(
+            (1e-5, ["outage", *_FDSAC, "--kappa", "1e-320", "--trials", "1000", "--workers", workers],
+             f"{_GRID}, --kappa 1e-320, --mu 0.5", "divide by zero encountered in divide")
+            for workers in ("1", "2")
+        ),
+    ],
+)
+def test_float_faults_name_the_inputs_in_effect(tmp_path, capfd, sigma2_c, argv, inputs, fault):
+    # One line, with no numpy warning from any thread, and numpy's error
+    # state as it was.
+    path = tmp_path / "system.cfg"
+    path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=sigma2_c)), encoding="utf-8")
+    state = np.geterr()
+    assert main([*argv, "--config", str(path)]) == 1
+    assert np.geterr() == state
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    named = f"{inputs}, --config {path}" if inputs else f"--config {path}"
+    assert captured.err == f"error: {named}: out of range: {fault}\n"
+
+
+@pytest.mark.parametrize("mode", ["isac", "fdsac"])
+def test_closed_forms_at_a_subnormal_noise_power_succeed(tmp_path, mode):
+    path = tmp_path / "system.cfg"
+    path.write_text(dump_config(dataclasses.replace(CFG, sigma2_c=5e-323)), encoding="utf-8")
+    out = tmp_path / "ecr.csv"
+    assert main(["ecr", "--config", str(path), "--mode", mode, "--output", str(out)]) == 0
+    _, rows, _ = _read_csv(out)
+    assert len(rows) == 9 and all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 18.6 GiB")])
@@ -337,8 +410,8 @@ def test_monte_carlo_overflow_names_the_option(cfg_file, tmp_path, capfd, worker
     assert rc == 1
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --snr-db-max 3080 dB is out of range")
-    assert captured.err.count("\n") == 1
+    inputs = f"--snr-db-max 3080.0 dB, --snr-db-min {grid[0]}.0 dB, --config {cfg_file}"
+    assert captured.err == f"error: {inputs}: out of range: overflow encountered in multiply\n"
     assert not out.exists()
 
 

@@ -186,6 +186,15 @@ def test_threaded_overflow_raises(monkeypatch, estimator):
         estimator(CFG, ISAC, [db_to_linear(3070.0), db_to_linear(3080.0)], 2500, 1, workers=2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
+def test_zero_noise_power_raises_on_every_thread(estimator, workers):
+    # kappa * sigma2_c underflows to 0, and the own SNR divides by it.
+    cfg = dataclasses.replace(CFG, sigma2_c=1e-5)
+    with pytest.raises(FloatingPointError, match="divide by zero"):
+        estimator(cfg, fdsac(1e-320, 0.5), [1.0, 10.0], 1000, 1, workers=workers)
+
+
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
 def test_empty_grid_on_threads_is_empty(estimator):
     assert estimator(CFG, ISAC, [], trials=100, seed=1, workers=2) == []

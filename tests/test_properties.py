@@ -1,12 +1,17 @@
 """Invariants of the closed forms and the Monte Carlo oracle over random
 valid configurations, not only the baseline point."""
 
+import contextlib
+import dataclasses
+import io
 import os
+import re
 import tempfile
+import warnings
 from statistics import NormalDist
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_isac.analytic import (
@@ -19,25 +24,35 @@ from noma_isac.analytic import (
     sum_rate,
     thresholds,
 )
-from noma_isac.cli import dump_config, load_config_file
-from noma_isac.config import ISAC, SystemConfig, db_to_linear, fdsac
+from noma_isac.cli import dump_config, load_config_file, main
+from noma_isac.config import ISAC, SystemConfig, baseline_config, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr, estimate_outage
 from noma_isac.region import containment_check, fdsac_frontier, isac_corner
 
 _FAST = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
 
+#: Valid but extreme noise powers and gain parameters: subnormal, tiny
+#: normal, and huge.
+_EXTREMES = st.sampled_from([5e-323, 5e-308, 1e-300, 1e300])
+
+
 @st.composite
-def configs(draw):
+def configs(draw, extreme=False):
+    # With extreme, sigma2_c, sigma2_s, rho1 and rho2 may take _EXTREMES, and
+    # one receive antenna is drawn often.
+    def scalar(lo, hi):
+        return draw(_EXTREMES | st.floats(lo, hi) if extreme else st.floats(lo, hi))
+
     alpha_n = draw(st.floats(0.05, 0.45))
-    antennas = draw(st.integers(1, 8))
+    antennas = draw(st.just(1) | st.integers(1, 8) if extreme else st.integers(1, 8))
     return SystemConfig(
-        rho1=draw(st.floats(0.05, 5.0)),
-        rho2=draw(st.floats(0.05, 5.0)),
+        rho1=scalar(0.05, 5.0),
+        rho2=scalar(0.05, 5.0),
         alpha_n=alpha_n,
         alpha_f=1.0 - alpha_n,
-        sigma2_c=draw(st.floats(0.1, 10.0)),
-        sigma2_s=draw(st.floats(0.1, 10.0)),
+        sigma2_c=scalar(0.1, 10.0),
+        sigma2_s=scalar(0.1, 10.0),
         num_rx_antennas=antennas,
         frame_length=draw(st.integers(1, 40)),
         target_rate_n=draw(st.sampled_from([0.0, 0.8]) | st.floats(0.0, 3.0)),
@@ -171,3 +186,55 @@ def test_monte_carlo_agrees_with_the_closed_forms(cfg, mode, grid_db, seed):
     for closed, estimates in zip(closed_rates, rates):
         for value, est in zip(closed, estimates):
             assert abs(est.value - value) <= max(_Z_BOUND * est.std_error, 1e-2)
+
+
+# Every subcommand at toy sizes on extreme valid inputs: each exits 0, 1 or 2
+# with no traceback and no numpy warning, and every error line names the
+# inputs it is about.  The examples are the faults once reported without
+# naming an input, or as a numpy warning, or not at all.
+_EXTREME_FRACTION = st.sampled_from([1e-320, 1e-5, 0.5]) | _FRACTION
+_EXTREME_DB = st.sampled_from([-3000.0, 0.0, 40.0, 1545.0, 3080.0]) | st.floats(-20.0, 60.0)
+_BASELINE = baseline_config()
+_OPTION = re.compile(r"(^| )--[a-z][a-z-]* ")
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(configs(extreme=True), _EXTREME_FRACTION, _EXTREME_FRACTION, _EXTREME_DB, _EXTREME_DB)
+@example(dataclasses.replace(_BASELINE, sigma2_c=5e-308), 0.5, 0.5, 0.0, 40.0)
+@example(_BASELINE, 0.5, 1e-320, 0.0, 40.0)
+@example(_BASELINE, 0.5, 0.5, -3000.0, -3000.0)
+@example(dataclasses.replace(_BASELINE, sigma2_c=5e-323), 1e-5, 0.5, 0.0, 40.0)
+@example(dataclasses.replace(_BASELINE, sigma2_c=1e-5), 1e-320, 0.5, 0.0, 40.0)
+@example(dataclasses.replace(_BASELINE, num_rx_antennas=1, sensing_eigenvalues=(5.0,)), 0.5, 0.5, 0, 40)
+def test_every_command_fails_cleanly_on_extreme_inputs(cfg, kappa, mu, db_a, db_b):
+    lo, hi = sorted((db_a, db_b))
+    # Values are joined to their options, as a negative one such as -1e-309
+    # would otherwise be parsed as an option.
+    grid = [f"--snr-db-min={lo!r}", f"--snr-db-max={hi!r}", f"--snr-db-step={max(hi - lo, 1.0)!r}"]
+    split = [f"--kappa={kappa!r}", f"--mu={mu!r}"]
+    commands = [
+        [command, "--mode", mode, "--trials", trials, *grid, *split]
+        for command in ("outage", "ecr")
+        for mode in ("isac", "fdsac")
+        for trials in ("0", "100")
+    ]
+    commands += [["sensing", *grid, *split], ["region", f"--p-db={hi!r}", "--grid-n", "3"]]
+    commands += [["selftest", "--trials", "100"]]
+    state = np.geterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_config(cfg))
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main([*argv, "--config", path])
+            assert not caught, (argv, [str(w.message) for w in caught])
+            assert np.geterr() == state
+            assert rc in (0, 1, 2), argv
+            assert rc != 1 or out.getvalue() == "", argv
+            for line in err.getvalue().splitlines():
+                assert line.startswith(("error: ", "warning: ")), (argv, line)
+                assert not line.startswith("error: ") or _OPTION.search(line), (argv, line)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ def test_psi_term_small_ratio_limit():
     assert psi_term(z, 1.0) == pytest.approx(EULER_GAMMA + math.log(z), abs=1e-6)
 
 
+@pytest.mark.parametrize("chi,scale", [(5e-323, 2e3), (1e-300, 1e10), (2.2e-308, 1.0)])
+def test_psi_term_below_the_normal_range(chi, scale):
+    # chi/scale is subnormal or 0.  Ei(-z) * e^z is gamma + ln z there, to
+    # rounding, and ln z is ln chi - ln scale.
+    expected = EULER_GAMMA + (math.log(chi) - math.log(scale))
+    assert psi_term(chi, scale) == expected
+    on_arrays = psi_term(np.array([chi, 1.0]), np.array([scale, 2.0]))
+    assert on_arrays.tolist() == [expected, psi_term(1.0, 2.0)]
+
+
+def test_psi_term_is_continuous_at_the_normal_range():
+    tiny = sys.float_info.min
+    assert psi_term(np.nextafter(tiny, 1.0), 1.0) == pytest.approx(EULER_GAMMA + math.log(tiny), rel=1e-15)
+
+
 def test_psi_term_always_negative():
     rng = np.random.default_rng(42)
     for chi, scale in 10.0 ** rng.uniform(-3.0, 3.0, size=(50, 2)):
@@ -251,31 +267,25 @@ _SCALES = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1e12)
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.lists(_SCALES, min_size=1, max_size=16), st.lists(_EIGENVALUES, max_size=10))
 def test_log2_det_rows_equal_fsum(c, lam):
-    # With the cutoff at 0 every call takes the TwoSum cascade.
-    for cutoff in (specfun._FSUM_ROWS, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(specfun, "_FSUM_ROWS", cutoff)
-            assert log2_det_i_plus_scaled(np.array(c), lam).tolist() == _fsum_oracle(c, lam)
-            assert log2_det_i_plus_scaled(c[0], lam) == _fsum_oracle(c[:1], lam)[0]
+    assert log2_det_i_plus_scaled(np.array(c), lam).tolist() == _fsum_oracle(c, lam)
+    assert log2_det_i_plus_scaled(c[0], lam) == _fsum_oracle(c[:1], lam)[0]
 
 
-def test_log2_det_midpoint_row_is_rounded_exactly(monkeypatch):
+def test_log2_det_midpoint_row_is_rounded_exactly():
     # Terms 2**-200, 2**-53 and 1: their double-double sum is the midpoint
     # 1 + 2**-53, and the 2**-200 left in the error bound makes it round up.
     lam = [math.e - 1.0, 2.0**-53, 2.0**-200]
     expected = (1.0 + 2.0**-52) / math.log(2.0)
     assert _fsum_oracle([1.0], lam) == [expected]
     assert log2_det_i_plus_scaled(1.0, lam) == expected
-    monkeypatch.setattr(specfun, "_FSUM_ROWS", 0)  # the TwoSum cascade
-    assert log2_det_i_plus_scaled(1.0, lam) == expected
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
-def test_row_sums_by_fsum_and_by_cascade_agree_around_the_cutoff(monkeypatch, offset):
-    # Calls below the cutoff sum by math.fsum, the others by the cascade;
-    # forcing the cascade on the same rows must give the same bits,
-    # including zero sums, their sign, and non-finite rows.
-    rows = specfun._FSUM_ROWS + offset
+def test_row_sums_by_fsum_and_by_cascade_agree_around_the_cutoff(offset):
+    # Around 64 rows, where tiles once left the cascade for a per-row
+    # math.fsum, the cascade gives math.fsum's bits on every row, including
+    # zero sums, their sign, and non-finite rows.
+    rows = 64 + offset
     rng = np.random.default_rng(rows)
     terms = np.log1p(10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 8)))
     special = [
@@ -284,11 +294,7 @@ def test_row_sums_by_fsum_and_by_cascade_agree_around_the_cutoff(monkeypatch, of
     ]
     terms[: len(special)] = special
     expected = np.array([math.fsum(row) for row in terms.tolist()])
-    default = specfun._exact_row_sums(terms)
-    monkeypatch.setattr(specfun, "_FSUM_ROWS", 0)
-    cascade = specfun._exact_row_sums(terms)
-    assert default.tobytes() == expected.tobytes()
-    assert cascade.tobytes() == expected.tobytes()
+    assert specfun._exact_row_sums(terms).tobytes() == expected.tobytes()
 
 
 def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
@@ -309,9 +315,7 @@ def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
 
 @pytest.mark.parametrize("tile", [7, 30, 36])
 def test_log2_det_rows_equal_fsum_in_row_tiles(monkeypatch, tile):
-    # 110 rows with the cutoff at 8: tiles of 7 rows go to math.fsum, tiles
-    # of 30 to the cascade, and tiles of 36 to the cascade but the last, of 2.
-    monkeypatch.setattr(specfun, "_FSUM_ROWS", 8)
+    # 110 rows in tiles of 7, of 30, and of 36 with the last of 2.
     monkeypatch.setattr(specfun, "_TILE", tile)
     c = 10.0 ** np.random.default_rng(3).uniform(-6.0, 9.0, size=(10, 11))
     lam = [5.0, 3.0, 3.5, 2.5, 1e-300, 0.0]
