@@ -35,14 +35,14 @@ print("  bit-identical:", bool(np.array_equal(whole[0], parts)))
 print()
 print("=== Estimates repeat bit for bit ===")
 p = db_to_linear(20)
-[est_a] = estimate_outage(cfg, ISAC, [p], trials=300_000, seed=seed)
-[est_b] = estimate_outage(cfg, ISAC, [p], trials=300_000, seed=seed)
-print(f"run 1: near {est_a[0].value:.6e} +- {est_a[0].std_error:.2e}")
-print(f"run 2: near {est_b[0].value:.6e} +- {est_b[0].std_error:.2e}")
-print("identical:", est_a == est_b)
+value_a, se_a = estimate_outage(cfg, ISAC, p, trials=300_000, seed=seed)
+value_b, se_b = estimate_outage(cfg, ISAC, p, trials=300_000, seed=seed)
+print(f"run 1: near {value_a[0]:.6e} +- {se_a[0]:.2e}")
+print(f"run 2: near {value_b[0]:.6e} +- {se_b[0]:.2e}")
+print("identical:", np.array_equal(value_a, value_b) and np.array_equal(se_a, se_b))
 
 print()
 print("Different seeds explore different channel realizations:")
 for s in (1, 2, 3):
-    [(est_n, est_f)] = estimate_outage(cfg, ISAC, [p], trials=300_000, seed=s)
-    print(f"  seed {s}: near {est_n.value:.6e}, far {est_f.value:.6e}")
+    (near, far), _ = estimate_outage(cfg, ISAC, p, trials=300_000, seed=s)
+    print(f"  seed {s}: near {near:.6e}, far {far:.6e}")

@@ -58,11 +58,6 @@ def _modes():
     return (("isac", ISAC), ("fdsac", fdsac(SPLIT_KAPPA, SPLIT_MU)))
 
 
-def _estimate_fields(estimates, field: str) -> np.ndarray:
-    # One field of per-power (near, far) estimates, as a (2, powers) array.
-    return np.array([[getattr(e, field) for e in pair] for pair in estimates]).T
-
-
 def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckResult:
     """Closed-form outage against the event-level estimator, 3-sigma bands.
 
@@ -76,7 +71,7 @@ def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> Check
     powers = db_to_linear(SNR_GRID_DB)
     for _, mode in _modes():
         value = np.array(outage_probability(cfg, mode, powers))
-        emp = _estimate_fields(estimate_outage(cfg, mode, powers.tolist(), trials, seed), "value")
+        emp, _ = estimate_outage(cfg, mode, powers, trials, seed)
         se = np.sqrt(value * (1.0 - value) / trials)
         gap = np.abs(value - emp)
         with np.errstate(divide="raise", invalid="raise"):
@@ -97,9 +92,9 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
     powers = db_to_linear(SNR_GRID_DB)
     for _, mode in _modes():
         value = np.array(ergodic_rates(cfg, mode, powers))
-        estimates = estimate_ecr(cfg, mode, powers.tolist(), trials, seed)
-        tol = np.maximum(3.0 * _estimate_fields(estimates, "std_error"), 1e-2)
-        worst = max(worst, float(np.max(np.abs(value - _estimate_fields(estimates, "value")) - tol)))
+        emp, std_error = estimate_ecr(cfg, mode, powers, trials, seed)
+        tol = np.maximum(3.0 * std_error, 1e-2)
+        worst = max(worst, float(np.max(np.abs(value - emp) - tol)))
         checks += value.size
     return CheckResult(
         name="ergodic rate closed form vs monte carlo",

@@ -370,7 +370,7 @@ def _linear_power(option: str, db: float) -> float:
         p = db_to_linear(db)
         check_power(p)
     except (OverflowError, ValueError):
-        raise ValueError(f"{option} {db:g} dB is not a positive finite power") from None
+        raise ValueError(f"{option} {db!r} dB is not a positive finite power") from None
     return p
 
 
@@ -393,7 +393,7 @@ def _snr_grid(args: argparse.Namespace) -> list[float]:
         raise ValueError("--snr-db-step must be positive and finite")
     span = (args.snr_db_max - args.snr_db_min) / args.snr_db_step
     if not span < _MAX_ELEMENTS:
-        raise ValueError(f"--snr-db-step {args.snr_db_step:g} gives more points than an array holds")
+        raise ValueError(f"--snr-db-step {args.snr_db_step!r} gives more points than an array holds")
     count = int(math.floor(span + 1e-9)) + 1
     return (args.snr_db_min + np.arange(count) * args.snr_db_step).tolist()
 
@@ -402,7 +402,7 @@ def _split_from_args(args: argparse.Namespace) -> Mode:
     """The fdsac mode of --kappa and --mu, each of which must lie in [0, 1]."""
     for option, value in (("--kappa", args.kappa), ("--mu", args.mu)):
         if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{option} {value:g} must lie in [0, 1]")
+            raise ValueError(f"{option} {value!r} must lie in [0, 1]")
     return fdsac(args.kappa, args.mu)
 
 
@@ -440,9 +440,8 @@ def _sweep_command(args: argparse.Namespace) -> int:
     columns = {"snr_db": grid, **_closed_form_columns(command, cfg, mode, powers)}
     if args.trials > 0:
         estimator = estimate_outage if command == "outage" else estimate_ecr
-        estimates = estimator(cfg, mode, powers.tolist(), args.trials, args.seed, args.workers)
-        cells = [(n.value, f.value, n.std_error, f.std_error) for n, f in estimates]
-        columns.update(zip(_MC_COLUMNS[command], zip(*cells)))
+        value, std_error = estimator(cfg, mode, powers, args.trials, args.seed, args.workers)
+        columns.update(zip(_MC_COLUMNS[command], (*value, *std_error)))
     if command == "outage" and not thresholds(cfg, mode).feasible:
         print(
             "warning: infeasible power allocation (alpha_f <= gamma_bar_f * alpha_n "

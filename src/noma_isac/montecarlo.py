@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +27,8 @@ from .channel import _TILE, CorrelationMatrix, gain_samples
 from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 
 __all__ = [
-    "EstimateWithError", "dual_function_signal", "estimate_ecr", "estimate_outage",
-    "estimate_slope", "orthogonal_streams", "sensing_mi_bruteforce", "sensing_mi_reduced",
+    "dual_function_signal", "estimate_ecr", "estimate_outage", "estimate_slope",
+    "orthogonal_streams", "sensing_mi_bruteforce", "sensing_mi_reduced",
 ]
 
 _CHUNK = 1 << 20
@@ -38,15 +37,6 @@ _U = 2.0**-53  # unit roundoff of float64
 
 #: Largest dense identity-check problem, in total matrix dimension L*M.
 BRUTE_FORCE_LIMIT = 256
-
-
-@dataclass(frozen=True)
-class EstimateWithError:
-    """Monte Carlo estimate with its standard error and trial count."""
-
-    value: float
-    std_error: float
-    trials: int
 
 
 def _formulas(cfg: SystemConfig, mode: Mode, p: float):
@@ -82,37 +72,37 @@ def _formulas(cfg: SystemConfig, mode: Mode, p: float):
 def _per_block(
     cfg: SystemConfig,
     mode: Mode,
-    powers: Sequence[float],
+    p: float | np.ndarray,
     trials: int,
     seed: int,
     workers: int,
     kernel,
     no_resources,
-) -> list[tuple]:
+) -> list[list]:
     # kernel(gain_n, gain_f) prepares a trial block and returns its per-power
-    # function.  Each block is drawn once and its powers are mapped over at
-    # most `workers` threads; results come back indexed [power][block].
-    # Without communication resources nothing is drawn: each power gets the
-    # one all-trials result `no_resources`.
+    # function.  Each block is drawn once and the powers of p, flattened, are
+    # mapped over at most `workers` threads; results come back indexed
+    # [block][power].  Without communication resources nothing is drawn: one
+    # block gives each power the all-trials result `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    check_power(powers)
+    powers = check_power(p).ravel().tolist()
     if not has_comm_resources(*comm_factors(mode)):
-        return [(no_resources,) for _ in powers]
+        return [[no_resources] * len(powers)]
 
     # An overflowing received power, or a noise power rounded to 0, raises
     # FloatingPointError rather than passing on inf or nan.  As a decorator,
     # errstate sets numpy's error state, per thread, in the thread of each call.
     raising = np.errstate(over="raise", divide="raise", invalid="raise")
 
-    def each_block(map_) -> list[tuple]:
-        blocks = []
-        for start in range(0, trials, _CHUNK):
-            at_power = kernel(*gain_samples(cfg, seed, start, min(_CHUNK, trials - start)))
-            blocks.append(list(map_(raising(at_power), powers)))
-        return list(zip(*blocks))
+    def at_block(start: int):
+        return raising(kernel(*gain_samples(cfg, seed, start, min(_CHUNK, trials - start))))
+
+    def each_block(map_) -> list[list]:
+        # Nothing keeps a block's function, nor its gains, past its own map.
+        return [list(map_(at_block(start), powers)) for start in range(0, trials, _CHUNK)]
 
     threads = min(workers, len(powers))
     if threads < 2:
@@ -145,9 +135,11 @@ def _count(holds, gains: np.ndarray, width) -> int:
 
 
 def estimate_outage(
-    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int, workers: int = 1
-) -> list[tuple[EstimateWithError, EstimateWithError]]:
-    """Empirical outage probabilities (near, far) at each of `powers`.
+    cfg: SystemConfig, mode: Mode, p: float | np.ndarray, trials: int, seed: int, workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical outage probabilities and their binomial standard errors,
+    (value, std_error), each of shape (2,) + np.shape(p) with the near user
+    in row 0, as outage_probability gives (near, far) for a power or a grid.
 
     A near-user trial is in outage unless both the SIC stage and its own
     message clear their thresholds; a far-user trial is in outage when its
@@ -217,28 +209,20 @@ def estimate_outage(
 
         return at_power
 
-    estimates = []
-    for blocks in _per_block(cfg, mode, powers, trials, seed, workers, outages, (trials, trials)):
-        out_n, out_f = (sum(column) for column in zip(*blocks))
-        estimates.append((_binomial_estimate(out_n, trials), _binomial_estimate(out_f, trials)))
-    return estimates
-
-
-def _binomial_estimate(successes: int, trials: int) -> EstimateWithError:
-    phat = successes / trials
-    return EstimateWithError(
-        value=phat,
-        std_error=math.sqrt(phat * (1.0 - phat) / trials),
-        trials=trials,
-    )
+    blocks = _per_block(cfg, mode, p, trials, seed, workers, outages, (trials, trials))
+    # Counted as floats, so that an all-trials count beyond int64 still divides.
+    value = np.sum(blocks, axis=0, dtype=float).reshape(-1, 2).T / trials
+    std_error = np.sqrt(value * (1.0 - value) / trials)
+    shape = (2,) + np.shape(p)
+    return value.reshape(shape), std_error.reshape(shape)
 
 
 def estimate_ecr(
-    cfg: SystemConfig, mode: Mode, powers: Sequence[float], trials: int, seed: int, workers: int = 1
-) -> list[tuple[EstimateWithError, EstimateWithError]]:
-    """Empirical ergodic rates (near, far) at each of `powers`, sample means
-    of kappa_t*log2(1 + SINR) over the same trials; zero without resources.
-    `workers` is as for estimate_outage."""
+    cfg: SystemConfig, mode: Mode, p: float | np.ndarray, trials: int, seed: int, workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical ergodic rates and their standard errors, sample means of
+    kappa_t*log2(1 + SINR) over the same trials; zero without resources.
+    The shapes and `workers` are as for estimate_outage."""
     kappa_t, _ = comm_factors(mode)
 
     def block_sums(gain_n: np.ndarray, gain_f: np.ndarray):
@@ -260,24 +244,18 @@ def estimate_ecr(
 
         return rate_sums
 
-    estimates = []
-    for blocks in _per_block(cfg, mode, powers, trials, seed, workers, block_sums, (0.0,) * 4):
-        sum_n, sq_n, sum_f, sq_f = (math.fsum(column) for column in zip(*blocks))
-        estimates.append((_mean_estimate(sum_n, sq_n, trials), _mean_estimate(sum_f, sq_f, trials)))
-    return estimates
-
-
-def _mean_estimate(total: float, sq_total: float, trials: int) -> EstimateWithError:
-    mean = total / trials
+    # Each (power, field) adds up its blocks in block order, exactly rounded.
+    blocks = _per_block(cfg, mode, p, trials, seed, workers, block_sums, (0.0,) * 4)
+    sums = np.array([[math.fsum(field) for field in zip(*at_power)] for at_power in zip(*blocks)])
+    total, sq_total = sums.reshape(-1, 2, 2).T
+    value = total / trials
     if trials > 1:
-        var = max(sq_total - trials * mean * mean, 0.0) / (trials - 1)
+        var = np.maximum(sq_total - trials * value * value, 0.0) / (trials - 1)
     else:
-        var = 0.0
-    return EstimateWithError(
-        value=mean,
-        std_error=math.sqrt(var / trials),
-        trials=trials,
-    )
+        var = np.zeros_like(value)
+    std_error = np.sqrt(var / trials)
+    shape = (2,) + np.shape(p)
+    return value.reshape(shape), std_error.reshape(shape)
 
 
 def sensing_mi_bruteforce(

@@ -93,8 +93,9 @@ def test_certain_outage_points_get_a_verdict(monkeypatch):
     estimate = acceptance.estimate_outage
 
     def one_trial_off(cfg, mode, powers, trials, seed):
-        (near, far), *rest = estimate(cfg, mode, powers, trials, seed)
-        return [(dataclasses.replace(near, value=near.value - 1.0 / trials), far), *rest]
+        value, std_error = estimate(cfg, mode, powers, trials, seed)
+        value[0, 0] -= 1.0 / trials
+        return value, std_error
 
     monkeypatch.setattr(acceptance, "estimate_outage", one_trial_off)
     result = check_outage_closed_form(cfg, 20_000, 1)

@@ -110,10 +110,10 @@ def test_outage_closed_form_matches_monte_carlo_at_30db():
     p = db_to_linear(30.0)
     for mode in (ISAC, HALF_SPLIT):
         exact = outage_probability(CFG, mode, p)
-        [est] = estimate_outage(CFG, mode, [p], trials=10_000_000, seed=101)
-        for value, emp in zip(exact, est):
-            se = math.sqrt(value * (1.0 - value) / emp.trials)
-            assert abs(value - emp.value) <= 3.0 * se
+        emp, _ = estimate_outage(CFG, mode, p, trials=10_000_000, seed=101)
+        for value, est in zip(exact, emp.tolist()):
+            se = math.sqrt(value * (1.0 - value) / 10_000_000)
+            assert abs(value - est) <= 3.0 * se
 
 
 def test_outage_rejects_nonpositive_power():
@@ -135,8 +135,8 @@ def test_outage_rejects_nonpositive_power():
         lambda p: sensing_rate_asymptotic(CFG, HALF_SPLIT, p),
         lambda p: isac_corner(CFG, p),
         lambda p: fdsac_frontier(CFG, p, 3),
-        lambda p: estimate_outage(CFG, HALF_SPLIT, [p], trials=10, seed=1),
-        lambda p: estimate_ecr(CFG, HALF_SPLIT, [p], trials=10, seed=1),
+        lambda p: estimate_outage(CFG, HALF_SPLIT, p, trials=10, seed=1),
+        lambda p: estimate_ecr(CFG, HALF_SPLIT, p, trials=10, seed=1),
     ],
     ids=[
         "outage_probability",
@@ -229,9 +229,9 @@ def test_ergodic_rates_match_monte_carlo_at_20db():
     p = db_to_linear(20.0)
     for mode in (ISAC, HALF_SPLIT):
         exact = ergodic_rates(CFG, mode, p)
-        [est] = estimate_ecr(CFG, mode, [p], trials=1_000_000, seed=202)
-        for value, emp in zip(exact, est):
-            assert abs(value - emp.value) <= max(3.0 * emp.std_error, 1e-2)
+        emp, std_error = estimate_ecr(CFG, mode, p, trials=1_000_000, seed=202)
+        for value, est, se in zip(exact, emp.tolist(), std_error.tolist()):
+            assert abs(value - est) <= max(3.0 * se, 1e-2)
 
 
 def test_far_user_rate_saturates_at_power_ratio():
@@ -465,14 +465,14 @@ def test_closed_forms_hold_away_from_the_baseline():
         mode = fdsac(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0)))
         p = db_to_linear(float(rng.uniform(5.0, 25.0)))
         exact_out = outage_probability(cfg, mode, p)
-        [est_out] = estimate_outage(cfg, mode, [p], trials=200_000, seed=808)
-        for value, emp in zip(exact_out, est_out):
-            se = math.sqrt(max(value * (1.0 - value), 1e-12) / emp.trials)
-            assert abs(value - emp.value) <= 3.5 * se
+        emp_out, _ = estimate_outage(cfg, mode, p, trials=200_000, seed=808)
+        for value, est in zip(exact_out, emp_out.tolist()):
+            se = math.sqrt(max(value * (1.0 - value), 1e-12) / 200_000)
+            assert abs(value - est) <= 3.5 * se
         exact_ecr = ergodic_rates(cfg, mode, p)
-        [est_ecr] = estimate_ecr(cfg, mode, [p], trials=200_000, seed=808)
-        for value, emp in zip(exact_ecr, est_ecr):
-            assert abs(value - emp.value) <= max(3.5 * emp.std_error, 1e-2)
+        emp_ecr, std_error = estimate_ecr(cfg, mode, p, trials=200_000, seed=808)
+        for value, est, se in zip(exact_ecr, emp_ecr.tolist(), std_error.tolist()):
+            assert abs(value - est) <= max(3.5 * se, 1e-2)
 
 
 def test_sum_rate_adds_ergodic_rates():

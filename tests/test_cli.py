@@ -260,6 +260,22 @@ def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
         assert err.startswith(f"error: {option} ")
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        # '%g' would print -9.99989e-321: six digits of a subnormal.
+        (["ecr", "--kappa=-1e-320"], "error: --kappa -1e-320 must lie in [0, 1]"),
+        (["sensing", "--mu", "-1"], "error: --mu -1.0 must lie in [0, 1]"),
+        (["region", "--p-db", "-4000"], "error: --p-db -4000.0 dB is not a positive finite power"),
+        (["outage", "--snr-db-step", "1e-300"],
+         "error: --snr-db-step 1e-300 gives more points than an array holds"),
+    ],
+)
+def test_option_errors_print_the_value_by_repr(cfg_file, capsys, argv, line):
+    assert main([argv[0], "--config", cfg_file, *argv[1:]]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 _GRID = "--snr-db-max 40.0 dB, --snr-db-min 0.0 dB"
 
 

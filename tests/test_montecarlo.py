@@ -20,7 +20,6 @@ from noma_isac.config import (
     has_comm_resources,
 )
 from noma_isac.montecarlo import (
-    EstimateWithError,
     dual_function_signal,
     estimate_ecr,
     estimate_outage,
@@ -95,11 +94,12 @@ def test_sinr_ceilings_hold_on_random_draws():
 def test_estimate_outage_matches_closed_form():
     powers = [db_to_linear(snr_db) for snr_db in (0.0, 10.0, 20.0, 30.0)]
     for mode in (ISAC, HALF_SPLIT):
-        for p, est in zip(powers, estimate_outage(CFG, mode, powers, trials=1_000_000, seed=404)):
+        emp, _ = estimate_outage(CFG, mode, powers, trials=1_000_000, seed=404)
+        for p, est in zip(powers, emp.T.tolist()):
             exact = outage_probability(CFG, mode, p)
-            for value, emp in zip(exact, est):
-                se = math.sqrt(value * (1.0 - value) / emp.trials)
-                assert abs(value - emp.value) <= 3.0 * se
+            for value, e in zip(exact, est):
+                se = math.sqrt(value * (1.0 - value) / 1_000_000)
+                assert abs(value - e) <= 3.0 * se
 
 
 def test_estimate_outage_infeasible_is_exactly_one():
@@ -107,9 +107,9 @@ def test_estimate_outage_infeasible_is_exactly_one():
     assert not thresholds(cfg, ISAC).feasible
     for seed in (1, 2, 3):
         p = db_to_linear(20.0)
-        [(est_n, est_f)] = estimate_outage(cfg, ISAC, [p], trials=20_000, seed=seed)
-        assert est_n.value == 1.0 and est_n.std_error == 0.0
-        assert est_f.value == 1.0 and est_f.std_error == 0.0
+        value, std_error = estimate_outage(cfg, ISAC, p, trials=20_000, seed=seed)
+        assert value.tolist() == [1.0, 1.0]
+        assert std_error.tolist() == [0.0, 0.0]
 
 
 def test_estimate_outage_zero_power_split_is_exactly_one():
@@ -117,38 +117,37 @@ def test_estimate_outage_zero_power_split_is_exactly_one():
     # are zero, as in the closed form.
     cfg = dataclasses.replace(CFG, target_rate_n=0.0, target_rate_f=0.0)
     mode = fdsac(0.5, 0.0)
-    [(est_n, est_f)] = estimate_outage(cfg, mode, [db_to_linear(10.0)], trials=5_000, seed=3)
-    assert (est_n.value, est_f.value) == (1.0, 1.0)
-    assert est_n.std_error == 0.0 and est_f.std_error == 0.0
-    assert (est_n.value, est_f.value) == outage_probability(cfg, mode, db_to_linear(10.0))
+    value, std_error = estimate_outage(cfg, mode, db_to_linear(10.0), trials=5_000, seed=3)
+    assert value.tolist() == [1.0, 1.0]
+    assert std_error.tolist() == [0.0, 0.0]
+    assert tuple(value.tolist()) == outage_probability(cfg, mode, db_to_linear(10.0))
 
 
 def test_estimate_outage_overflowing_threshold_is_exactly_one():
     # 2**(2/0.001) overflows: the threshold is +inf and the estimator still
     # evaluates every decoding event against it.
     cfg = dataclasses.replace(CFG, target_rate_f=2.0)
-    [(est_n, est_f)] = estimate_outage(cfg, fdsac(0.001, 0.5), [1e6], trials=5_000, seed=3)
-    assert (est_n.value, est_f.value) == (1.0, 1.0)
-    assert est_n.std_error == 0.0 and est_f.std_error == 0.0
+    value, std_error = estimate_outage(cfg, fdsac(0.001, 0.5), 1e6, trials=5_000, seed=3)
+    assert value.tolist() == [1.0, 1.0]
+    assert std_error.tolist() == [0.0, 0.0]
 
 
 def test_estimate_outage_binomial_stderr():
-    [(est_n, est_f)] = estimate_outage(CFG, ISAC, [db_to_linear(10.0)], trials=50_000, seed=5)
-    for est in (est_n, est_f):
-        assert est.trials == 50_000
-        assert est.std_error == pytest.approx(
-            math.sqrt(est.value * (1.0 - est.value) / est.trials), rel=1e-12
-        )
+    value, std_error = estimate_outage(CFG, ISAC, db_to_linear(10.0), trials=50_000, seed=5)
+    for v, se in zip(value.tolist(), std_error.tolist()):
+        # A count of outages out of 50_000 trials.
+        assert round(v * 50_000) / 50_000 == v
+        assert se == math.sqrt(v * (1.0 - v) / 50_000)
 
 
 def test_estimate_outage_deterministic_and_chunk_invariant(monkeypatch):
     p = db_to_linear(15.0)
     ref = estimate_outage(CFG, ISAC, [p], trials=123_457, seed=77)
     again = estimate_outage(CFG, ISAC, [p], trials=123_457, seed=77)
-    assert ref == again
+    assert np.array_equal(ref, again)
     monkeypatch.setattr(mc, "_CHUNK", 1000)
     chunked = estimate_outage(CFG, ISAC, [p], trials=123_457, seed=77)
-    assert chunked == ref
+    assert np.array_equal(chunked, ref)
 
 
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
@@ -156,12 +155,21 @@ def test_estimate_outage_deterministic_and_chunk_invariant(monkeypatch):
     "mode", [ISAC, HALF_SPLIT, fdsac(0.5, 0.0)], ids=["isac", "split", "no_power"]
 )
 def test_grid_call_equals_per_power_calls(monkeypatch, estimator, mode):
-    # 2500 trials in blocks of 1000: three blocks, the last one partial.
+    # 2500 trials in blocks of 1000: three blocks, the last one partial.  A
+    # float power gives (near, far) columns of shape (2,), and a grid gives
+    # them stacked along its own shape, bit for bit, on 1 or 2 workers.
     monkeypatch.setattr(mc, "_CHUNK", 1000)
     powers = [db_to_linear(snr_db) for snr_db in (0.0, 7.5, 15.0, 40.0)]
-    grid = estimator(CFG, mode, powers, trials=2500, seed=19)
-    assert grid == [estimator(CFG, mode, [p], trials=2500, seed=19)[0] for p in powers]
-    assert estimator(CFG, mode, powers[::-1], trials=2500, seed=19) == grid[::-1]
+    for workers in (1, 2):
+        grid = np.array(estimator(CFG, mode, powers, trials=2500, seed=19, workers=workers))
+        singles = [estimator(CFG, mode, p, trials=2500, seed=19, workers=workers) for p in powers]
+        assert all(column.shape == (2,) for single in singles for column in single)
+        assert grid.tobytes() == np.stack(singles, axis=-1).tobytes()
+        flipped = estimator(CFG, mode, powers[::-1], trials=2500, seed=19, workers=workers)
+        assert np.flip(flipped, axis=-1).tobytes() == grid.tobytes()
+        square = estimator(CFG, mode, np.reshape(powers, (2, 2)), 2500, 19, workers=workers)
+        assert all(column.shape == (2, 2, 2) for column in square)
+        assert np.array(square).tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 50])
@@ -174,7 +182,7 @@ def test_threaded_call_equals_one_worker(monkeypatch, workers, estimator, mode):
     monkeypatch.setattr(mc, "_CHUNK", 1000)
     powers = [db_to_linear(snr_db) for snr_db in (0.0, 7.5, 15.0, 40.0)]
     serial = estimator(CFG, mode, powers, trials=2500, seed=23)
-    assert estimator(CFG, mode, powers, trials=2500, seed=23, workers=workers) == serial
+    assert np.array_equal(estimator(CFG, mode, powers, trials=2500, seed=23, workers=workers), serial)
 
 
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
@@ -197,7 +205,10 @@ def test_zero_noise_power_raises_on_every_thread(estimator, workers):
 
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
 def test_empty_grid_on_threads_is_empty(estimator):
-    assert estimator(CFG, ISAC, [], trials=100, seed=1, workers=2) == []
+    # With and without communication resources: (2, 0) columns.
+    for mode in (ISAC, fdsac(0.5, 0.0)):
+        value, std_error = estimator(CFG, mode, [], trials=100, seed=1, workers=2)
+        assert value.shape == std_error.shape == (2, 0)
 
 
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
@@ -281,7 +292,8 @@ def _per_trial_outages(cfg, mode, powers, trials, seed):
 
 
 def _estimated_fractions(cfg, mode, powers, trials, seed):
-    return [(n.value, f.value) for n, f in estimate_outage(cfg, mode, powers, trials, seed)]
+    value, _ = estimate_outage(cfg, mode, powers, trials, seed)
+    return [tuple(pair) for pair in value.T.tolist()]
 
 
 def _boundary_gains(cfg, mode, p):
@@ -410,11 +422,11 @@ def test_estimate_ecr_matches_closed_form_and_ceiling():
     from noma_isac.analytic import ergodic_rates
 
     p = db_to_linear(20.0)
-    [(est_n, est_f)] = estimate_ecr(CFG, ISAC, [p], trials=500_000, seed=505)
+    (est_n, est_f), (se_n, se_f) = estimate_ecr(CFG, ISAC, p, trials=500_000, seed=505)
     exact_n, exact_f = ergodic_rates(CFG, ISAC, p)
-    assert abs(est_n.value - exact_n) <= max(3.0 * est_n.std_error, 1e-2)
-    assert abs(est_f.value - exact_f) <= max(3.0 * est_f.std_error, 1e-2)
-    assert est_f.value < math.log2(1.0 + CFG.alpha_f / CFG.alpha_n)
+    assert abs(est_n - exact_n) <= max(3.0 * se_n, 1e-2)
+    assert abs(est_f - exact_f) <= max(3.0 * se_f, 1e-2)
+    assert est_f < math.log2(1.0 + CFG.alpha_f / CFG.alpha_n)
 
 
 @pytest.mark.parametrize("mode", [ISAC, fdsac(0.3, 0.7)], ids=["isac", "split"])
@@ -434,17 +446,18 @@ def test_estimate_ecr_equals_per_trial_rates(monkeypatch, mode):
 
     monkeypatch.setattr(mc, "gain_samples", draw)
     for i in range(gn.size):
-        estimates = estimate_ecr(cfg, mode, powers.tolist(), trials=1, seed=i)
-        expected = zip(rates[0][:, i].tolist(), rates[1][:, i].tolist())
-        assert [(n.value, f.value) for n, f in estimates] == list(expected)
+        value, std_error = estimate_ecr(cfg, mode, powers, trials=1, seed=i)
+        assert value.tolist() == [rates[0][:, i].tolist(), rates[1][:, i].tolist()]
+        assert std_error.tolist() == [[0.0] * powers.size] * 2
 
 
 def _whole_block_rates(cfg, mode, powers, trials, seed):
     # Each block's rates formed whole, summed and squared, the block sums
-    # combined by fsum: the estimates the tiled kernel must reproduce.
+    # combined by fsum: the estimates the tiled kernel must reproduce, as
+    # (value, std_error) columns.
     kappa_t, _ = comm_factors(mode)
-    estimates = []
-    for p in powers:
+    value, std_error = np.empty((2, len(powers))), np.empty((2, len(powers)))
+    for k, p in enumerate(powers):
         blocks = []
         for start in range(0, trials, mc._CHUNK):
             gn, gf = gain_samples(cfg, seed, start, min(mc._CHUNK, trials - start))
@@ -452,13 +465,11 @@ def _whole_block_rates(cfg, mode, powers, trials, seed):
             rates = [kappa_t * np.log1p(sinr) / math.log(2.0) for sinr in (snr_n, sinr_f)]
             blocks.append([float(np.sum(v)) for v in rates] + [float(np.sum(v * v)) for v in rates])
         sum_n, sum_f, sq_n, sq_f = (math.fsum(column) for column in zip(*blocks))
-        pair = []
-        for total, sq_total in ((sum_n, sq_n), (sum_f, sq_f)):
+        for user, (total, sq_total) in enumerate(((sum_n, sq_n), (sum_f, sq_f))):
             mean = total / trials
             var = max(sq_total - trials * mean * mean, 0.0) / (trials - 1)
-            pair.append(EstimateWithError(mean, math.sqrt(var / trials), trials))
-        estimates.append(tuple(pair))
-    return estimates
+            value[user, k], std_error[user, k] = mean, math.sqrt(var / trials)
+    return value, std_error
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -473,7 +484,7 @@ def test_estimate_ecr_equals_whole_block_rates(monkeypatch, workers, tile, chunk
     cfg = dataclasses.replace(CFG, sigma2_c=0.7)
     powers = db_to_linear(np.array([-30.0, 3.0, 17.0, 40.0])).tolist()
     estimates = estimate_ecr(cfg, mode, powers, trials, 29, workers=workers)
-    assert estimates == _whole_block_rates(cfg, mode, powers, trials, 29)
+    assert np.array_equal(estimates, _whole_block_rates(cfg, mode, powers, trials, 29))
 
 
 _BLOCK_BYTES = 8 << 20  # one float64 array of 2**20 trials
@@ -495,43 +506,41 @@ def _traced_peak(call) -> int:
         (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 2),
         (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 3),
         (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2), 4),
+        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1, workers=2), 2),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1), 3),
     ],
-    ids=["gain_samples", "outage", "ecr", "ecr_2_workers"],
+    ids=["gain_samples", "outage", "ecr", "ecr_2_workers", "outage_3_blocks", "ecr_3_blocks"],
 )
 def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, arrays):
     # A block's two gain arrays, plus one rate buffer per power in flight,
-    # plus at most 2 MiB of tiles.  The first, small call leaves out
+    # plus at most 2 MiB of tiles, however many blocks the call draws.  The first, small call leaves out
     # allocations that numpy makes once per process.
     call(100)
     assert _traced_peak(lambda: call(1 << 20)) < arrays * _BLOCK_BYTES + (2 << 20)
 
 
 def test_estimate_ecr_vanishes_at_low_power():
-    [(est_n, est_f)] = estimate_ecr(CFG, ISAC, [1e-9], trials=10_000, seed=6)
-    assert 0.0 < est_n.value < 1e-7
-    assert 0.0 < est_f.value < 1e-7
+    (est_n, est_f), _ = estimate_ecr(CFG, ISAC, 1e-9, trials=10_000, seed=6)
+    assert 0.0 < est_n < 1e-7
+    assert 0.0 < est_f < 1e-7
 
 
 def test_estimate_ecr_deterministic(monkeypatch):
     p = db_to_linear(20.0)
-    [ref] = estimate_ecr(CFG, ISAC, [p], trials=100_000, seed=88)
-    assert estimate_ecr(CFG, ISAC, [p], trials=100_000, seed=88) == [ref]
+    value, std_error = estimate_ecr(CFG, ISAC, p, trials=100_000, seed=88)
+    assert np.array_equal(estimate_ecr(CFG, ISAC, p, trials=100_000, seed=88), (value, std_error))
     monkeypatch.setattr(mc, "_CHUNK", 9973)
-    [chunked] = estimate_ecr(CFG, ISAC, [p], trials=100_000, seed=88)
-    for a, b in zip(ref, chunked):
-        assert b.value == pytest.approx(a.value, rel=1e-12)
-        assert b.std_error == pytest.approx(a.std_error, rel=1e-9)
+    chunked_value, chunked_std_error = estimate_ecr(CFG, ISAC, p, trials=100_000, seed=88)
+    assert chunked_value == pytest.approx(value, rel=1e-12)
+    assert chunked_std_error == pytest.approx(std_error, rel=1e-9)
 
 
 def test_estimators_with_degenerate_splits():
-    [(est_n, est_f)] = estimate_outage(CFG, fdsac(0.0, 0.5), [10.0], trials=100, seed=1)
-    assert est_n.value == 1.0 and est_f.value == 1.0
-    [(est_n, est_f)] = estimate_ecr(CFG, fdsac(0.0, 0.5), [10.0], trials=100, seed=1)
-    assert est_n.value == 0.0 and est_f.value == 0.0
-    [(est_n, est_f)] = estimate_outage(CFG, fdsac(0.5, 0.0), [10.0], trials=100, seed=1)
-    assert est_n.value == 1.0 and est_f.value == 1.0
-    [(est_n, est_f)] = estimate_ecr(CFG, fdsac(0.5, 0.0), [10.0], trials=100, seed=1)
-    assert est_n.value == 0.0 and est_f.value == 0.0
+    for mode in (fdsac(0.0, 0.5), fdsac(0.5, 0.0)):
+        value, _ = estimate_outage(CFG, mode, 10.0, trials=100, seed=1)
+        assert value.tolist() == [1.0, 1.0]
+        value, _ = estimate_ecr(CFG, mode, 10.0, trials=100, seed=1)
+        assert value.tolist() == [0.0, 0.0]
 
 
 def test_estimator_argument_errors():
