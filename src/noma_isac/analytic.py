@@ -56,8 +56,15 @@ class Thresholds:
 
 def _chis(cfg: SystemConfig, kappa_t, mu_t) -> tuple:
     # chi_b = kappa_t*sigma2_c/(mu_t*rho_b) in numpy floats, under numpy's error state.
-    scale = np.multiply(kappa_t, cfg.sigma2_c) / mu_t
-    return scale / cfg.rho1, scale / cfg.rho2, scale / cfg.rho3
+    return _ratio_chis(cfg, _noise_ratio(cfg, kappa_t, mu_t))
+
+
+def _noise_ratio(cfg: SystemConfig, kappa_t, mu_t):
+    return np.multiply(kappa_t, cfg.sigma2_c) / mu_t
+
+
+def _ratio_chis(cfg: SystemConfig, ratio) -> tuple:
+    return ratio / cfg.rho1, ratio / cfg.rho2, ratio / cfg.rho3
 
 
 def thresholds(cfg: SystemConfig, mode: Mode) -> Thresholds:
@@ -139,21 +146,30 @@ def split_ergodic_rates(
 
     R_N = kappa/ln2 * (psi3 - psi2 - psi1) with psi_b evaluated at scale
     alpha_n*p; R_F subtracts the same kernel at scale p from psi3.  Broadcasts
-    over arrays of kappa, mu and p; zero where kappa or mu is zero.
+    over arrays of kappa, mu and p; zero where kappa or mu is zero.  At one
+    power each distinct kappa*sigma2_c/mu is evaluated once.
     """
-    kappa, mu, p = np.broadcast_arrays(kappa, mu, check_power(p))
-    ecr_n = np.zeros(kappa.shape)
-    ecr_f = np.zeros(kappa.shape)
+    kappa, mu, p_grid = np.broadcast_arrays(kappa, mu, check_power(p))
     on = has_comm_resources(kappa, mu)
-    kappa_on, p_on = kappa[on], p[on]
-    chi1, chi2, chi3 = _chis(cfg, kappa_on, mu[on])
-    scale_n = cfg.alpha_n * p_on
+    ratio = _noise_ratio(cfg, kappa[on], mu[on])
+    if np.ndim(p) == 0:
+        ratio, gather = np.unique(ratio, return_inverse=True)
+    else:
+        gather, p = slice(None), p_grid[on]
+    chi1, chi2, chi3 = _ratio_chis(cfg, ratio)
+    scale_n = cfg.alpha_n * p
     if not all(np.all(v > 0.0) for v in (chi1, chi2, chi3, scale_n)):
         # A subnormal product rounded to 0, where Ei(-chi/scale) is undefined.
         raise FloatingPointError("underflow to 0 in kappa*sigma2_c/(mu*rho_b) or alpha_n*p")
     psi3 = psi_term(chi3, scale_n)
-    ecr_n[on] = kappa_on / _LN2 * (psi3 - psi_term(chi2, scale_n) - psi_term(chi1, scale_n))
-    ecr_f[on] = kappa_on / _LN2 * (psi3 - psi_term(chi3, p_on))
+    near = psi3 - psi_term(chi2, scale_n)
+    near -= psi_term(chi1, scale_n)
+    far = psi3 - psi_term(chi3, p)
+    del ratio, chi1, chi2, chi3, psi3  # freed before the full-grid gathers
+    factor = kappa[on] / _LN2
+    ecr_n, ecr_f = np.zeros(kappa.shape), np.zeros(kappa.shape)
+    ecr_n[on] = factor * near[gather]
+    ecr_f[on] = factor * far[gather]
     return ecr_n, ecr_f
 
 

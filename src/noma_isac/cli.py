@@ -270,13 +270,15 @@ def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
 
 def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndarray:
     # The cells with those rows replaced by the UTF-8 bytes of text, widened
-    # to hold the longest.
+    # to hold the longest.  A cell ends where the next one's first character
+    # starts, at a byte that is not 0b10xxxxxx.
     if not text:
         return cells
-    encoded = [cell.encode("utf-8") for cell in text]
-    sizes = np.array([len(cell) for cell in encoded])
-    block = np.full((len(encoded), max(cells.shape[1], sizes.max())), 0xFF, np.uint8)
-    block[np.arange(block.shape[1]) < sizes[:, None]] = np.frombuffer(b"".join(encoded), np.uint8)
+    data = np.frombuffer("".join(text).encode("utf-8"), np.uint8)
+    starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
+    sizes = np.diff(starts[np.cumsum(np.fromiter(map(len, text), np.intp, len(text)))], prepend=0)
+    block = np.full((len(text), max(cells.shape[1], sizes.max())), 0xFF, np.uint8)
+    block[np.arange(block.shape[1]) < sizes[:, None]] = data
     cells = np.pad(cells, ((0, 0), (0, block.shape[1] - cells.shape[1])), constant_values=0xFF)
     cells[rows] = block
     return cells
@@ -488,14 +490,14 @@ def cmd_region(args: argparse.Namespace) -> int:
     # fractions, which label both split columns; code 0 is the corner's
     # empty cell.
     grid_n, grid_size, pareto = args.grid_n, frontier.kappa.size, frontier.pareto
-    points = np.concatenate((np.arange(grid_size), pareto))
     fractions = (None, *frontier.mu[:grid_n].tolist())
+    steps = np.arange(grid_n + 1, dtype=np.min_scalar_type(grid_n))
     columns = {
-        "kind": np.repeat([0, 1, 2], [1, grid_size, pareto.size]),
-        "kappa": np.concatenate(([0], points // grid_n + 1)),
-        "mu": np.concatenate(([0], points % grid_n + 1)),
-        "rate_s": np.concatenate(([corner.rate_s], frontier.rate_s[points])),
-        "rate_c": np.concatenate(([corner.rate_c], frontier.rate_c[points])),
+        "kind": np.repeat(np.arange(3, dtype=np.uint8), [1, grid_size, pareto.size]),
+        "kappa": np.concatenate((steps[:1], np.repeat(steps[1:], grid_n), steps[pareto // grid_n + 1])),
+        "mu": np.concatenate((steps[:1], np.tile(steps[1:], grid_n), steps[pareto % grid_n + 1])),
+        "rate_s": np.concatenate(([corner.rate_s], frontier.rate_s, frontier.rate_s[pareto])),
+        "rate_c": np.concatenate(([corner.rate_c], frontier.rate_c, frontier.rate_c[pareto])),
     }
     labels = {"kind": ("corner", "grid", "pareto"), "kappa": fractions, "mu": fractions}
     meta = _metadata(

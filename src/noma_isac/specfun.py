@@ -51,7 +51,7 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     Strictly negative for all positive inputs. Large ratios are evaluated in
     pre-scaled form so the product never overflows.  Broadcasts over arrays
     of chi and scale; scalar inputs give a float.  The kernel sees only the
-    normal ratios chi/scale and evaluates each distinct ratio once.
+    normal ratios chi/scale; split_ergodic_rates passes each distinct one once.
     """
     chi = np.asarray(chi, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -64,8 +64,7 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     # Ei(-z) * e^z is gamma + ln z to rounding, with ln z = ln chi - ln scale.
     tiny = z < sys.float_info.min
     z[tiny] = 1.0
-    distinct, inverse = np.unique(z, return_inverse=True)
-    psi = _ei_neg(distinct, scaled=True)[inverse.ravel()].reshape(z.shape)
+    psi = _ei_neg(z.ravel(), scaled=True).reshape(z.shape)
     ln = [_elementwise(math.log, np.broadcast_to(v, z.shape)[tiny]) for v in (chi, scale)]
     psi[tiny] = EULER_GAMMA + (ln[0] - ln[1])
     return _float_or_array(psi)
@@ -139,8 +138,11 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     # libm through the math module, per element, in the shape of x: numpy's
     # vectorised exp, log, expm1, log2 and power may differ from it in the
-    # last place, and the scalar results are the reference.
-    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+    # last place, and the scalar results are the reference.  Per tile.
+    flat, out = x.ravel(), np.empty(x.size)
+    for start in range(0, x.size, _TILE):
+        out[start : start + _TILE] = np.fromiter(map(fn, flat[start : start + _TILE].tolist()), float)
+    return out.reshape(x.shape)
 
 
 def _float_or_array(x: np.ndarray) -> float | np.ndarray:
@@ -207,7 +209,7 @@ def _converged(steps, z: np.ndarray, name: str) -> np.ndarray:
     # Runs steps(tile) over z in tiles of _TILE elements, and records each
     # element's value at the first of at most _MAX_ITER - 1 steps whose stop
     # test holds for it.  Elements keep stepping until their tile is done:
-    # every element sees the same arithmetic as alone, and psi_term's ratios
+    # every element sees the same arithmetic as alone, and a frontier's ratios
     # come sorted, so a tile's elements stop after similar numbers of steps.
     out = np.empty_like(z)
     for start in range(0, z.size, _TILE):

@@ -4,6 +4,7 @@ behind the containment argument."""
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ def test_grid_rates_never_exceed_corner():
     frontier = fdsac_frontier(CFG, P5, grid_n=21)
     assert np.all(frontier.rate_c <= corner.rate_c + 1e-9)
     assert np.all(frontier.rate_s <= corner.rate_s + 1e-9)
+
+
+def test_frontier_traced_peak_per_grid_point():
+    # The frontier evaluates each distinct kappa*sigma2_c/mu once and frees
+    # its full-grid temporaries as it goes.  The bound is 15 float64 arrays
+    # of the grid's length; holding a full-grid copy per psi term, as a
+    # deduplication inside each of them does, peaks near 163 bytes a point.
+    grid_n = 201
+    fdsac_frontier(CFG, P5, 5)
+    tracemalloc.start()
+    try:
+        fdsac_frontier(CFG, P5, grid_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid_n**2 <= 15 * 8
 
 
 def test_frontier_values_pinned_at_grid_21():
