@@ -184,16 +184,16 @@ _LEAD, _TRAIL = 10000, 20000
 def _g12_cells(v: np.ndarray) -> np.ndarray:
     """Cells of '%.12g' % v for a 1-D float array, as pad-filled uint8 rows.
 
-    A cell in fixed notation is formatted in numpy.  With X the decimal
-    exponent, |v| * 10**(11 - X) is formed exactly as hi + lo (Dekker's
-    TwoProduct) and rounded half to even to the 12-digit integer N.  X is
-    estimated by log10 and checked against hi.  The integer part of
-    N / 10**(11 - X) fills 12 digit columns and its fraction, times 1e15,
-    the 15 columns after the point, which therefore has a fixed column; the
-    integer part's leading zeros and the fraction's trailing zeros are
-    pads.  Every other cell (0, -0, nan, +-inf, |v| < 1e-4,
-    exponential notation, a wrong estimate) is Python's '%.12g', the
-    reference.
+    A cell in fixed notation, 0 or -0 is formatted in numpy.  With X the
+    decimal exponent, |v| * 10**(11 - X) is formed exactly as hi + lo
+    (Dekker's TwoProduct) and rounded half to even to the 12-digit integer
+    N, or N = 0 at X = 0 for 0.  X is estimated by log10 and checked against
+    hi.  The integer part of N / 10**(11 - X) fills 12 digit columns and
+    its fraction, times 1e15, the 15 columns after the point, which
+    therefore has a fixed column; the integer part's leading zeros and the
+    fraction's trailing zeros are pads.  Every other cell (nan, +-inf,
+    0 < |v| < 1e-4, exponential notation, a wrong estimate) is Python's
+    '%.12g', the reference.
     """
     a = np.abs(v)
     candidate = (a >= 1e-4) & (a < 1e12)
@@ -215,6 +215,9 @@ def _g12_cells(v: np.ndarray) -> np.ndarray:
     x += carry
     fast &= x <= 11
     n = np.where(fast & ~carry, n, 1e11)
+    zero = v == 0.0
+    n[zero] = 0.0
+    fast |= zero
     x[~fast] = 0
     scale = _POW10[11 - x]
     whole = np.floor(n / scale)
@@ -269,9 +272,9 @@ def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndarray:
-    # The cells with those rows replaced by the UTF-8 bytes of text, widened
-    # to hold the longest.  A cell ends where the next one's first character
-    # starts, at a byte that is not 0b10xxxxxx.
+    # The cells with those rows replaced by the UTF-8 bytes of text, in place
+    # or widened to the longest.  A cell ends where the next one's first
+    # character starts, at a byte that is not 0b10xxxxxx.
     if not text:
         return cells
     data = np.frombuffer("".join(text).encode("utf-8"), np.uint8)
@@ -279,7 +282,8 @@ def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndar
     sizes = np.diff(starts[np.cumsum(np.fromiter(map(len, text), np.intp, len(text)))], prepend=0)
     block = np.full((len(text), max(cells.shape[1], sizes.max())), 0xFF, np.uint8)
     block[np.arange(block.shape[1]) < sizes[:, None]] = data
-    cells = np.pad(cells, ((0, 0), (0, block.shape[1] - cells.shape[1])), constant_values=0xFF)
+    if block.shape[1] > cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, block.shape[1] - cells.shape[1])), constant_values=0xFF)
     cells[rows] = block
     return cells
 

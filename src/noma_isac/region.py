@@ -83,7 +83,14 @@ def _pareto_subset(rate_s: np.ndarray, rate_c: np.ndarray) -> np.ndarray:
     # Sweep in decreasing rate_s, ties by decreasing rate_c, then by index (a
     # stable sort); a point survives iff it strictly improves the best rate_c
     # seen so far, so exact duplicates collapse to their first grid point.
-    order = np.lexsort((-rate_c, -rate_s))
+    # Only candidates, in index order, are swept: points whose rate_c is at
+    # least every rate_c before them by decreasing rate_s, ties in any order.
+    # Each survivor is one, and any other point is beaten by a candidate ahead
+    # of it in the sweep (maxima of vectors; Kung, Luccio & Preparata 1975).
+    by_s = np.argsort(-rate_s)
+    swept = rate_c[by_s]
+    candidates = np.sort(by_s[swept >= np.maximum.accumulate(swept)])
+    order = candidates[np.lexsort((-rate_c[candidates], -rate_s[candidates]))]
     swept = rate_c[order]
     best_before = np.maximum.accumulate(np.concatenate(([-math.inf], swept[:-1])))
     return order[swept > best_before]

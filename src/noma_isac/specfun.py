@@ -7,10 +7,9 @@ kernel evaluates it elementwise; the scalar entry points wrap that kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -171,55 +170,65 @@ def _ei_neg(z: np.ndarray, scaled: bool) -> np.ndarray:
 
 
 def _ei_neg_series(z: np.ndarray) -> np.ndarray:
-    # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!), per element
-    # until its term falls below 1e-17 of its running total.
-    def steps(z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        total = EULER_GAMMA + _elementwise(math.log, z)
-        c = np.ones_like(z)
-        for k in itertools.count(1):
-            c = c * (-z / k)
-            term = c / k
-            total = total + term
-            yield total, np.abs(term) <= 1e-17 * np.abs(total)
-
-    return _converged(steps, z, "Ei series")
-
-
-def _e1_scaled_cf(z: np.ndarray) -> np.ndarray:
-    # e^z * E1(z) by modified Lentz continued fraction, per element until
-    # its update factor rounds to 1.
-    def steps(z: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        b = z + 1.0
-        c = np.full_like(z, 1.0 / 1e-300)
-        d = 1.0 / b
-        h = d
-        for i in itertools.count(1):
-            a = -float(i) * float(i)
-            b = b + 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h = h * delta
-            yield h, np.abs(delta - 1.0) < 1e-16
-
-    return _converged(steps, z, "E1 continued fraction")
-
-
-def _converged(steps, z: np.ndarray, name: str) -> np.ndarray:
-    # Runs steps(tile) over z in tiles of _TILE elements, and records each
-    # element's value at the first of at most _MAX_ITER - 1 steps whose stop
-    # test holds for it.  Elements keep stepping until their tile is done:
-    # every element sees the same arithmetic as alone, and a frontier's ratios
-    # come sorted, so a tile's elements stop after similar numbers of steps.
-    out = np.empty_like(z)
+    # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!), per tile of _TILE
+    # until each term is at most 1e-17 of its total, tested every 8 steps and
+    # at step _MAX_ITER - 1.  Once the test holds, the total is frozen: it
+    # fails while k < z (for z >= 1, |term| >= 1/96 there and |total| < 50),
+    # and from k >= z on the terms shrink, so each later one stays below 1e-17
+    # of the total, under half its ulp: adding it rounds back to the total.
+    out = EULER_GAMMA + _elementwise(math.log, z)
     for start in range(0, z.size, _TILE):
-        tile, result = z[start : start + _TILE], out[start : start + _TILE]
-        live = np.ones(tile.size, bool)
-        for value, stop in itertools.islice(steps(tile), _MAX_ITER - 1):
-            np.copyto(result, value, where=live & stop)
-            live &= ~stop
-            if not live.any():
-                break
+        tile, total = z[start : start + _TILE], out[start : start + _TILE]
+        neg, c = -tile, np.ones_like(tile)
+        for k in range(1, _MAX_ITER):
+            c *= neg / k
+            term = c / k
+            total += term
+            if k % 8 == 0 or k == _MAX_ITER - 1:
+                live = ~(np.abs(term) <= 1e-17 * np.abs(total))
+                if not live.any():
+                    break
         else:
-            raise ArithmeticError(f"{name} did not converge at z={tile[live][0]!r}")
+            raise ArithmeticError(f"Ei series did not converge at z={tile[live][0]!r}")
+    return out
+
+
+def _e1_scaled_cf(z: np.ndarray, stuck: bool = False) -> np.ndarray:
+    # e^z * E1(z) by modified Lentz continued fraction, per tile of _TILE: h
+    # at the first step whose update factor delta is 1 (the floats next to 1
+    # lie more than 1e-16 from it), captured, as h is not shown to stay put
+    # after it.  For a few z above 1e8 delta sticks at 1 - 2**-53 instead;
+    # only elements that miss 1 for _MAX_ITER - 1 steps run again, stuck, to
+    # take the first step with delta at either.
+    out, live = np.empty_like(z), np.ones(z.size, bool)
+    for start in range(0, z.size, _TILE):
+        result, left = out[start : start + _TILE], live[start : start + _TILE]
+        b = z[start : start + _TILE] + 1.0
+        c = np.full_like(b, 1.0 / 1e-300)
+        d = 1.0 / b
+        h, delta, hit = d.copy(), np.empty_like(b), np.empty(b.size, bool)
+        for i in range(1, _MAX_ITER):
+            # In place: b += 2, d = 1 / (a*d + b), c = b + a/c, h *= c*d.
+            a = -float(i) * float(i)
+            b += 2.0
+            d *= a
+            d += b
+            np.divide(1.0, d, out=d)
+            np.divide(a, c, out=c)
+            c += b
+            np.multiply(c, d, out=delta)
+            h *= delta
+            np.equal(delta, 1.0, out=hit)
+            if stuck:
+                hit |= delta == 1.0 - 2.0**-53
+            hit &= left
+            np.copyto(result, h, where=hit)
+            left ^= hit
+            if not left.any():
+                break
+    if live.any():
+        if stuck:
+            raise ArithmeticError(f"E1 continued fraction did not converge at z={z[live][0]!r}")
+        stalled = np.flatnonzero(live)
+        out[stalled] = _e1_scaled_cf(z[stalled], stuck=True)
     return out

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noma_isac
@@ -442,6 +442,19 @@ def test_region_at_tiny_power_succeeds(cfg_file, tmp_path):
     assert trailer is not None and "containment: contained" in trailer
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--p-db", "-100", "--grid-n", "401"],
+    ["ecr", "--snr-db-min", "-160", "--snr-db-max", "-100", "--snr-db-step", "0.01"],
+])
+def test_stalled_continued_fraction_inputs_succeed(cfg_file, tmp_path, argv):
+    # Each command meets ratios where the continued fraction's update factor
+    # sticks next to 1 and never rounds to it.
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--config", cfg_file, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.count("\n") > 6000 and "nan" not in text and "inf" not in text
+
+
 # ------------------------------------------------------------------- sweeps
 
 def test_outage_table_analytic_only(cfg_file, tmp_path):
@@ -835,9 +848,24 @@ _TIES = st.builds(
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.lists(st.floats() | _TIES, min_size=1, max_size=40))
+@example([0.0, 1.5, 2.5, 3.5])  # a zero at the first cell
+@example([1.5, 2.5, 3.5, 1e-05, -0.0])  # and at the last
+@example([1.5, 2.5, -0.0, 0.0, 3.5, math.nan, -0.0])  # at a block edge
+@example([0.25, -0.0, 1e11, 123.456])  # no slow cell
+@example([0.25, 1e-05, math.inf, -1.5e300])  # slow cells no wider than the rest
 def test_csv_float_cells_are_python_percent_g(values):
-    lines = _table_text("csv", {"v": np.array(values, dtype=float)}).splitlines()
+    # Over blocks of three rows.
+    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+        lines = _table_text("csv", {"v": np.array(values, dtype=float)}).splitlines()
     assert lines == ["v", *("%.12g" % v for v in values)]
+
+
+def test_zero_cells_take_the_fast_path(monkeypatch):
+    slow = []
+    with_cells = cli._with_cells
+    monkeypatch.setattr(cli, "_with_cells", lambda c, r, text: slow.append(text) or with_cells(c, r, text))
+    assert _table_text("csv", {"v": np.array([0.0, -0.0, 0.5])}) == "v\n0\n-0\n0.5\n"
+    assert slow == [[]]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -2,6 +2,7 @@
 behind the containment argument."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -129,6 +130,42 @@ def test_pareto_subset_equals_brute_force(rate_s, rate_c, copies):
             rate_c.append(rate_c[j % n])
     got = _pareto_subset(np.array(rate_s, dtype=float), np.array(rate_c, dtype=float))
     assert got.tolist() == _brute_force_pareto(rate_s, rate_c)
+
+
+def _full_sweep(rate_s, rate_c):
+    # The Pareto sweep over every point, as _pareto_subset ran it before it
+    # swept only its candidates.
+    order = np.lexsort((-rate_c, -rate_s))
+    swept = rate_c[order]
+    best_before = np.maximum.accumulate(np.concatenate(([-math.inf], swept[:-1])))
+    return order[swept > best_before]
+
+
+@functools.cache
+def _pareto_cases():
+    frontier = fdsac_frontier(CFG, P5, 401)
+    rng = np.random.default_rng(20)
+    n = 5000
+    levels = rng.integers(0, 40, n) / 4.0
+    stairs = np.repeat(np.arange(50.0), 30)
+    return {
+        "baseline frontier at grid 401": (frontier.rate_s, frontier.rate_c),
+        "the same, shuffled": tuple(v[rng.permutation(v.size)] for v in (frontier.rate_s, frontier.rate_c)),
+        "every rate_s equal": (np.full(n, 1.5), levels),
+        "every point the same": (np.full(n, 1.5), np.full(n, 0.25)),
+        # Each rate_c recurs behind larger rate_s, and each point recurs.
+        "repeated rate_c behind a larger rate_s": (stairs, np.floor((60.0 - stairs) / 7.0)),
+        "few levels in both": (levels, rng.permutation(levels)),
+        "signed zeros": (rng.choice([0.0, -0.0, 1.0], n), rng.choice([0.0, -0.0, 1.0], n)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_pareto_cases()))
+def test_pareto_subset_equals_the_full_sweep(case):
+    rate_s, rate_c = _pareto_cases()[case]
+    got = _pareto_subset(rate_s, rate_c)
+    assert got.dtype == np.intp
+    assert got.tolist() == _full_sweep(rate_s, rate_c).tolist()
 
 
 def test_grid_rates_never_exceed_corner():

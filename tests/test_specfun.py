@@ -367,12 +367,20 @@ def _compacting_fraction(z):
 
 
 def _kernel_arguments():
-    # Both cutoffs and their neighbours, a dense log grid, sorted as psi_term
-    # passes them, and the same grid shuffled.
+    # Both cutoffs and their neighbours, a dense log grid, log-spaced z down
+    # to the smallest normal (where the series' c underflows) and a dense
+    # uniform grid on (0, 5] (where the series stops near k = z), sorted as
+    # psi_term passes them, and the same grid shuffled.
     cuts = [specfun._SERIES_CUTOFF, specfun._ASYMPTOTIC_CUTOFF]
     steps = (float, lambda v: np.nextafter(v, 0.0), lambda v: np.nextafter(v, math.inf))
     edges = [f(c) for c in cuts for f in steps]
-    grid = np.unique(np.concatenate([edges, np.logspace(-12.0, 17.0, 4001), np.linspace(0.5, 9.0, 1001)]))
+    grid = np.unique(np.concatenate([
+        edges,
+        np.logspace(-12.0, 17.0, 4001),
+        np.linspace(0.5, 9.0, 1001),
+        np.geomspace(sys.float_info.min, 1e-12, 1001),
+        np.linspace(0.0, 5.0, 5001)[1:],
+    ]))
     low = grid <= specfun._SERIES_CUTOFF
     mid = ~low & (grid < specfun._ASYMPTOTIC_CUTOFF)
     shuffled = np.random.default_rng(4).permutation(grid)
@@ -383,22 +391,59 @@ def _kernel_arguments():
 def test_tiled_ei_equals_the_compacting_kernel(monkeypatch, tile):
     monkeypatch.setattr(specfun, "_TILE", tile)
     grid, branches, shuffled = _kernel_arguments()
+    rng = np.random.default_rng(5)
     for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
-        assert new(z).tobytes() == old(z).tobytes()
-        assert new(z[::-1]).tobytes() == old(z[::-1]).tobytes()
+        for order in (z, z[::-1], rng.permutation(z)):
+            assert new(order).tobytes() == old(order).tobytes()
     # Unsorted ratios take more steps per tile, not other bits.
     for scaled in (True, False):
         whole = specfun._ei_neg(grid, scaled)[np.searchsorted(grid, shuffled)]
         assert specfun._ei_neg(shuffled, scaled).tobytes() == whole.tobytes()
-    # Where an element has not converged after _MAX_ITER - 1 steps, both raise
-    # and name the first such element.
-    monkeypatch.setattr(specfun, "_MAX_ITER", 4)
+
+
+@pytest.mark.parametrize("tile", [7, specfun._TILE])
+@pytest.mark.parametrize("max_iter", [4, 12])
+def test_unconverged_ei_names_the_first_element(monkeypatch, tile, max_iter):
+    # Where an element has not converged after _MAX_ITER - 1 steps, the tiled
+    # and the compacting kernels raise and name the first such element.
+    monkeypatch.setattr(specfun, "_TILE", tile)
+    monkeypatch.setattr(specfun, "_MAX_ITER", max_iter)
+    _, branches, _ = _kernel_arguments()
     for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
         with pytest.raises(ArithmeticError) as expected:
             old(z)
         with pytest.raises(ArithmeticError, match="did not converge") as raised:
             new(z)
         assert str(raised.value) == str(expected.value)
+
+
+#: Ratios where the continued fraction's update factor sticks at 1 - 2**-53
+#: and never rounds to 1; region --p-db -100 --grid-n 401 meets the second,
+#: ecr from -160 to -100 dB in steps of 0.01 dB the fifth.
+_STALLED = [
+    132635296487.60532, 273446327683.6158, 509744481149.20807, 922794379097.4957,
+    7229199075650.937, 459644486579275.6, 3677011876713244.0,
+]
+
+
+def test_e1_fraction_takes_delta_next_to_one_where_it_stalls():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.array(_STALLED)
+    for v in _STALLED:
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _compacting_fraction(np.array([v]))
+    got = specfun._e1_scaled_cf(z).tolist()
+    with mpmath.workdps(40):
+        for v, value in zip(_STALLED, got):
+            exact = mpmath.exp(v) * mpmath.e1(v)
+            assert abs(value - exact) <= 3.5e-16 * exact
+    # Converging elements keep their bits next to them, in one tile.
+    _, branches, _ = _kernel_arguments()
+    mid, old = branches[1]
+    at = np.searchsorted(mid, z[0])
+    mixed = specfun._e1_scaled_cf(np.concatenate([mid[:at], z, mid[at:]]))
+    assert np.delete(mixed, np.arange(at, at + z.size)).tobytes() == old(mid).tobytes()
+    assert mixed[at : at + z.size].tolist() == got
 
 
 def test_psi_term_repeated_ratios_match_scalar_calls():
