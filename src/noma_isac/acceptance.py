@@ -54,8 +54,7 @@ class CheckResult:
     detail: str
 
 
-def _modes():
-    return (("isac", ISAC), ("fdsac", fdsac(SPLIT_KAPPA, SPLIT_MU)))
+_MODES = (("isac", ISAC), ("fdsac", fdsac(SPLIT_KAPPA, SPLIT_MU)))
 
 
 def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckResult:
@@ -69,7 +68,7 @@ def check_outage_closed_form(cfg: SystemConfig, trials: int, seed: int) -> Check
     worst = 0.0
     checks = 0
     powers = db_to_linear(SNR_GRID_DB)
-    for _, mode in _modes():
+    for _, mode in _MODES:
         value = np.array(outage_probability(cfg, mode, powers))
         emp, _ = estimate_outage(cfg, mode, powers, trials, seed)
         se = np.sqrt(value * (1.0 - value) / trials)
@@ -90,7 +89,7 @@ def check_ecr_closed_form(cfg: SystemConfig, trials: int, seed: int) -> CheckRes
     worst = -math.inf
     checks = 0
     powers = db_to_linear(SNR_GRID_DB)
-    for _, mode in _modes():
+    for _, mode in _MODES:
         value = np.array(ergodic_rates(cfg, mode, powers))
         emp, std_error = estimate_ecr(cfg, mode, powers, trials, seed)
         tol = np.maximum(3.0 * std_error, 1e-2)
@@ -114,7 +113,7 @@ def check_diversity_orders(cfg: SystemConfig) -> CheckResult:
     grid_db = 30.0 + np.arange(11.0)
     ok = True
     shown = []
-    for (_, mode), row in zip(_modes(), reference_table(cfg, SPLIT_KAPPA)):
+    for (_, mode), row in zip(_MODES, reference_table(cfg, SPLIT_KAPPA)):
         th = thresholds(cfg, mode)
         cells = []
         for pout, threshold, order, tol in zip(
@@ -149,7 +148,7 @@ def check_high_snr_slopes(cfg: SystemConfig) -> CheckResult:
     the far user's, whose rate saturates, need only stay below 0.05 above it."""
     powers = db_to_linear([34.0, 40.0])
     slopes = {}
-    for tag, mode in _modes():
+    for tag, mode in _MODES:
         ecr_n, ecr_f = ergodic_rates(cfg, mode, powers)
         slopes[tag] = tuple(float(hi - lo) / 2.0 for lo, hi in (ecr_n, ecr_f, ecr_n + ecr_f))
     ok = all(

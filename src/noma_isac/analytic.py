@@ -278,27 +278,23 @@ class ReferenceEntry:
 def reference_table(cfg: SystemConfig, kappa: float) -> tuple[ReferenceEntry, ReferenceEntry]:
     """Reference diversity/slope entries for the integrated and split systems.
 
-    Sensing slopes are parameterized by the positive-eigenvalue count r and
-    the frame length L; communication slopes by the bandwidth fraction.
+    The diversity orders are 2 (near) and 1 (far), the far user's slope is 0,
+    and the near user's and the sum slope are the band given to
+    communications.  The sensing slope is r / L times the band not taken from
+    sensing, for the positive-eigenvalue count r and the frame length L.  The
+    integrated row is the split row with the whole band given to both.
     """
     r = float(cfg.sensing_rank)
     big_l = float(cfg.frame_length)
-    isac_entry = ReferenceEntry(
-        system="isac",
-        diversity_nu=2.0,
-        slope_nu=1.0,
-        diversity_fu=1.0,
-        slope_fu=0.0,
-        slope_sum=1.0,
-        slope_sensing=r / big_l,
+    return tuple(  # type: ignore[return-value]
+        ReferenceEntry(
+            system=system,
+            diversity_nu=2.0,
+            slope_nu=band,
+            diversity_fu=1.0,
+            slope_fu=0.0,
+            slope_sum=band,
+            slope_sensing=(1.0 - taken) * r / big_l,
+        )
+        for system, band, taken in (("isac", 1.0, 0.0), ("fdsac", kappa, kappa))
     )
-    fdsac_entry = ReferenceEntry(
-        system="fdsac",
-        diversity_nu=2.0,
-        slope_nu=kappa,
-        diversity_fu=1.0,
-        slope_fu=0.0,
-        slope_sum=kappa,
-        slope_sensing=(1.0 - kappa) * r / big_l,
-    )
-    return isac_entry, fdsac_entry

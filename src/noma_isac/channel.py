@@ -16,7 +16,7 @@ from .config import SystemConfig
 
 __all__ = [
     "CorrelationMatrix", "Target", "TargetScene", "build_correlation", "gain_samples",
-    "scene_eigenvalues", "steering_vector", "trial_uniforms",
+    "scene_eigenvalues", "trial_uniforms",
 ]
 
 #: Trials drawn and transformed at a time: a 512 KiB tile of uniforms.
@@ -113,7 +113,7 @@ def gain_samples(
     return gain_n, gain_f
 
 
-def steering_vector(theta: float, m: int) -> np.ndarray:
+def _steering_vector(theta: float, m: int) -> np.ndarray:
     """Receive steering vector of a half-wavelength ULA, entry i = e^{j pi i sin(theta)}."""
     if m < 1:
         raise ValueError("antenna count m must be at least 1")
@@ -126,7 +126,7 @@ def build_correlation(scene: TargetScene, m: int) -> CorrelationMatrix:
         raise ValueError("antenna count m must be at least 1")
     r = np.zeros((m, m), dtype=complex)
     for tgt in scene.targets:
-        a = steering_vector(tgt.aoa, m)
+        a = _steering_vector(tgt.aoa, m)
         r += tgt.strength * np.outer(a, a.conj())
     return CorrelationMatrix(entries=r)
 

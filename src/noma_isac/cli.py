@@ -53,7 +53,7 @@ def load_config_file(path: str) -> SystemConfig:
     parse or validation error, including a file that gives both.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
@@ -241,7 +241,12 @@ def _g12_cells(v: np.ndarray) -> np.ndarray:
     negative = np.flatnonzero(np.signbit(v))
     cells[negative, 14 - np.maximum(x[negative], 0)] = ord("-")
     slow = np.flatnonzero(~fast)
-    return _with_cells(cells, slow, ["%.12g" % cell for cell in v[slow].tolist()])
+    if slow.size:
+        # '%.12g' of a float takes at most 19 bytes, within a cell's 32 columns.
+        text = _text_cells(["%.12g" % cell for cell in v[slow].tolist()])
+        cells[slow] = 0xFF
+        cells[slow, : text.shape[1]] = text
+    return cells
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,26 +276,16 @@ def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
     return [value, *groups[::-1]]
 
 
-def _with_cells(cells: np.ndarray, rows: np.ndarray, text: list[str]) -> np.ndarray:
-    # The cells with those rows replaced by the UTF-8 bytes of text, in place
-    # or widened to the longest.  A cell ends where the next one's first
-    # character starts, at a byte that is not 0b10xxxxxx.
-    if not text:
-        return cells
+def _text_cells(text: list[str]) -> np.ndarray:
+    # Each str's UTF-8 bytes as a pad-filled uint8 row as wide as the widest.
+    # A str ends where the next one's first character starts, at a byte that
+    # is not 0b10xxxxxx.
     data = np.frombuffer("".join(text).encode("utf-8"), np.uint8)
     starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
     sizes = np.diff(starts[np.cumsum(np.fromiter(map(len, text), np.intp, len(text)))], prepend=0)
-    block = np.full((len(text), max(cells.shape[1], sizes.max())), 0xFF, np.uint8)
-    block[np.arange(block.shape[1]) < sizes[:, None]] = data
-    if block.shape[1] > cells.shape[1]:
-        cells = np.pad(cells, ((0, 0), (0, block.shape[1] - cells.shape[1])), constant_values=0xFF)
-    cells[rows] = block
+    cells = np.full((len(text), sizes.max()), 0xFF, np.uint8)
+    cells[np.arange(cells.shape[1]) < sizes[:, None]] = data
     return cells
-
-
-def _text_cells(text: list[str]) -> np.ndarray:
-    # Each str as a pad-filled uint8 row of its UTF-8 bytes.
-    return _with_cells(np.zeros((len(text), 0), np.uint8), np.arange(len(text)), text)
 
 
 def _repr_cells(v: np.ndarray) -> np.ndarray:
@@ -618,7 +613,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A grid too large for this host, such as region --grid-n 50000.
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,13 +15,13 @@ from scipy import integrate
 
 from noma_isac import channel
 from noma_isac.channel import (
+    _steering_vector,
     CorrelationMatrix,
     Target,
     TargetScene,
     build_correlation,
     gain_samples,
     scene_eigenvalues,
-    steering_vector,
     trial_uniforms,
 )
 from noma_isac.config import SystemConfig, baseline_config
@@ -204,15 +204,15 @@ def test_pdf_far_at_zero_and_nonnegativity():
 
 
 def test_steering_vector_geometry():
-    assert np.array_equal(steering_vector(0.0, 4), np.ones(4, dtype=complex))
-    v = steering_vector(0.7, 8)
+    assert np.array_equal(_steering_vector(0.0, 4), np.ones(4, dtype=complex))
+    v = _steering_vector(0.7, 8)
     assert np.allclose(np.abs(v), 1.0)
-    v2 = steering_vector(math.pi / 2, 2)
+    v2 = _steering_vector(math.pi / 2, 2)
     assert v2[0] == pytest.approx(1.0)
     assert v2[1].real == pytest.approx(-1.0, abs=1e-12)
     assert v2[1].imag == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        steering_vector(0.0, 0)
+        _steering_vector(0.0, 0)
 
 
 def test_scene_and_target_invariants():

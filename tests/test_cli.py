@@ -54,6 +54,13 @@ def test_config_roundtrip(tmp_path):
     assert load_config_file(str(path)) == CFG
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # As Windows Notepad saves UTF-8.
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeff" + dump_config(baseline_config()), encoding="utf-8")
+    assert load_config_file(str(path)) == baseline_config()
+
+
 def test_config_with_scene_derives_spectrum(tmp_path):
     text = "\n".join(
         [
@@ -853,6 +860,11 @@ _TIES = st.builds(
 @example([1.5, 2.5, -0.0, 0.0, 3.5, math.nan, -0.0])  # at a block edge
 @example([0.25, -0.0, 1e11, 123.456])  # no slow cell
 @example([0.25, 1e-05, math.inf, -1.5e300])  # slow cells no wider than the rest
+@example([-2.2250738585072014e-308, 1.5])  # 19-byte slow cells
+@example([0.5, -5e-324])
+@example([-1.7976931348623157e308])
+@example([1e-05, -1e300, math.nan])  # a block where every cell is slow
+@example([0.5, 1e-05, 2.5])  # one slow cell between fast ones
 def test_csv_float_cells_are_python_percent_g(values):
     # Over blocks of three rows.
     with mock.patch.object(cli, "_BLOCK_ROWS", 3):
@@ -862,10 +874,10 @@ def test_csv_float_cells_are_python_percent_g(values):
 
 def test_zero_cells_take_the_fast_path(monkeypatch):
     slow = []
-    with_cells = cli._with_cells
-    monkeypatch.setattr(cli, "_with_cells", lambda c, r, text: slow.append(text) or with_cells(c, r, text))
+    text_cells = cli._text_cells
+    monkeypatch.setattr(cli, "_text_cells", lambda text: slow.append(text) or text_cells(text))
     assert _table_text("csv", {"v": np.array([0.0, -0.0, 0.5])}) == "v\n0\n-0\n0.5\n"
-    assert slow == [[]]
+    assert slow == []
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
