@@ -27,12 +27,14 @@ print(f"sum comm rate: {corner.rate_c:.6f} bits/s/Hz")
 
 frontier = fdsac_frontier(cfg, p, grid_n=41)
 print()
-print(f"=== Frequency-division sweep: {frontier.kappa.size} splits, "
+print(f"=== Frequency-division sweep: {frontier.rate_s.size} splits, "
       f"{frontier.pareto.size} Pareto-maximal ===")
 print(f"{'kappa':>6} {'mu':>6} | {'rate_s':>9} {'rate_c':>9}")
+# Grid point i splits at kappa = fractions[i // n] and mu = fractions[i % n].
+n = frontier.fractions.size
 step = max(1, frontier.pareto.size // 12)
 for i in frontier.pareto[::step]:
-    print(f"{frontier.kappa[i]:6.3f} {frontier.mu[i]:6.3f} | "
+    print(f"{frontier.fractions[i // n]:6.3f} {frontier.fractions[i % n]:6.3f} | "
           f"{frontier.rate_s[i]:9.5f} {frontier.rate_c[i]:9.5f}")
 
 print()

@@ -146,16 +146,22 @@ def split_ergodic_rates(
 
     R_N = kappa/ln2 * (psi3 - psi2 - psi1) with psi_b evaluated at scale
     alpha_n*p; R_F subtracts the same kernel at scale p from psi3.  Broadcasts
-    over arrays of kappa, mu and p; zero where kappa or mu is zero.  At one
-    power each distinct kappa*sigma2_c/mu is evaluated once.
+    over arrays of kappa, mu and p; zero where kappa or mu is zero.
     """
-    kappa, mu, p_grid = np.broadcast_arrays(kappa, mu, check_power(p))
+    kappa, mu, p = np.broadcast_arrays(kappa, mu, check_power(p))
     on = has_comm_resources(kappa, mu)
-    ratio = _noise_ratio(cfg, kappa[on], mu[on])
-    if np.ndim(p) == 0:
-        ratio, gather = np.unique(ratio, return_inverse=True)
-    else:
-        gather, p = slice(None), p_grid[on]
+    near, far = _psi_brackets(cfg, _noise_ratio(cfg, kappa[on], mu[on]), p[on])
+    factor = kappa[on] / _LN2
+    ecr_n, ecr_f = np.zeros(kappa.shape), np.zeros(kappa.shape)
+    ecr_n[on] = factor * near
+    ecr_f[on] = factor * far
+    return ecr_n, ecr_f
+
+
+def _psi_brackets(cfg: SystemConfig, ratio: np.ndarray, p: _Floats) -> tuple[np.ndarray, np.ndarray]:
+    # The rates over kappa/ln2 at noise ratios kappa*sigma2_c/mu and powers p
+    # (broadcast): near = psi3 - psi2 - psi1 at scale alpha_n*p, and
+    # far = psi3 - psi3 at scale p.
     chi1, chi2, chi3 = _ratio_chis(cfg, ratio)
     scale_n = cfg.alpha_n * p
     if not all(np.all(v > 0.0) for v in (chi1, chi2, chi3, scale_n)):
@@ -164,13 +170,7 @@ def split_ergodic_rates(
     psi3 = psi_term(chi3, scale_n)
     near = psi3 - psi_term(chi2, scale_n)
     near -= psi_term(chi1, scale_n)
-    far = psi3 - psi_term(chi3, p)
-    del ratio, chi1, chi2, chi3, psi3  # freed before the full-grid gathers
-    factor = kappa[on] / _LN2
-    ecr_n, ecr_f = np.zeros(kappa.shape), np.zeros(kappa.shape)
-    ecr_n[on] = factor * near[gather]
-    ecr_f[on] = factor * far[gather]
-    return ecr_n, ecr_f
+    return near, psi3 - psi_term(chi3, p)
 
 
 def ergodic_rates_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floats, _Floats]:

@@ -488,8 +488,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     # grid's kappa varies slowest and mu fastest over the same grid_n
     # fractions, which label both split columns; code 0 is the corner's
     # empty cell.
-    grid_n, grid_size, pareto = args.grid_n, frontier.kappa.size, frontier.pareto
-    fractions = (None, *frontier.mu[:grid_n].tolist())
+    grid_n, grid_size, pareto = args.grid_n, frontier.rate_s.size, frontier.pareto
+    fractions = (None, *frontier.fractions.tolist())
     steps = np.arange(grid_n + 1, dtype=np.min_scalar_type(grid_n))
     columns = {
         "kind": np.repeat(np.arange(3, dtype=np.uint8), [1, grid_size, pareto.size]),
@@ -498,6 +498,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         "rate_s": np.concatenate(([corner.rate_s], frontier.rate_s, frontier.rate_s[pareto])),
         "rate_c": np.concatenate(([corner.rate_c], frontier.rate_c, frontier.rate_c[pareto])),
     }
+    del frontier  # so that no second copy of the rates is alive while rows are written
     labels = {"kind": ("corner", "grid", "pareto"), "kappa": fractions, "mu": fractions}
     meta = _metadata(
         "region",

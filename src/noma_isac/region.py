@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import sensing_rate, split_ergodic_rates, split_sensing_rate, sum_rate
-from .config import ISAC, SystemConfig
+from .analytic import _LN2, _noise_ratio, _psi_brackets, sensing_rate, split_sensing_rate, sum_rate
+from .config import ISAC, SystemConfig, check_power
+from .specfun import _TILE
 
 __all__ = [
     "ContainmentReport", "RatePoint", "RegionFrontier", "containment_check", "fdsac_frontier",
@@ -38,15 +39,24 @@ class RatePoint:
 class RegionFrontier:
     """Rate pairs of a (kappa, mu) split grid and its Pareto-maximal subset.
 
-    Grid point i has kappa[i], mu[i], rate_s[i] and rate_c[i], kappa varying
-    slowest.  pareto indexes the Pareto-maximal points, highest rate_s first.
+    With n = fractions.size, grid point i splits at kappa = fractions[i // n]
+    and mu = fractions[i % n], kappa varying slowest, and has rate_s[i] and
+    rate_c[i].  pareto indexes the Pareto-maximal points, highest rate_s
+    first.  kappa and mu are the grid's split columns, built on each read.
     """
 
-    kappa: np.ndarray
-    mu: np.ndarray
+    fractions: np.ndarray
     rate_s: np.ndarray
     rate_c: np.ndarray
     pareto: np.ndarray
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return np.repeat(self.fractions, self.fractions.size)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return np.tile(self.fractions, self.fractions.size)
 
 
 @dataclass(frozen=True)
@@ -66,17 +76,40 @@ def fdsac_frontier(cfg: SystemConfig, p: float, grid_n: int) -> RegionFrontier:
     """Evaluate the split region on a grid_n x grid_n (kappa, mu) grid.
 
     The grid includes the exact endpoints 0 and 1 on both axes so the
-    boundary equality cases are hit exactly.
+    boundary equality cases are hit exactly.  The ergodic rates' psi
+    brackets are evaluated once per distinct kappa*sigma2_c/mu, in tiles;
+    blocks of kappa rows, about a tile of points each, then look their
+    ratios up in that sorted table, an exact float match, so each point
+    equals split_ergodic_rates at it.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
+    p = check_power(p)
     fractions = np.linspace(0.0, 1.0, grid_n)
-    kappa = np.repeat(fractions, grid_n)
-    mu = np.tile(fractions, grid_n)
-    ecr_n, ecr_f = split_ergodic_rates(cfg, kappa, mu, p)
-    rate_s = split_sensing_rate(cfg, kappa, mu, p)
-    rate_c = ecr_n + ecr_f
-    return RegionFrontier(kappa, mu, rate_s, rate_c, _pareto_subset(rate_s, rate_c))
+    comm = fractions[1:]  # the fractions that give communications resources
+    # Sorted in place: np.unique would copy the ratios and, without an
+    # inverse, import numpy.ma (about 1.3 MB of RSS).
+    ratio = _noise_ratio(cfg, comm[:, None], comm).ravel()
+    ratio.sort()
+    table = ratio[np.concatenate(([True], ratio[1:] != ratio[:-1]))]
+    del ratio
+    near, far = np.empty(table.size), np.empty(table.size)
+    for start in range(0, table.size, _TILE):
+        tile = slice(start, start + _TILE)
+        near[tile], far[tile] = _psi_brackets(cfg, table[tile], p)
+    rate_s, rate_c = np.empty((grid_n, grid_n)), np.zeros((grid_n, grid_n))
+    rows = max(1, _TILE // grid_n)  # a block of about one tile of points
+    for first in range(0, grid_n, rows):
+        block = slice(first, first + rows)
+        rate_s[block] = split_sensing_rate(cfg, fractions[block, None], fractions, p)
+        on = slice(max(first, 1), first + rows)  # the block's rows with kappa > 0
+        kappa = fractions[on, None]
+        cells = np.searchsorted(table, _noise_ratio(cfg, kappa, comm))
+        factor = kappa / _LN2
+        rate_c[on, 1:] = factor * near[cells] + factor * far[cells]
+    del table, near, far
+    rate_s, rate_c = rate_s.ravel(), rate_c.ravel()
+    return RegionFrontier(fractions, rate_s, rate_c, _pareto_subset(rate_s, rate_c))
 
 
 def _pareto_subset(rate_s: np.ndarray, rate_c: np.ndarray) -> np.ndarray:

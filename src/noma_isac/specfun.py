@@ -50,7 +50,7 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     Strictly negative for all positive inputs. Large ratios are evaluated in
     pre-scaled form so the product never overflows.  Broadcasts over arrays
     of chi and scale; scalar inputs give a float.  The kernel sees only the
-    normal ratios chi/scale; split_ergodic_rates passes each distinct one once.
+    normal ratios chi/scale; fdsac_frontier passes each distinct one once.
     """
     chi = np.asarray(chi, dtype=float)
     scale = np.asarray(scale, dtype=float)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -820,6 +821,25 @@ def test_region_table_is_the_unique_sorted_construction(cfg_file, tmp_path, fmt,
     assert main(argv + ["--p-db", str(p_db), "--output", str(out)]) == 0
     expected = _region_before_labels(CFG, p_db, grid_n, fmt)
     assert out.read_text(encoding="utf-8") == expected
+
+
+def test_region_command_traced_peak_per_grid_point(cfg_file, tmp_path):
+    # The frontier's peak (the two rates and the Pareto sweep's three
+    # full-grid arrays) sets the command's; the table's columns are built
+    # after it and the frontier is dropped before rows are written, so no
+    # second copy of the rates is alive then.  The bound is 6 float64 arrays
+    # of the grid's length; with the frontier kept alive next to the table
+    # and a full-grid gather in the frontier, it peaks at 84 bytes a point.
+    grid_n = 401
+    argv = ["region", "--config", cfg_file, "--grid-n", str(grid_n), "--output", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid_n**2 <= 6 * 8
 
 
 def _table_text(fmt, columns, metadata=None):

@@ -9,11 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noma_isac import region
 from noma_isac.acceptance import check_region_containment
-from noma_isac.analytic import sensing_rate, sum_rate
+from noma_isac.analytic import sensing_rate, split_ergodic_rates, split_sensing_rate, sum_rate
 from noma_isac.config import ISAC, baseline_config, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr
 from noma_isac.region import (
@@ -120,6 +121,8 @@ _RATES = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0]) | st.floats(0
 
 @settings(max_examples=300, deadline=None)
 @given(_RATES, _RATES, st.lists(st.integers(0, 39), max_size=10))
+@example([], [], [])
+@example([0.5], [0.0], [])
 def test_pareto_subset_equals_brute_force(rate_s, rate_c, copies):
     n = min(len(rate_s), len(rate_c))
     rate_s, rate_c = rate_s[:n], rate_c[:n]
@@ -176,11 +179,13 @@ def test_grid_rates_never_exceed_corner():
 
 
 def test_frontier_traced_peak_per_grid_point():
-    # The frontier evaluates each distinct kappa*sigma2_c/mu once and frees
-    # its full-grid temporaries as it goes.  The bound is 15 float64 arrays
-    # of the grid's length; holding a full-grid copy per psi term, as a
-    # deduplication inside each of them does, peaks near 163 bytes a point.
-    grid_n = 201
+    # Full-grid arrays are only the two rates and, in the Pareto sweep, its
+    # order, swept copy and running maximum, about 42 bytes a point at grid
+    # 401; the psi brackets are held per distinct kappa*sigma2_c/mu and the
+    # rest per block of kappa rows.  Gathering the brackets back to the whole
+    # grid, with a full-grid kappa, mu and gather index, peaks at 84 bytes a
+    # point.  The bound is 6 float64 arrays of the grid's length.
+    grid_n = 401
     fdsac_frontier(CFG, P5, 5)
     tracemalloc.start()
     try:
@@ -188,7 +193,41 @@ def test_frontier_traced_peak_per_grid_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / grid_n**2 <= 15 * 8
+    assert peak / grid_n**2 <= 6 * 8
+
+
+@pytest.mark.parametrize("tile", [7, 1000, region._TILE])
+@pytest.mark.parametrize("snr_db", [-60.0, 5.0, 40.0])
+@pytest.mark.parametrize("grid_n", [2, 3, 67, 101])
+def test_frontier_blocks_equal_the_elementwise_rates(monkeypatch, tile, snr_db, grid_n):
+    # The tile sets the row blocks: one row at tile 7 (2 + 1 rows at grid
+    # 3); 14 and 9 rows at tile 1000, which grids 67 and 101 do not fill
+    # evenly; 81 + 20 rows at the default tile and grid 101.  Each point's
+    # rates equal, bit for bit, the split rates evaluated elementwise on the
+    # full grid, and each kappa*sigma2_c/mu finds its own psi brackets in the
+    # distinct-ratio table.
+    monkeypatch.setattr(region, "_TILE", tile)
+    p = db_to_linear(snr_db)
+    frontier = fdsac_frontier(CFG, p, grid_n)
+    fractions = np.linspace(0.0, 1.0, grid_n)
+    kappa, mu = np.repeat(fractions, grid_n), np.tile(fractions, grid_n)
+    ecr_n, ecr_f = split_ergodic_rates(CFG, kappa, mu, np.full(kappa.shape, p))
+    assert frontier.rate_s.tobytes() == split_sensing_rate(CFG, kappa, mu, p).tobytes()
+    assert frontier.rate_c.tobytes() == (ecr_n + ecr_f).tobytes()
+    assert frontier.kappa.tobytes() == kappa.tobytes()
+    assert frontier.mu.tobytes() == mu.tobytes()
+    assert frontier.pareto.tolist() == _pareto_subset(frontier.rate_s, frontier.rate_c).tolist()
+
+
+def test_frontier_checks_the_grid_then_the_power_then_underflow():
+    # sigma2_c = 5e-324 makes kappa*sigma2_c/mu round to 0 at kappa = 0.5.
+    tiny = dataclasses.replace(CFG, sigma2_c=5e-324)
+    with pytest.raises(ValueError, match="grid_n must be at least 2"):
+        fdsac_frontier(tiny, math.inf, 1)
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        fdsac_frontier(tiny, math.inf, 3)
+    with pytest.raises(FloatingPointError, match="underflow to 0"):
+        fdsac_frontier(tiny, P5, 3)
 
 
 def test_frontier_values_pinned_at_grid_21():
