@@ -54,16 +54,13 @@ class Thresholds:
     feasible: bool
 
 
-def _chis(cfg: SystemConfig, kappa_t, mu_t) -> tuple:
-    # chi_b = kappa_t*sigma2_c/(mu_t*rho_b) in numpy floats, under numpy's error state.
-    return _ratio_chis(cfg, _noise_ratio(cfg, kappa_t, mu_t))
-
-
 def _noise_ratio(cfg: SystemConfig, kappa_t, mu_t):
+    # kappa_t*sigma2_c/mu_t in numpy floats, under numpy's error state.
     return np.multiply(kappa_t, cfg.sigma2_c) / mu_t
 
 
 def _ratio_chis(cfg: SystemConfig, ratio) -> tuple:
+    # chi_b = kappa_t*sigma2_c/(mu_t*rho_b) from the noise ratio.
     return ratio / cfg.rho1, ratio / cfg.rho2, ratio / cfg.rho3
 
 
@@ -111,7 +108,7 @@ def outage_probability(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Floa
     th = thresholds(cfg, mode)
     if not th.feasible:
         return _float_or_array(np.ones(p.shape)), _float_or_array(np.ones(p.shape))
-    chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
+    chi1, chi2, chi3 = _ratio_chis(cfg, _noise_ratio(cfg, *comm_factors(mode)))
     p_out_n = -_expm1(-chi1 * th.theta / p) * -_expm1(-chi2 * th.theta / p)
     p_out_f = -_expm1(-chi3 * th.vartheta / p)
     return _float_or_array(p_out_n), _float_or_array(p_out_f)
@@ -126,7 +123,7 @@ def outage_asymptotic(cfg: SystemConfig, mode: Mode, p: _Floats) -> tuple[_Float
     th = thresholds(cfg, mode)
     if not th.feasible:
         return _float_or_array(np.ones(p.shape)), _float_or_array(np.ones(p.shape))
-    chi1, chi2, chi3 = _chis(cfg, *comm_factors(mode))
+    chi1, chi2, chi3 = _ratio_chis(cfg, _noise_ratio(cfg, *comm_factors(mode)))
     p_out_n = chi1 * chi2 * th.theta**2 / _elementwise(lambda x: x**2, p)
     p_out_f = chi3 * th.vartheta / p
     return _float_or_array(p_out_n), _float_or_array(p_out_f)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .analytic import _LN2, _noise_ratio, _psi_brackets, sensing_rate, split_sensing_rate, sum_rate
 from .config import ISAC, SystemConfig, check_power
-from .specfun import _TILE
 
 __all__ = [
     "ContainmentReport", "RatePoint", "RegionFrontier", "containment_check", "fdsac_frontier",
@@ -19,6 +18,10 @@ __all__ = [
 
 #: Absolute slack allowed when comparing smooth rate expressions.
 CONTAINMENT_EPS = 1e-9
+#: Ratios per tile of the psi-bracket table, and about the points per block
+#: of kappa rows, so that the frontier's closed-form temporaries do not grow
+#: with the grid.
+_TILE = 8192
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,13 @@ class RegionFrontier:
     With n = fractions.size, grid point i splits at kappa = fractions[i // n]
     and mu = fractions[i % n], kappa varying slowest, and has rate_s[i] and
     rate_c[i].  pareto indexes the Pareto-maximal points, highest rate_s
-    first.  kappa and mu are the grid's split columns, built on each read.
+    first.
     """
 
     fractions: np.ndarray
     rate_s: np.ndarray
     rate_c: np.ndarray
     pareto: np.ndarray
-
-    @property
-    def kappa(self) -> np.ndarray:
-        return np.repeat(self.fractions, self.fractions.size)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return np.tile(self.fractions, self.fractions.size)
 
 
 @dataclass(frozen=True)

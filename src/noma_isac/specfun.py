@@ -26,9 +26,6 @@ EULER_GAMMA = float(np.euler_gamma)
 _SERIES_CUTOFF = 5.0
 _ASYMPTOTIC_CUTOFF = 1e16
 _MAX_ITER = 500
-#: Elements per tile of the iterative Ei branches and rows per tile of
-#: log2_det_i_plus_scaled, so that a call's temporaries stay small.
-_TILE = 8192
 
 
 def exp_int_ei(x: float | np.ndarray) -> float | np.ndarray:
@@ -87,8 +84,7 @@ def log2_det_i_plus_scaled(
     hi is the correctly rounded sum when B = 0, or when
     -d_down/2 < lo - B and lo + B < d_up/2, d being the gaps from hi to its
     float neighbours.  Other rows, rows with non-finite terms and zero sums
-    (which take fsum's sign of zero) are summed by math.fsum; rows go in
-    tiles of _TILE.
+    (which take fsum's sign of zero) are summed by math.fsum.
     """
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0):
@@ -96,10 +92,7 @@ def log2_det_i_plus_scaled(
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     if lam.size and lam[0] < 0.0:
         raise ValueError("eigenvalues must be nonnegative")
-    c_flat, sums = c.ravel(), np.empty(c.size)
-    for start in range(0, c.size, _TILE):
-        terms = np.log1p(c_flat[start : start + _TILE, None] * lam)
-        sums[start : start + _TILE] = _exact_row_sums(terms)
+    sums = _exact_row_sums(np.log1p(c.reshape(-1, 1) * lam))
     return _float_or_array((sums / math.log(2.0)).reshape(c.shape))
 
 
@@ -137,11 +130,9 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     # libm through the math module, per element, in the shape of x: numpy's
     # vectorised exp, log, expm1, log2 and power may differ from it in the
-    # last place, and the scalar results are the reference.  Per tile.
-    flat, out = x.ravel(), np.empty(x.size)
-    for start in range(0, x.size, _TILE):
-        out[start : start + _TILE] = np.fromiter(map(fn, flat[start : start + _TILE].tolist()), float)
-    return out.reshape(x.shape)
+    # last place, and the scalar results are the reference.  A memoryview
+    # yields the Python floats one at a time, where tolist would hold them all.
+    return np.fromiter(map(fn, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
 def _float_or_array(x: np.ndarray) -> float | np.ndarray:
@@ -170,65 +161,58 @@ def _ei_neg(z: np.ndarray, scaled: bool) -> np.ndarray:
 
 
 def _ei_neg_series(z: np.ndarray) -> np.ndarray:
-    # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!), per tile of _TILE
-    # until each term is at most 1e-17 of its total, tested every 8 steps and
-    # at step _MAX_ITER - 1.  Once the test holds, the total is frozen: it
+    # Ei(-z) = gamma + ln z + sum_{k>=1} (-z)^k / (k * k!), until each term
+    # is at most 1e-17 of its total, tested every 8 steps and at step
+    # _MAX_ITER - 1.  Once the test holds, the total is frozen: it
     # fails while k < z (for z >= 1, |term| >= 1/96 there and |total| < 50),
     # and from k >= z on the terms shrink, so each later one stays below 1e-17
     # of the total, under half its ulp: adding it rounds back to the total.
-    out = EULER_GAMMA + _elementwise(math.log, z)
-    for start in range(0, z.size, _TILE):
-        tile, total = z[start : start + _TILE], out[start : start + _TILE]
-        neg, c = -tile, np.ones_like(tile)
-        for k in range(1, _MAX_ITER):
-            c *= neg / k
-            term = c / k
-            total += term
-            if k % 8 == 0 or k == _MAX_ITER - 1:
-                live = ~(np.abs(term) <= 1e-17 * np.abs(total))
-                if not live.any():
-                    break
-        else:
-            raise ArithmeticError(f"Ei series did not converge at z={tile[live][0]!r}")
-    return out
+    total = EULER_GAMMA + _elementwise(math.log, z)
+    neg, c = -z, np.ones_like(z)
+    for k in range(1, _MAX_ITER):
+        c *= neg / k
+        term = c / k
+        total += term
+        if k % 8 == 0 or k == _MAX_ITER - 1:
+            live = ~(np.abs(term) <= 1e-17 * np.abs(total))
+            if not live.any():
+                return total
+    raise ArithmeticError(f"Ei series did not converge at z={z[live][0]!r}")
 
 
 def _e1_scaled_cf(z: np.ndarray, stuck: bool = False) -> np.ndarray:
-    # e^z * E1(z) by modified Lentz continued fraction, per tile of _TILE: h
-    # at the first step whose update factor delta is 1 (the floats next to 1
-    # lie more than 1e-16 from it), captured, as h is not shown to stay put
-    # after it.  For a few z above 1e8 delta sticks at 1 - 2**-53 instead;
-    # only elements that miss 1 for _MAX_ITER - 1 steps run again, stuck, to
-    # take the first step with delta at either.
+    # e^z * E1(z) by modified Lentz continued fraction: h at the first step
+    # whose update factor delta is 1 (the floats next to 1 lie more than
+    # 1e-16 from it), captured, as h is not shown to stay put after it.  For
+    # a few z above 1e8 delta sticks at 1 - 2**-53 instead; only elements
+    # that miss 1 for _MAX_ITER - 1 steps run again, stuck, to take the first
+    # step with delta at either.
     out, live = np.empty_like(z), np.ones(z.size, bool)
-    for start in range(0, z.size, _TILE):
-        result, left = out[start : start + _TILE], live[start : start + _TILE]
-        b = z[start : start + _TILE] + 1.0
-        c = np.full_like(b, 1.0 / 1e-300)
-        d = 1.0 / b
-        h, delta, hit = d.copy(), np.empty_like(b), np.empty(b.size, bool)
-        for i in range(1, _MAX_ITER):
-            # In place: b += 2, d = 1 / (a*d + b), c = b + a/c, h *= c*d.
-            a = -float(i) * float(i)
-            b += 2.0
-            d *= a
-            d += b
-            np.divide(1.0, d, out=d)
-            np.divide(a, c, out=c)
-            c += b
-            np.multiply(c, d, out=delta)
-            h *= delta
-            np.equal(delta, 1.0, out=hit)
-            if stuck:
-                hit |= delta == 1.0 - 2.0**-53
-            hit &= left
-            np.copyto(result, h, where=hit)
-            left ^= hit
-            if not left.any():
-                break
-    if live.any():
+    b = z + 1.0
+    c = np.full_like(b, 1.0 / 1e-300)
+    d = 1.0 / b
+    h, delta, hit = d.copy(), np.empty_like(b), np.empty(b.size, bool)
+    for i in range(1, _MAX_ITER):
+        # In place: b += 2, d = 1 / (a*d + b), c = b + a/c, h *= c*d.
+        a = -float(i) * float(i)
+        b += 2.0
+        d *= a
+        d += b
+        np.divide(1.0, d, out=d)
+        np.divide(a, c, out=c)
+        c += b
+        np.multiply(c, d, out=delta)
+        h *= delta
+        np.equal(delta, 1.0, out=hit)
         if stuck:
-            raise ArithmeticError(f"E1 continued fraction did not converge at z={z[live][0]!r}")
-        stalled = np.flatnonzero(live)
-        out[stalled] = _e1_scaled_cf(z[stalled], stuck=True)
+            hit |= delta == 1.0 - 2.0**-53
+        hit &= live
+        np.copyto(out, h, where=hit)
+        live ^= hit
+        if not live.any():
+            return out
+    if stuck:
+        raise ArithmeticError(f"E1 continued fraction did not converge at z={z[live][0]!r}")
+    stalled = np.flatnonzero(live)
+    out[stalled] = _e1_scaled_cf(z[stalled], stuck=True)
     return out

@@ -780,7 +780,8 @@ def _region_before_labels(cfg, p_db, grid_n, fmt):
     corner, frontier = isac_corner(cfg, p), fdsac_frontier(cfg, p, grid_n)
     report = containment_check(corner, frontier)
     verdict = "contained" if report.holds else "not contained"
-    grid_size, pareto = frontier.kappa.size, frontier.pareto
+    grid_size, pareto = frontier.rate_s.size, frontier.pareto
+    n = frontier.fractions.size
     rows = np.concatenate(([0], np.arange(1, grid_size + 1), pareto + 1))
 
     def column(at_corner, values):
@@ -794,8 +795,8 @@ def _region_before_labels(cfg, p_db, grid_n, fmt):
 
     columns = {
         "kind": np.array(["corner", "grid", "pareto"]).repeat([1, grid_size, pareto.size]),
-        "kappa": split_column(frontier.kappa),
-        "mu": split_column(frontier.mu),
+        "kappa": split_column(np.repeat(frontier.fractions, n)),
+        "mu": split_column(np.tile(frontier.fractions, n)),
         "rate_s": column(corner.rate_s, frontier.rate_s),
         "rate_c": column(corner.rate_c, frontier.rate_c),
     }

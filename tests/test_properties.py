@@ -136,10 +136,12 @@ def test_frontier_points_equal_one_point_calls(cfg, grid_n, snr_db):
     p = db_to_linear(snr_db)
     with np.errstate(all="raise", under="ignore"):
         frontier = fdsac_frontier(cfg, p, grid_n)
-        splits = list(zip(frontier.kappa.tolist(), frontier.mu.tolist()))
+        kappa = np.repeat(frontier.fractions, grid_n)
+        mu = np.tile(frontier.fractions, grid_n)
+        splits = list(zip(kappa.tolist(), mu.tolist()))
         rate_s = [split_sensing_rate(cfg, kappa, mu, [p]) for kappa, mu in splits]
         rates = [split_ergodic_rates(cfg, kappa, mu, [p]) for kappa, mu in splits]
-    assert frontier.kappa[-1] == frontier.mu[-1] == 1.0
+    assert kappa[-1] == mu[-1] == 1.0
     assert frontier.rate_s.tobytes() == np.concatenate(rate_s).tobytes()
     assert frontier.rate_c.tobytes() == np.concatenate([n + f for n, f in rates]).tobytes()
 

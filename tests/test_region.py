@@ -50,13 +50,19 @@ def _containment(cfg, p, grid_n):
     return containment_check(isac_corner(cfg, p), fdsac_frontier(cfg, p, grid_n))
 
 
+def _splits(frontier):
+    # The (kappa, mu) columns of the frontier's grid, kappa varying slowest.
+    n = frontier.fractions.size
+    return np.repeat(frontier.fractions, n), np.tile(frontier.fractions, n)
+
+
 def test_frontier_grid_includes_exact_endpoints():
     frontier = fdsac_frontier(CFG, P5, grid_n=11)
-    kappas = set(frontier.kappa.tolist())
-    mus = set(frontier.mu.tolist())
+    kappa, mu = _splits(frontier)
+    kappas, mus = set(kappa.tolist()), set(mu.tolist())
     assert 0.0 in kappas and 1.0 in kappas
     assert 0.0 in mus and 1.0 in mus
-    for values in (frontier.kappa, frontier.mu, frontier.rate_s, frontier.rate_c):
+    for values in (kappa, mu, frontier.rate_s, frontier.rate_c):
         assert values.shape == (121,)
     with pytest.raises(ValueError):
         fdsac_frontier(CFG, P5, grid_n=1)
@@ -65,7 +71,8 @@ def test_frontier_grid_includes_exact_endpoints():
 def test_full_communication_split_recovers_corner_sum_rate():
     frontier = fdsac_frontier(CFG, P5, grid_n=11)
     corner = isac_corner(CFG, P5)
-    full = np.flatnonzero((frontier.kappa == 1.0) & (frontier.mu == 1.0))
+    kappa, mu = _splits(frontier)
+    full = np.flatnonzero((kappa == 1.0) & (mu == 1.0))
     assert len(full) == 1
     assert frontier.rate_c[full[0]] == pytest.approx(corner.rate_c, abs=1e-9)
     assert frontier.rate_s[full[0]] == 0.0
@@ -74,7 +81,8 @@ def test_full_communication_split_recovers_corner_sum_rate():
 def test_full_sensing_split_recovers_corner_sensing_rate():
     frontier = fdsac_frontier(CFG, P5, grid_n=11)
     corner = isac_corner(CFG, P5)
-    zero = np.flatnonzero((frontier.kappa == 0.0) & (frontier.mu == 0.0))
+    kappa, mu = _splits(frontier)
+    zero = np.flatnonzero((kappa == 0.0) & (mu == 0.0))
     assert len(zero) == 1
     assert frontier.rate_s[zero[0]] == pytest.approx(corner.rate_s, abs=1e-9)
     assert frontier.rate_c[zero[0]] == 0.0
@@ -100,7 +108,7 @@ def test_pareto_points_come_from_the_grid():
     frontier = fdsac_frontier(CFG, P5, grid_n=11)
     pareto = frontier.pareto.tolist()
     assert len(set(pareto)) == len(pareto)
-    assert all(0 <= i < len(frontier.kappa) for i in pareto)
+    assert all(0 <= i < len(frontier.rate_s) for i in pareto)
 
 
 def _brute_force_pareto(rate_s, rate_c):
@@ -214,8 +222,7 @@ def test_frontier_blocks_equal_the_elementwise_rates(monkeypatch, tile, snr_db, 
     ecr_n, ecr_f = split_ergodic_rates(CFG, kappa, mu, np.full(kappa.shape, p))
     assert frontier.rate_s.tobytes() == split_sensing_rate(CFG, kappa, mu, p).tobytes()
     assert frontier.rate_c.tobytes() == (ecr_n + ecr_f).tobytes()
-    assert frontier.kappa.tobytes() == kappa.tobytes()
-    assert frontier.mu.tobytes() == mu.tobytes()
+    assert frontier.fractions.tobytes() == fractions.tobytes()
     assert frontier.pareto.tolist() == _pareto_subset(frontier.rate_s, frontier.rate_c).tolist()
 
 
@@ -246,8 +253,9 @@ def test_frontier_values_pinned_at_grid_21():
         439: (1.0, 0.9500000000000001, 0.0, 0.96411281049178),
         440: (1.0, 1.0, 0.0, 1.0014467328605288),
     }
+    kappa, mu = _splits(frontier)
     for i, point in pinned.items():
-        got = (frontier.kappa[i], frontier.mu[i], frontier.rate_s[i], frontier.rate_c[i])
+        got = (kappa[i], mu[i], frontier.rate_s[i], frontier.rate_c[i])
         assert got == point
     assert len(frontier.pareto) == 64
     assert frontier.pareto[:3].tolist() == [0, 22, 23]

@@ -313,18 +313,20 @@ def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
     assert np.count_nonzero(plain != np.array(expected)) > 1000
 
 
-@pytest.mark.parametrize("tile", [7, 30, 36])
-def test_log2_det_rows_equal_fsum_in_row_tiles(monkeypatch, tile):
-    # 110 rows in tiles of 7, of 30, and of 36 with the last of 2.
-    monkeypatch.setattr(specfun, "_TILE", tile)
-    c = 10.0 ** np.random.default_rng(3).uniform(-6.0, 9.0, size=(10, 11))
+def test_log2_det_rows_equal_fsum_on_2d_and_long_inputs():
+    # 110 rows as a 10 x 11 array, and 3 * 8192 + 5 rows drawn from them and
+    # from a wider range, shuffled, in one call each.
+    rng = np.random.default_rng(3)
+    c = 10.0 ** rng.uniform(-6.0, 9.0, size=(10, 11))
     lam = [5.0, 3.0, 3.5, 2.5, 1e-300, 0.0]
     assert log2_det_i_plus_scaled(c, lam).ravel().tolist() == _fsum_oracle(c.ravel(), lam)
+    wide = 10.0 ** rng.uniform(-12.0, 12.0, size=3 * 8192 + 5 - c.size)
+    long = rng.permutation(np.concatenate([c.ravel(), wide]))
+    assert log2_det_i_plus_scaled(long, lam).tolist() == _fsum_oracle(long, lam)
 
 
 def _compacting_series(z):
-    # The Ei(-z) series loop before tiling: the live elements are compacted
-    # after every term.
+    # The Ei(-z) series loop that compacts the live elements after every term.
     out = np.empty_like(z)
     idx = np.arange(z.size)
     total = EULER_GAMMA + specfun._elementwise(math.log, z)
@@ -343,7 +345,7 @@ def _compacting_series(z):
 
 
 def _compacting_fraction(z):
-    # The continued-fraction loop before tiling, compacting likewise.
+    # The continued-fraction loop, compacting likewise.
     out = np.empty_like(z)
     idx = np.arange(z.size)
     b = z + 1.0
@@ -387,34 +389,33 @@ def _kernel_arguments():
     return grid, [(grid[low], _compacting_series), (grid[mid], _compacting_fraction)], shuffled
 
 
-@pytest.mark.parametrize("tile", [7, specfun._TILE])
-def test_tiled_ei_equals_the_compacting_kernel(monkeypatch, tile):
-    monkeypatch.setattr(specfun, "_TILE", tile)
+def test_ei_equals_the_compacting_kernel():
+    # Each branch's arguments sorted, reversed and shuffled, and 3 * 8192 + 5
+    # of them drawn with repeats in random order.
     grid, branches, shuffled = _kernel_arguments()
     rng = np.random.default_rng(5)
     for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
-        for order in (z, z[::-1], rng.permutation(z)):
+        for order in (z, z[::-1], rng.permutation(z), rng.choice(z, 3 * 8192 + 5)):
             assert new(order).tobytes() == old(order).tobytes()
-    # Unsorted ratios take more steps per tile, not other bits.
+    # The order of the ratios changes no bits.
     for scaled in (True, False):
         whole = specfun._ei_neg(grid, scaled)[np.searchsorted(grid, shuffled)]
         assert specfun._ei_neg(shuffled, scaled).tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("tile", [7, specfun._TILE])
+@pytest.mark.parametrize("branch", [0, 1], ids=["series", "fraction"])
 @pytest.mark.parametrize("max_iter", [4, 12])
-def test_unconverged_ei_names_the_first_element(monkeypatch, tile, max_iter):
-    # Where an element has not converged after _MAX_ITER - 1 steps, the tiled
-    # and the compacting kernels raise and name the first such element.
-    monkeypatch.setattr(specfun, "_TILE", tile)
+def test_unconverged_ei_names_the_first_element(monkeypatch, branch, max_iter):
+    # Where an element has not converged after _MAX_ITER - 1 steps, the
+    # kernel and its compacting form raise and name the first such element.
     monkeypatch.setattr(specfun, "_MAX_ITER", max_iter)
-    _, branches, _ = _kernel_arguments()
-    for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
-        with pytest.raises(ArithmeticError) as expected:
-            old(z)
-        with pytest.raises(ArithmeticError, match="did not converge") as raised:
-            new(z)
-        assert str(raised.value) == str(expected.value)
+    z, old = _kernel_arguments()[1][branch]
+    new = (specfun._ei_neg_series, specfun._e1_scaled_cf)[branch]
+    with pytest.raises(ArithmeticError) as expected:
+        old(z)
+    with pytest.raises(ArithmeticError, match="did not converge") as raised:
+        new(z)
+    assert str(raised.value) == str(expected.value)
 
 
 #: Ratios where the continued fraction's update factor sticks at 1 - 2**-53
@@ -437,7 +438,7 @@ def test_e1_fraction_takes_delta_next_to_one_where_it_stalls():
         for v, value in zip(_STALLED, got):
             exact = mpmath.exp(v) * mpmath.e1(v)
             assert abs(value - exact) <= 3.5e-16 * exact
-    # Converging elements keep their bits next to them, in one tile.
+    # Converging elements keep their bits next to them, in one call.
     _, branches, _ = _kernel_arguments()
     mid, old = branches[1]
     at = np.searchsorted(mid, z[0])
