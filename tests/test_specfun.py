@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from noma_isac import specfun
+from noma_isac import region, specfun
 from noma_isac.config import baseline_config, db_to_linear
 from noma_isac.specfun import EULER_GAMMA, exp_int_ei, log2_det_i_plus_scaled, psi_term
 
@@ -313,15 +313,22 @@ def test_log2_det_rows_equal_fsum_on_the_baseline_region_grid():
     assert np.count_nonzero(plain != np.array(expected)) > 1000
 
 
-def test_log2_det_rows_equal_fsum_on_2d_and_long_inputs():
-    # 110 rows as a 10 x 11 array, and 3 * 8192 + 5 rows drawn from them and
-    # from a wider range, shuffled, in one call each.
+@pytest.mark.parametrize("tile", [7, 30, 36])
+def test_log2_det_rows_equal_fsum_in_row_tiles(tile):
+    # 110 rows as a 10 x 11 array in one call, and in tiles of 7, of 30, and
+    # of 36 with the last of 2, as a caller that blocks its rows passes them;
+    # and 3 * 8192 + 5 rows drawn from them and from a wider range, shuffled,
+    # in one call.
     rng = np.random.default_rng(3)
     c = 10.0 ** rng.uniform(-6.0, 9.0, size=(10, 11))
     lam = [5.0, 3.0, 3.5, 2.5, 1e-300, 0.0]
-    assert log2_det_i_plus_scaled(c, lam).ravel().tolist() == _fsum_oracle(c.ravel(), lam)
+    expected = _fsum_oracle(c.ravel(), lam)
+    assert log2_det_i_plus_scaled(c, lam).ravel().tolist() == expected
+    rows = c.ravel()
+    tiles = [log2_det_i_plus_scaled(rows[i:i + tile], lam) for i in range(0, rows.size, tile)]
+    assert np.concatenate(tiles).tolist() == expected
     wide = 10.0 ** rng.uniform(-12.0, 12.0, size=3 * 8192 + 5 - c.size)
-    long = rng.permutation(np.concatenate([c.ravel(), wide]))
+    long = rng.permutation(np.concatenate([rows, wide]))
     assert log2_det_i_plus_scaled(long, lam).tolist() == _fsum_oracle(long, lam)
 
 
@@ -389,14 +396,19 @@ def _kernel_arguments():
     return grid, [(grid[low], _compacting_series), (grid[mid], _compacting_fraction)], shuffled
 
 
-def test_ei_equals_the_compacting_kernel():
+@pytest.mark.parametrize("tile", [7, region._TILE])
+def test_tiled_ei_equals_the_compacting_kernel(tile):
     # Each branch's arguments sorted, reversed and shuffled, and 3 * 8192 + 5
-    # of them drawn with repeats in random order.
+    # of them drawn with repeats in random order, in one call and in tiles of
+    # 7 and of region's tile, as a caller that blocks its ratios passes them.
     grid, branches, shuffled = _kernel_arguments()
     rng = np.random.default_rng(5)
     for (z, old), new in zip(branches, (specfun._ei_neg_series, specfun._e1_scaled_cf)):
         for order in (z, z[::-1], rng.permutation(z), rng.choice(z, 3 * 8192 + 5)):
-            assert new(order).tobytes() == old(order).tobytes()
+            expected = old(order).tobytes()
+            assert new(order).tobytes() == expected
+            tiles = [new(order[i:i + tile]) for i in range(0, order.size, tile)]
+            assert np.concatenate(tiles).tobytes() == expected
     # The order of the ratios changes no bits.
     for scaled in (True, False):
         whole = specfun._ei_neg(grid, scaled)[np.searchsorted(grid, shuffled)]
