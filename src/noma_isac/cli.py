@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--trials", type=int, default=0, help="0 = analytic only")
             sp.add_argument("--seed", type=int, default=1)
             sp.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
-            sp.add_argument("--workers", type=int, default=1, help="threads over each block's powers")
+            sp.add_argument("--workers", type=int, default=1, help="threads over each leaf's powers")
         sp.set_defaults(func=cmd_sensing if name == "sensing" else _sweep_command)
 
     sp = sub.add_parser("region", help="rate region and containment check")

@@ -2,15 +2,15 @@
 the dense sensing mutual-information identity check, and slope fitting.
 
 Estimates are pure functions of (cfg, mode, powers, trials, seed).  Trials
-are processed in fixed-size blocks, each drawn once on the calling thread and
-shared by every power of the call; the powers of a block may be evaluated on
-`workers` threads, and partial sums are combined in block order, so the
-estimate at one power depends neither on the other powers nor on scheduling
-or worker count.  The rate kernel forms each power's per-trial rates tile by
-tile in one block-length buffer of its own, so that powers on different
-threads never share one, and sums them over the whole block: numpy's
-pairwise summation order depends on the array's length, so per-tile sums
-would change the bits.
+are processed in fixed-size blocks, and each block is walked as numpy's
+pairwise-sum tree over its trials (see _pairwise) down to small leaves.  Each
+leaf is drawn once on the calling thread and shared by every power of the
+call; the powers of a leaf may be evaluated on `workers` threads, sibling
+results are added up the tree and blocks are combined in block order, so
+the estimate at one power depends neither on the other powers nor on
+scheduling or worker count.  The rate kernel sums each leaf's per-trial
+rates with np.sum, and adding them up the tree is np.sum's own order: the
+sums are the same to the bit as the whole block's, without holding it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+#: Trials an outage leaf sorts and bisects at a time; rate leaves are _TILE.
+_NODE = 1 << 18
 _LN2 = math.log(2.0)
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -69,21 +71,36 @@ def _formulas(cfg: SystemConfig, mode: Mode, p: float):
     return own_snr, far_message_sinr, window
 
 
-def _per_block(
+def _pairwise(n: int, bound: int, leaf, start: int = 0):
+    # numpy sums n floats pairwise (Higham 1993): a node of more than 128
+    # elements splits into n2 = n // 2 - (n // 2) % 8 and n - n2, and its sum
+    # is its halves' sums added; smaller nodes are summed whole.  This walks
+    # that tree down to nodes of at most max(bound, 128) elements, calls
+    # leaf(start, count) on each in order and adds sibling results with +,
+    # so with np.sum of a slice as the leaf it gives np.sum of the whole.
+    if n <= max(bound, 128):
+        return leaf(start, n)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(half, bound, leaf, start) + _pairwise(n - half, bound, leaf, start + half)
+
+
+def _walk(
     cfg: SystemConfig,
     mode: Mode,
     p: float | np.ndarray,
     trials: int,
     seed: int,
     workers: int,
+    bound: int,
     kernel,
     no_resources,
-) -> list[list]:
-    # kernel(gain_n, gain_f) prepares a trial block and returns its per-power
-    # function.  Each block is drawn once and the powers of p, flattened, are
-    # mapped over at most `workers` threads; results come back indexed
-    # [block][power].  Without communication resources nothing is drawn: one
-    # block gives each power the all-trials result `no_resources`.
+) -> list:
+    # kernel(gain_n, gain_f) prepares a leaf of at most `bound` trials (or
+    # 128) and returns its per-power function.  Each leaf is drawn once and
+    # the powers of p, flattened, are mapped over at most `workers` threads;
+    # each block gives an array indexed [power, field] of its leaves' results
+    # added up the tree.  Without communication resources nothing is drawn:
+    # one block gives each power the all-trials result `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
@@ -97,12 +114,16 @@ def _per_block(
     # errstate sets numpy's error state, per thread, in the thread of each call.
     raising = np.errstate(over="raise", divide="raise", invalid="raise")
 
-    def at_block(start: int):
-        return raising(kernel(*gain_samples(cfg, seed, start, min(_CHUNK, trials - start))))
+    def each_block(map_) -> list:
+        def at_leaf(start: int, count: int) -> np.ndarray:
+            # Nothing keeps a leaf's function, nor its gains, past its own map.
+            at_power = raising(kernel(*gain_samples(cfg, seed, start, count)))
+            return np.array(list(map_(at_power, powers)))
 
-    def each_block(map_) -> list[list]:
-        # Nothing keeps a block's function, nor its gains, past its own map.
-        return [list(map_(at_block(start), powers)) for start in range(0, trials, _CHUNK)]
+        return [
+            _pairwise(min(_CHUNK, trials - start), bound, at_leaf, start)
+            for start in range(0, trials, _CHUNK)
+        ]
 
     threads = min(workers, len(powers))
     if threads < 2:
@@ -118,7 +139,7 @@ def _count(holds, gains: np.ndarray, width) -> int:
     # Bisection on one-element slices finds adjacent gains, false at k - 1
     # and true at k; every trial in the window of relative half-width
     # width(g) around them is evaluated, and the rest are settled (see
-    # estimate_outage).  From 1 up, that side runs to the end of the block.
+    # estimate_outage).  From 1 up, that side runs to the end of the leaf.
     k = bisect.bisect_left(
         range(gains.size), True, key=lambda i: bool(holds(gains[i : i + 1])[0])
     )
@@ -145,14 +166,14 @@ def estimate_outage(
     message clear their thresholds; a far-user trial is in outage when its
     SINR falls below the far-user threshold.  Without a sub-band or power to
     decode with, every trial is an outage.  Every power sees the same trials,
-    and up to `workers` threads evaluate a block's powers without changing a bit.
+    and up to `workers` threads evaluate a leaf's powers without changing a bit.
 
-    The counts equal those of evaluating every trial's SINRs, but each block
-    is sorted once and each power costs one bisection per user.  The near
-    user's joint event (SIC stage and own message both clear) depends only
-    on gain_n and the far user's event only on gain_f.  Each is monotone in
-    its gain up to rounding, with u = 2**-53, N the noise power and
-    s = fl(c*g) the received power, c = mu_t*p:
+    The counts equal those of evaluating every trial's SINRs, but each leaf
+    of at most _NODE trials is sorted once and each power costs one
+    bisection per user.  The near user's joint event (SIC stage and own
+    message both clear) depends only on gain_n and the far user's event only
+    on gain_f.  Each is monotone in its gain up to rounding, with u = 2**-53,
+    N the noise power and s = fl(c*g) the received power, c = mu_t*p:
 
     - The own SNR fl(fl(s*alpha_n)/N) is a chain of monotone roundings, so
       its event is exactly monotone.
@@ -176,13 +197,14 @@ def estimate_outage(
       the same argument settles it below.
     - Where w >= 1 (e tiny: the SINR flat against its ceiling, as with an
       infeasible allocation) or an operand is subnormal, that side of the
-      window runs to the end of the block, so the count is the per-trial
+      window runs to the end of the leaf, so the count is the per-trial
       count on the same path.
 
     The bisections use the per-trial formulas only, never the closed form's
-    thresholds, so the estimate stays an independent check of them.  The
-    largest gains are evaluated first: a received power that overflows on
-    any trial overflows there and raises FloatingPointError.
+    thresholds, so the estimate stays an independent check of them.  Each
+    leaf's largest gains are evaluated first: a received power that
+    overflows on any of its trials overflows there and raises
+    FloatingPointError.
     """
     th = thresholds(cfg, mode)
 
@@ -209,7 +231,8 @@ def estimate_outage(
 
         return at_power
 
-    blocks = _per_block(cfg, mode, p, trials, seed, workers, outages, (trials, trials))
+    # Counts are exact, so any partition of the trials gives the same ones.
+    blocks = _walk(cfg, mode, p, trials, seed, workers, _NODE, outages, (trials, trials))
     # Counted as floats, so that an all-trials count beyond int64 still divides.
     value = np.sum(blocks, axis=0, dtype=float).reshape(-1, 2).T / trials
     std_error = np.sqrt(value * (1.0 - value) / trials)
@@ -225,18 +248,16 @@ def estimate_ecr(
     The shapes and `workers` are as for estimate_outage."""
     kappa_t, _ = comm_factors(mode)
 
-    def block_sums(gain_n: np.ndarray, gain_f: np.ndarray):
+    def leaf_sums(gain_n: np.ndarray, gain_f: np.ndarray):
         def rate_sums(p: float) -> tuple[float, ...]:
             # The SIC stage sets no rate: only the users' own SINRs are formed.
             own_snr, far_message_sinr, _ = _formulas(cfg, mode, p)
             v = np.empty(gain_n.size)
             sums = []
             for sinr, gains in ((own_snr, gain_n), (far_message_sinr, gain_f)):
-                for lo in range(0, gains.size, _TILE):
-                    tile = v[lo : lo + _TILE]
-                    np.log1p(sinr(gains[lo : lo + _TILE]), out=tile)
-                    np.multiply(kappa_t, tile, out=tile)
-                    np.divide(tile, _LN2, out=tile)
+                np.log1p(sinr(gains), out=v)
+                np.multiply(kappa_t, v, out=v)
+                np.divide(v, _LN2, out=v)
                 sums.append(float(np.sum(v)))
                 np.multiply(v, v, out=v)
                 sums.append(float(np.sum(v)))
@@ -245,7 +266,7 @@ def estimate_ecr(
         return rate_sums
 
     # Each (power, field) adds up its blocks in block order, exactly rounded.
-    blocks = _per_block(cfg, mode, p, trials, seed, workers, block_sums, (0.0,) * 4)
+    blocks = _walk(cfg, mode, p, trials, seed, workers, _TILE, leaf_sums, (0.0,) * 4)
     sums = np.array([[math.fsum(field) for field in zip(*at_power)] for at_power in zip(*blocks)])
     total, sq_total = sums.reshape(-1, 2, 2).T
     value = total / trials

@@ -92,39 +92,60 @@ def log2_det_i_plus_scaled(
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     if lam.size and lam[0] < 0.0:
         raise ValueError("eigenvalues must be nonnegative")
-    sums = _exact_row_sums(np.log1p(c.reshape(-1, 1) * lam))
+    terms = c.reshape(-1, 1) * lam
+    sums = _exact_row_sums(np.log1p(terms, out=terms))
     return _float_or_array((sums / math.log(2.0)).reshape(c.shape))
 
 
 def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
     # math.fsum of each row of a 2-D array, bit for bit; see
-    # log2_det_i_plus_scaled for the rule.
+    # log2_det_i_plus_scaled for the rule.  The cascade steps in seven
+    # row-length buffers: the running sums s and e, a spare that takes each
+    # next one in turn, the errors q and g, one scratch row and the bound.
     rows, m = terms.shape
     if m == 0:
         return np.zeros(rows)
-    s, e, bound = terms[:, 0], np.zeros(rows), np.zeros(rows)
+    s, spare, q, g, scratch = (np.empty(rows) for _ in range(5))
+    e, bound = np.zeros(rows), np.zeros(rows)
+    s[:] = terms[:, 0]
     with np.errstate(invalid="ignore"):  # inf - inf: those rows go to fsum
         for i in range(1, m):
-            s, q = _two_sum(s, terms[:, i])
-            e, g = _two_sum(e, q)
-            bound += np.abs(g)
-        hi, lo = _two_sum(s, e)
+            _two_sum(s, terms[:, i], spare, q, scratch)
+            s, spare = spare, s
+            _two_sum(e, q, spare, g, scratch)
+            e, spare = spare, e
+            bound += np.abs(g, out=g)
+        _two_sum(s, e, spare, q, scratch)
+        hi, lo, d_up, d_down = spare, q, s, e
         bound *= 2.0
-        d_up = np.nextafter(hi, math.inf) - hi
-        d_down = hi - np.nextafter(hi, -math.inf)
+        np.nextafter(hi, math.inf, out=d_up)
+        d_up -= hi
+        np.nextafter(hi, -math.inf, out=d_down)
+        np.subtract(hi, d_down, out=d_down)
         # Rounding is monotone and d/2 is a float (or rounds to 0, the safe
-        # side), so a comparison that holds in floats holds exactly.
-        exact = (bound == 0.0) | ((lo + bound < d_up / 2.0) & (lo - bound > -d_down / 2.0))
-    redo = np.flatnonzero(~(exact & (hi != 0.0) & np.isfinite(hi)))
+        # side), so a comparison that holds in floats holds exactly:
+        # |lo| + B stays inside half the gap on either side.
+        d_up /= 2.0
+        d_down /= -2.0
+        exact = np.less(np.add(lo, bound, out=scratch), d_up)
+        exact &= np.greater(np.subtract(lo, bound, out=scratch), d_down)
+        exact |= bound == 0.0
+    exact &= hi != 0.0
+    exact &= np.isfinite(hi)
+    redo = np.flatnonzero(~exact)
     hi[redo] = [math.fsum(row) for row in terms[redo].tolist()]
     return hi
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # s + err == a + b exactly, with s = fl(a + b) (Knuth's TwoSum).
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
+def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray, scratch: np.ndarray):
+    # s + err == a + b exactly, with s = fl(a + b) (Knuth's TwoSum), written
+    # into s and err; s, err and scratch must not overlap a or b.
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=err)  # b_virtual
+    np.subtract(s, err, out=scratch)
+    np.subtract(a, scratch, out=scratch)
+    np.subtract(b, err, out=err)
+    err += scratch
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -186,8 +207,11 @@ def _e1_scaled_cf(z: np.ndarray, stuck: bool = False) -> np.ndarray:
     # 1e-16 from it), captured, as h is not shown to stay put after it.  For
     # a few z above 1e8 delta sticks at 1 - 2**-53 instead; only elements
     # that miss 1 for _MAX_ITER - 1 steps run again, stuck, to take the first
-    # step with delta at either.
-    out, live = np.empty_like(z), np.ones(z.size, bool)
+    # step with delta at either.  Once at most half the stepped elements are
+    # live, the live ones move to the front and only they step on, with
+    # their places in `at` (None before the first move): each element's
+    # recurrence is its own, so no bit changes.
+    out, at, live = np.empty_like(z), None, np.ones(z.size, bool)
     b = z + 1.0
     c = np.full_like(b, 1.0 / 1e-300)
     d = 1.0 / b
@@ -207,12 +231,21 @@ def _e1_scaled_cf(z: np.ndarray, stuck: bool = False) -> np.ndarray:
         if stuck:
             hit |= delta == 1.0 - 2.0**-53
         hit &= live
-        np.copyto(out, h, where=hit)
+        got = np.flatnonzero(hit)
+        out[got if at is None else at[got]] = h[got]
         live ^= hit
-        if not live.any():
+        left = np.count_nonzero(live)
+        if not left:
             return out
+        if 2 * left <= live.size:
+            keep = np.flatnonzero(live)
+            at = keep if at is None else at[keep]
+            for v in (b, c, d, h):
+                v[:left] = v[keep]
+            b, c, d, h, delta, hit, live = (v[:left] for v in (b, c, d, h, delta, hit, live))
+            live[:] = True
+    stalled = np.flatnonzero(live) if at is None else at[live]
     if stuck:
-        raise ArithmeticError(f"E1 continued fraction did not converge at z={z[live][0]!r}")
-    stalled = np.flatnonzero(live)
+        raise ArithmeticError(f"E1 continued fraction did not converge at z={z[stalled][0]!r}")
     out[stalled] = _e1_scaled_cf(z[stalled], stuck=True)
     return out

@@ -650,7 +650,7 @@ def test_region_json_document(cfg_file, tmp_path):
 # -------------------------------------------------------------- determinism
 
 def test_outputs_are_byte_deterministic(cfg_file, tmp_path):
-    # Seven points; each block's powers run on one, two or four threads.
+    # Seven points; each leaf's powers run on one, two or four threads.
     args = [
         "outage", "--config", cfg_file, "--trials", "30000", "--seed", "4",
         "--snr-db-max", "30",

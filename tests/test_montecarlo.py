@@ -214,7 +214,12 @@ def test_empty_grid_on_threads_is_empty(estimator):
 @pytest.mark.parametrize("estimator", [estimate_outage, estimate_ecr])
 @pytest.mark.parametrize("mode,blocks", [(ISAC, 3), (HALF_SPLIT, 3), (fdsac(0.0, 0.5), 0)])
 def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks):
+    # Blocks of 1000 trials, the last one partial, each walked down to
+    # leaves of at most 300: the draws cover [0, 2500) once, in order, and
+    # no leaf crosses a block boundary.
     monkeypatch.setattr(mc, "_CHUNK", 1000)
+    monkeypatch.setattr(mc, "_TILE", 300)
+    monkeypatch.setattr(mc, "_NODE", 300)
     draws = []
 
     def counting(cfg, seed, start, count):
@@ -223,7 +228,31 @@ def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks)
 
     monkeypatch.setattr(mc, "gain_samples", counting)
     estimator(CFG, mode, [db_to_linear(snr_db) for snr_db in range(0, 45, 5)], trials=2500, seed=3)
-    assert draws == [(0, 1000), (1000, 1000), (2000, 500)][:blocks]
+    if not blocks:
+        assert draws == []
+        return
+    ends = [start + count for start, count in draws]
+    assert [start for start, _ in draws] == [0] + ends[:-1] and ends[-1] == 2500
+    assert all(0 < count <= 300 and start // 1000 == (start + count - 1) // 1000 for start, count in draws)
+    assert {0, 1000, 2000} <= {start for start, _ in draws}
+
+
+_PRIME = 262147  # the least prime above 2**18
+
+
+@pytest.mark.parametrize("bound", [1, 7, 128, 300, mc._TILE, mc._NODE])
+def test_pairwise_walk_is_numpys_summation_order(bound):
+    # numpy's pairwise split, pinned: walking its tree down to leaves of at
+    # most `bound` (or 128) elements and adding np.sum of each leaf equals
+    # np.sum of the whole, bit for bit.  Squared Cauchy variates span many
+    # binades, so any other order of additions rounds differently.
+    rng = np.random.default_rng(bound)
+    lengths = [*range(1, 301), 10**6, 1 << 20, 3 * (1 << 14) + 5, _PRIME]
+    lengths += [n for b in (bound, mc._TILE, mc._NODE) for n in (b - 1, b, b + 1, 2 * b + 8) if n > 0]
+    for n in lengths:
+        a = rng.standard_cauchy(n) ** 2
+        walked = mc._pairwise(n, bound, lambda start, count: np.sum(a[start : start + count]))
+        assert walked.tobytes() == np.sum(a).tobytes(), n
 
 
 def test_estimate_outage_single_threshold_reduction():
@@ -453,7 +482,7 @@ def test_estimate_ecr_equals_per_trial_rates(monkeypatch, mode):
 
 def _whole_block_rates(cfg, mode, powers, trials, seed):
     # Each block's rates formed whole, summed and squared, the block sums
-    # combined by fsum: the estimates the tiled kernel must reproduce, as
+    # combined by fsum: the estimates the leaf walk must reproduce, as
     # (value, std_error) columns.
     kappa_t, _ = comm_factors(mode)
     value, std_error = np.empty((2, len(powers))), np.empty((2, len(powers)))
@@ -476,8 +505,8 @@ def _whole_block_rates(cfg, mode, powers, trials, seed):
 @pytest.mark.parametrize("tile,chunk", [(mc._TILE, 3 * mc._TILE + 5), (7, 1000)])
 @pytest.mark.parametrize("mode", [ISAC, fdsac(0.3, 0.7)], ids=["isac", "split"])
 def test_estimate_ecr_equals_whole_block_rates(monkeypatch, workers, tile, chunk, mode):
-    # Blocks that are no multiple of the tile, the last one partial, so
-    # that a tile ends inside every block.
+    # Blocks that are no multiple of the rate leaf bound, the last one
+    # partial, so that the walk splits every block into uneven leaves.
     monkeypatch.setattr(mc, "_TILE", tile)
     monkeypatch.setattr(mc, "_CHUNK", chunk)
     trials = 2 * chunk + 1234
@@ -488,6 +517,8 @@ def test_estimate_ecr_equals_whole_block_rates(monkeypatch, workers, tile, chunk
 
 
 _BLOCK_BYTES = 8 << 20  # one float64 array of 2**20 trials
+_TILE_BYTES = 8 * mc._TILE  # one float64 array of a rate leaf
+_NODE_BYTES = 8 * mc._NODE  # one float64 array of an outage leaf
 
 
 def _traced_peak(call) -> int:
@@ -500,23 +531,33 @@ def _traced_peak(call) -> int:
 
 
 @pytest.mark.parametrize(
-    "call,arrays",
+    "call,bound",
     [
-        (lambda n: gain_samples(CFG, 1, 0, n), 2),
-        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 2),
-        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 3),
-        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2), 4),
-        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1, workers=2), 2),
-        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1), 3),
+        (lambda n: gain_samples(CFG, 1, 0, n), 2 * _BLOCK_BYTES + (2 << 20)),
+        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 3 * _NODE_BYTES),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 12 * _TILE_BYTES),
+        (
+            lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2),
+            16 * _TILE_BYTES,
+        ),
+        (
+            lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1, workers=2),
+            3 * _NODE_BYTES,
+        ),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1), 12 * _TILE_BYTES),
     ],
     ids=["gain_samples", "outage", "ecr", "ecr_2_workers", "outage_3_blocks", "ecr_3_blocks"],
 )
-def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, arrays):
-    # A block's two gain arrays, plus one rate buffer per power in flight,
-    # plus at most 2 MiB of tiles, however many blocks the call draws.  The first, small call leaves out
-    # allocations that numpy makes once per process.
+def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, bound):
+    # gain_samples returns two arrays of the trials asked for and holds at
+    # most 2 MiB of tiles while it draws them.  The estimators hold one leaf
+    # at a time, so their bounds are the same at 2**20 and 3 * 2**20 trials:
+    # an outage leaf's two gain arrays and at most one leaf array more; a
+    # rate leaf's draw (eight leaf arrays), plus per power in flight a rate
+    # buffer and up to three temporaries of the leaf.  The first, small call
+    # leaves out allocations that numpy makes once per process.
     call(100)
-    assert _traced_peak(lambda: call(1 << 20)) < arrays * _BLOCK_BYTES + (2 << 20)
+    assert _traced_peak(lambda: call(1 << 20)) < bound
 
 
 def test_estimate_ecr_vanishes_at_low_power():

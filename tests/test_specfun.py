@@ -459,6 +459,18 @@ def test_e1_fraction_takes_delta_next_to_one_where_it_stalls():
     assert mixed[at : at + z.size].tolist() == got
 
 
+def test_stalled_ratios_leave_a_call_equal_to_per_element_calls():
+    # The fraction steps on with the live elements only once at most half
+    # are live, so a call that holds every stalled ratio among 1000 others
+    # gives each ratio the bits of its own call.
+    rng = np.random.default_rng(6)
+    z = rng.permutation(np.concatenate([np.geomspace(5.5, 1e15, 1000), _STALLED]))
+    assert psi_term(z, 1.0).tolist() == [psi_term(v, 1.0) for v in z.tolist()]
+    assert specfun._e1_scaled_cf(z).tolist() == [
+        specfun._e1_scaled_cf(np.array([v]))[0] for v in z.tolist()
+    ]
+
+
 def test_psi_term_repeated_ratios_match_scalar_calls():
     chi = np.array([[1.0, 2.0, 1.0], [3.0, 2.0, 1.0], [1e-8, 1e20, 1e-8]])
     scale = np.array([1.0, 2.0, 1.0])
