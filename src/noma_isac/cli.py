@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--trials", type=int, default=0, help="0 = analytic only")
             sp.add_argument("--seed", type=int, default=1)
             sp.add_argument("--mode", choices=("isac", "fdsac"), default="isac")
-            sp.add_argument("--workers", type=int, default=1, help="threads over each leaf's powers")
+            sp.add_argument("--workers", type=int, default=1, help="threads over leaves")
         sp.set_defaults(func=cmd_sensing if name == "sensing" else _sweep_command)
 
     sp = sub.add_parser("region", help="rate region and containment check")
@@ -608,7 +608,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArithmeticError as exc:
         # Overflow, division by zero, nan or non-convergence, at inputs the
         # formulas cannot carry, such as --snr-db-max 1545 or a subnormal sigma2_c.
-        print(f"error: {_inputs_in_effect(args)}: out of range: {exc}", file=sys.stderr)
+        # Python's float ** raises with (errno, text): the text is printed alone.
+        reason = exc.args[-1] if exc.args else exc
+        print(f"error: {_inputs_in_effect(args)}: out of range: {reason}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # A grid too large for this host, such as region --grid-n 50000.

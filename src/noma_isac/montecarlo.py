@@ -3,21 +3,23 @@ the dense sensing mutual-information identity check, and slope fitting.
 
 Estimates are pure functions of (cfg, mode, powers, trials, seed).  Trials
 are processed in fixed-size blocks, and each block is walked as numpy's
-pairwise-sum tree over its trials (see _pairwise) down to small leaves.  Each
-leaf is drawn once on the calling thread and shared by every power of the
-call; the powers of a leaf may be evaluated on `workers` threads, sibling
-results are added up the tree and blocks are combined in block order, so
-the estimate at one power depends neither on the other powers nor on
-scheduling or worker count.  The rate kernel sums each leaf's per-trial
-rates with np.sum, and adding them up the tree is np.sum's own order: the
-sums are the same to the bit as the whole block's, without holding it.
+pairwise-sum tree over its trials (see _pairwise) down to leaves of at most
+_TILE trials.  Each leaf is drawn once on the calling thread, in trial order,
+and shared by every power of the call; its evaluation at every power is one
+task, and up to `workers` threads run such tasks.  Sibling results are added
+up the tree in order and blocks are combined in block order, so the
+estimate at one power depends neither on the other powers nor on scheduling
+or worker count.  The rate kernel sums each leaf's per-trial rates with
+np.sum, and adding them up the tree is np.sum's own order: the sums are the
+same to the bit as the whole block's, without holding it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
+from collections import deque
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +34,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
-#: Trials an outage leaf sorts and bisects at a time; rate leaves are _TILE.
-_NODE = 1 << 18
+#: Trials an outage task evaluates at a time, so that its temporaries stay small.
+_PIECE = 1 << 11
 _LN2 = math.log(2.0)
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -84,6 +86,19 @@ def _pairwise(n: int, bound: int, leaf, start: int = 0):
     return _pairwise(half, bound, leaf, start) + _pairwise(n - half, bound, leaf, start + half)
 
 
+def _in_order(pool, tasks, depth: int):
+    # The results of the tasks, in order, with at most `depth` of them
+    # submitted to the pool and not yet taken: once `depth` are, the oldest
+    # is waited for before the next task is taken from the iterator.
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.submit(task))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _walk(
     cfg: SystemConfig,
     mode: Mode,
@@ -91,68 +106,75 @@ def _walk(
     trials: int,
     seed: int,
     workers: int,
-    bound: int,
     kernel,
     no_resources,
 ) -> list:
-    # kernel(gain_n, gain_f) prepares a leaf of at most `bound` trials (or
-    # 128) and returns its per-power function.  Each leaf is drawn once and
-    # the powers of p, flattened, are mapped over at most `workers` threads;
-    # each block gives an array indexed [power, field] of its leaves' results
-    # added up the tree.  Without communication resources nothing is drawn:
-    # one block gives each power the all-trials result `no_resources`.
+    # kernel(powers), for the powers of p flattened, returns the function
+    # that the calling thread applies to each leaf's gains (gain_n, gain_f)
+    # as it draws them, in trial order.  That gives the leaf's task, whose
+    # result is an array indexed [power, field].  At most `workers` tasks,
+    # and no more than there are leaves, run at a time, each on a thread of
+    # its own, so a leaf is held from its draw until its task ends.  Each
+    # block gives its leaves' results added up the tree.  Without powers, or
+    # without communication resources, nothing is drawn: one block gives
+    # each power the all-trials result `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     powers = check_power(p).ravel().tolist()
-    if not has_comm_resources(*comm_factors(mode)):
+    if not (powers and has_comm_resources(*comm_factors(mode))):
         return [[no_resources] * len(powers)]
 
+    prepare = kernel(powers)
     # An overflowing received power, or a noise power rounded to 0, raises
     # FloatingPointError rather than passing on inf or nan.  As a decorator,
-    # errstate sets numpy's error state, per thread, in the thread of each call.
+    # errstate sets numpy's error state, per thread, in the thread of each task.
     raising = np.errstate(over="raise", divide="raise", invalid="raise")
+    blocks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
+    # Lists add up by joining: the leaves (offset, count) of a block of n
+    # trials in walk order, for the one or two sizes the blocks have.
+    spans = {n: _pairwise(n, _TILE, lambda *leaf: [leaf]) for _, n in blocks}
+    leaves = ((start + offset, count) for start, n in blocks for offset, count in spans[n])
 
-    def each_block(map_) -> list:
-        def at_leaf(start: int, count: int) -> np.ndarray:
-            # Nothing keeps a leaf's function, nor its gains, past its own map.
-            at_power = raising(kernel(*gain_samples(cfg, seed, start, count)))
-            return np.array(list(map_(at_power, powers)))
+    def task(leaf: tuple):
+        return raising(prepare(*gain_samples(cfg, seed, *leaf)))
 
-        return [
-            _pairwise(min(_CHUNK, trials - start), bound, at_leaf, start)
-            for start in range(0, trials, _CHUNK)
-        ]
+    def added_up(results) -> list:
+        return [_pairwise(n, _TILE, lambda *_: next(results), start) for start, n in blocks]
 
-    threads = min(workers, len(powers))
+    threads = min(workers, sum(len(spans[n]) for _, n in blocks))
     if threads < 2:
-        return each_block(map)
+        return added_up(task(leaf)() for leaf in leaves)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads) as pool:
-        return each_block(pool.map)
+        return added_up(_in_order(pool, map(task, leaves), threads))
 
 
-def _count(holds, gains: np.ndarray, width) -> int:
-    # Number of the ascending `gains` at which the per-trial event holds.
-    # Bisection on one-element slices finds adjacent gains, false at k - 1
-    # and true at k; every trial in the window of relative half-width
-    # width(g) around them is evaluated, and the rest are settled (see
-    # estimate_outage).  From 1 up, that side runs to the end of the leaf.
-    k = bisect.bisect_left(
-        range(gains.size), True, key=lambda i: bool(holds(gains[i : i + 1])[0])
-    )
-    lo, hi = 0, gains.size
-    if k > 0:
-        w = width(float(gains[k - 1]))
-        if w < 1.0:
-            lo = int(np.searchsorted(gains, gains[k - 1] * (1.0 - w)))
-    if k < gains.size:
-        w = width(float(gains[k]))
-        if w < 1.0:
-            hi = int(np.searchsorted(gains, gains[k] * (1.0 + w), side="right"))
-    return gains.size - hi + int(np.count_nonzero(holds(gains[lo:hi])))
+def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
+    # Per power k, the number of the ascending `gains` at which the event
+    # holds[k] holds: those above cuts[k, 1] hold and those below cuts[k, 0]
+    # fail (see estimate_outage).  The event is evaluated at the rest,
+    # _PIECE at a time, and the smallest gain where it holds and the largest
+    # where it fails tighten the cuts, by their windows window[k].  Threads
+    # share `cuts` without a lock: each cut is one float, and an update that
+    # a race loses leaves a looser cut, which is as valid, so no count
+    # depends on the race.
+    lo = np.searchsorted(gains, cuts[:, 0])
+    hi = np.searchsorted(gains, cuts[:, 1], side="right")
+    held = gains.size - hi
+    for k in np.flatnonzero(lo < hi):
+        between = gains[lo[k] : hi[k]]
+        ok = np.concatenate([holds[k](between[i : i + _PIECE]) for i in range(0, between.size, _PIECE)])
+        held[k] += np.count_nonzero(ok)
+        g = float(np.min(between, where=ok, initial=math.inf))
+        if g < math.inf and (w := window[k](g)) < 1.0:
+            cuts[k, 1] = min(cuts[k, 1], g * (1.0 + w))
+        g = float(np.max(between, where=~ok, initial=-math.inf))
+        if g > -math.inf and (w := window[k](g)) < 1.0:
+            cuts[k, 0] = max(cuts[k, 0], g * (1.0 - w))
+    return held
 
 
 def estimate_outage(
@@ -166,14 +188,16 @@ def estimate_outage(
     message clear their thresholds; a far-user trial is in outage when its
     SINR falls below the far-user threshold.  Without a sub-band or power to
     decode with, every trial is an outage.  Every power sees the same trials,
-    and up to `workers` threads evaluate a leaf's powers without changing a bit.
+    and up to `workers` threads evaluate whole leaves without changing a bit.
 
-    The counts equal those of evaluating every trial's SINRs, but each leaf
-    of at most _NODE trials is sorted once and each power costs one
-    bisection per user.  The near user's joint event (SIC stage and own
-    message both clear) depends only on gain_n and the far user's event only
-    on gain_f.  Each is monotone in its gain up to rounding, with u = 2**-53,
-    N the noise power and s = fl(c*g) the received power, c = mu_t*p:
+    The counts equal those of evaluating every trial's SINRs, but most
+    trials are settled by comparing their gains with two cuts that each
+    power and user carries from leaf to leaf: a task sorts its leaf's gains
+    in place and finds every power's cuts in them by binary search.  The
+    near user's joint event (SIC stage and own message both clear) depends
+    only on gain_n and the far user's event only on gain_f.  Each is
+    monotone in its gain up to rounding, with u = 2**-53, N the noise power
+    and s = fl(c*g) the received power, c = mu_t*p:
 
     - The own SNR fl(fl(s*alpha_n)/N) is a chain of monotone roundings, so
       its event is exactly monotone.
@@ -185,9 +209,9 @@ def estimate_outage(
       With w = 8*(4u/e + 2u) at a gain, every gain beyond a factor 1 +- w
       of it moves ln f by at least 16u.
 
-    Bisection finds adjacent gains g_lo, where the user's event is false,
-    and g_hi, where it is true; only the gains between g_lo*(1 - w) and
-    g_hi*(1 + w) are evaluated per trial, and the rest are settled:
+    So any drawn gain g_lo at which the user's event fails and any drawn
+    gain g_hi at which it holds, adjacent or not, settle every trial outside
+    g_lo*(1 - w) .. g_hi*(1 + w), each with its own w:
 
     - Above g_hi*(1 + w), the far-message event holds by the argument above,
       and so does the own SNR's, as it is exactly monotone.
@@ -196,43 +220,66 @@ def estimate_outage(
       and then it fails at every smaller gain, or the SIC stage's does, and
       the same argument settles it below.
     - Where w >= 1 (e tiny: the SINR flat against its ceiling, as with an
-      infeasible allocation) or an operand is subnormal, that side of the
-      window runs to the end of the leaf, so the count is the per-trial
-      count on the same path.
+      infeasible allocation) or an operand is subnormal, a gain gives no
+      cut on that side.
 
-    The bisections use the per-trial formulas only, never the closed form's
-    thresholds, so the estimate stays an independent check of them.  Each
-    leaf's largest gains are evaluated first: a received power that
-    overflows on any of its trials overflows there and raises
-    FloatingPointError.
+    The cuts start at -inf and +inf, so the first leaf is evaluated whole.
+    The trials of a leaf between the cuts are evaluated per trial, and the
+    smallest holding and the largest failing gain among them tighten the
+    cuts for later leaves.  Every cut ever set is valid, so a cut read while
+    another leaf tightens it gives the same counts.  The evaluations use the
+    per-trial formulas only, never the closed form's thresholds, so the
+    estimate stays an independent check of them.  A leaf whose largest gain
+    of a user is the largest drawn so far is first evaluated there, at every
+    power: a received power that overflows on any trial overflows there, on
+    the first such leaf, and raises FloatingPointError.
     """
     th = thresholds(cfg, mode)
 
-    def outages(gain_n: np.ndarray, gain_f: np.ndarray):
-        gain_n.sort()
-        gain_f.sort()
+    def events(p: float):
+        own_snr, far_message_sinr, window = _formulas(cfg, mode, p)
 
-        def at_power(p: float) -> tuple[int, int]:
-            own_snr, far_message_sinr, window = _formulas(cfg, mode, p)
+        def near_ok(g):
+            return (far_message_sinr(g) > th.gamma_bar_f) & (own_snr(g) > th.gamma_bar_n)
 
-            def near_ok(g):
-                return (far_message_sinr(g) > th.gamma_bar_f) & (own_snr(g) > th.gamma_bar_n)
+        def far_ok(g):
+            return far_message_sinr(g) >= th.gamma_bar_f
 
-            def far_ok(g):
-                return far_message_sinr(g) >= th.gamma_bar_f
+        return near_ok, far_ok, window
 
-            # If the received power overflows on any trial, it does on the largest gains.
-            near_ok(gain_n[-1:])
-            far_ok(gain_f[-1:])
-            return (
-                gain_n.size - _count(near_ok, gain_n, window),
-                gain_f.size - _count(far_ok, gain_f, window),
-            )
+    def outages(powers: list):
+        near, far, window = zip(*map(events, powers))
+        # Per user and power, the cuts (lo, hi), which worker threads tighten.
+        cuts = np.tile([-math.inf, math.inf], (2, len(powers), 1))
+        peaks = [-math.inf, -math.inf]  # each user's largest gain drawn so far
 
-        return at_power
+        def count(gains: tuple, new_peaks: tuple) -> np.ndarray:
+            for g in gains:
+                g.sort()
+            for k in range(len(powers)):
+                for holds, g, new in zip((near, far), gains, new_peaks):
+                    if new:
+                        holds[k](g[-1:])
+            return np.stack([
+                g.size - _held(holds, g, user_cuts, window)
+                for holds, g, user_cuts in zip((near, far), gains, cuts)
+            ], axis=-1)
+
+        def prepare(gain_n: np.ndarray, gain_f: np.ndarray):
+            # Each user's gains are evaluated at their largest first if it is
+            # the largest drawn so far.  That is found here, on the calling
+            # thread in trial order, so the threads do not change which.
+            new_peaks = []
+            for user, g in enumerate((gain_n, gain_f)):
+                top = float(g.max())
+                new_peaks.append(top > peaks[user])
+                peaks[user] = max(peaks[user], top)
+            return partial(count, (gain_n, gain_f), tuple(new_peaks))
+
+        return prepare
 
     # Counts are exact, so any partition of the trials gives the same ones.
-    blocks = _walk(cfg, mode, p, trials, seed, workers, _NODE, outages, (trials, trials))
+    blocks = _walk(cfg, mode, p, trials, seed, workers, outages, (trials, trials))
     # Counted as floats, so that an all-trials count beyond int64 still divides.
     value = np.sum(blocks, axis=0, dtype=float).reshape(-1, 2).T / trials
     std_error = np.sqrt(value * (1.0 - value) / trials)
@@ -248,25 +295,29 @@ def estimate_ecr(
     The shapes and `workers` are as for estimate_outage."""
     kappa_t, _ = comm_factors(mode)
 
-    def leaf_sums(gain_n: np.ndarray, gain_f: np.ndarray):
-        def rate_sums(p: float) -> tuple[float, ...]:
-            # The SIC stage sets no rate: only the users' own SINRs are formed.
-            own_snr, far_message_sinr, _ = _formulas(cfg, mode, p)
-            v = np.empty(gain_n.size)
-            sums = []
-            for sinr, gains in ((own_snr, gain_n), (far_message_sinr, gain_f)):
-                np.log1p(sinr(gains), out=v)
-                np.multiply(kappa_t, v, out=v)
-                np.divide(v, _LN2, out=v)
-                sums.append(float(np.sum(v)))
-                np.multiply(v, v, out=v)
-                sums.append(float(np.sum(v)))
-            return tuple(sums)
+    def leaf_sums(powers: list):
+        # The SIC stage sets no rate: only the users' own SINRs are formed.
+        sinrs = [_formulas(cfg, mode, p)[:2] for p in powers]
 
-        return rate_sums
+        def rate_sums(gain_n: np.ndarray, gain_f: np.ndarray) -> np.ndarray:
+            v = np.empty(gain_n.size)
+            rows = []
+            for own_snr, far_message_sinr in sinrs:
+                sums = []
+                for sinr, gains in ((own_snr, gain_n), (far_message_sinr, gain_f)):
+                    np.log1p(sinr(gains), out=v)
+                    np.multiply(kappa_t, v, out=v)
+                    np.divide(v, _LN2, out=v)
+                    sums.append(float(np.sum(v)))
+                    np.multiply(v, v, out=v)
+                    sums.append(float(np.sum(v)))
+                rows.append(sums)
+            return np.array(rows)
+
+        return lambda gain_n, gain_f: partial(rate_sums, gain_n, gain_f)
 
     # Each (power, field) adds up its blocks in block order, exactly rounded.
-    blocks = _walk(cfg, mode, p, trials, seed, workers, _TILE, leaf_sums, (0.0,) * 4)
+    blocks = _walk(cfg, mode, p, trials, seed, workers, leaf_sums, (0.0,) * 4)
     sums = np.array([[math.fsum(field) for field in zip(*at_power)] for at_power in zip(*blocks)])
     total, sq_total = sums.reshape(-1, 2, 2).T
     value = total / trials

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -266,6 +267,15 @@ def test_out_of_range_options_exit_one(cfg_file, capsys, argv, option):
         assert err.startswith("error: --snr-db-max ") and f", {option} {argv[4]}, " in err
     else:
         assert err.startswith(f"error: {option} ")
+
+
+def test_squared_power_overflow_prints_the_reason_alone(cfg_file, capsys):
+    # Python's float ** raises OverflowError with (errno, text) above about
+    # 1541 dB, where p**2 in the outage asymptote overflows.
+    rc = main(["outage", "--config", cfg_file, "--snr-db-min", "1600", "--snr-db-max", "1600"])
+    assert rc == 1
+    inputs = f"--snr-db-max 1600.0 dB, --snr-db-min 1600.0 dB, --config {cfg_file}"
+    assert capsys.readouterr() == ("", f"error: {inputs}: out of range: Numerical result out of range\n")
 
 
 @pytest.mark.parametrize(
@@ -843,6 +853,22 @@ def test_region_command_traced_peak_per_grid_point(cfg_file, tmp_path):
     assert peak / grid_n**2 <= 6 * 8
 
 
+def test_outage_command_traced_peak_is_a_few_leaves(cfg_file, tmp_path):
+    # The Monte Carlo oracle holds one leaf of montecarlo._TILE trials at a
+    # time, and a draw's uniforms are four such arrays: the command's peak is
+    # bounded by 16 float64 arrays of a leaf (2 MiB).  With leaves of 2**18
+    # trials it peaks near 5.1 MiB.
+    argv = ["outage", "--config", cfg_file, "--trials", "1000000", "--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * montecarlo._TILE
+
+
 def _table_text(fmt, columns, metadata=None):
     # The table _write_table writes to stdout.
     out = io.StringIO()
@@ -924,14 +950,18 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn):
+        future = Future()
+        future.set_result(fn())
+        return future
 
 
-@pytest.mark.parametrize("workers,started", [(1, []), (2, [2]), (3, [3]), (50, [3])])
-def test_workers_start_at_most_one_thread_per_point(
+@pytest.mark.parametrize("workers,started", [(1, []), (2, [2]), (3, [3]), (50, [8])])
+def test_workers_start_at_most_one_thread_per_leaf(
     cfg_file, tmp_path, monkeypatch, workers, started
 ):
+    # 2000 trials walked down to leaves of at most 300: eight leaves.
+    monkeypatch.setattr(montecarlo, "_TILE", 300)
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     args = ["ecr", "--config", cfg_file, "--trials", "2000", "--snr-db-max", "10"]

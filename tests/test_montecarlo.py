@@ -3,6 +3,7 @@ and the dense sensing mutual-information identity."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -219,7 +220,6 @@ def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks)
     # no leaf crosses a block boundary.
     monkeypatch.setattr(mc, "_CHUNK", 1000)
     monkeypatch.setattr(mc, "_TILE", 300)
-    monkeypatch.setattr(mc, "_NODE", 300)
     draws = []
 
     def counting(cfg, seed, start, count):
@@ -240,7 +240,7 @@ def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks)
 _PRIME = 262147  # the least prime above 2**18
 
 
-@pytest.mark.parametrize("bound", [1, 7, 128, 300, mc._TILE, mc._NODE])
+@pytest.mark.parametrize("bound", [1, 7, 128, 300, mc._TILE])
 def test_pairwise_walk_is_numpys_summation_order(bound):
     # numpy's pairwise split, pinned: walking its tree down to leaves of at
     # most `bound` (or 128) elements and adding np.sum of each leaf equals
@@ -248,7 +248,7 @@ def test_pairwise_walk_is_numpys_summation_order(bound):
     # binades, so any other order of additions rounds differently.
     rng = np.random.default_rng(bound)
     lengths = [*range(1, 301), 10**6, 1 << 20, 3 * (1 << 14) + 5, _PRIME]
-    lengths += [n for b in (bound, mc._TILE, mc._NODE) for n in (b - 1, b, b + 1, 2 * b + 8) if n > 0]
+    lengths += [n for b in (bound, mc._TILE, 1 << 18) for n in (b - 1, b, b + 1, 2 * b + 8) if n > 0]
     for n in lengths:
         a = rng.standard_cauchy(n) ** 2
         walked = mc._pairwise(n, bound, lambda start, count: np.sum(a[start : start + count]))
@@ -434,6 +434,25 @@ def test_outage_counts_equal_per_trial_at_full_size(trials, mode):
     assert _estimated_fractions(CFG, mode, powers, trials, 2) == expected
 
 
+@pytest.mark.parametrize("cfg", [CFG, ROUNDING_CFG], ids=["baseline", "rounding"])
+def test_racing_threads_keep_outage_counts_exact(monkeypatch, cfg):
+    # Eight threads on fewer cores, switching every microsecond, share the
+    # cuts of 6 powers over leaves of at most 128 trials: whichever cut a
+    # leaf reads and whichever update a race loses, the counts are the
+    # per-trial ones.
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    monkeypatch.setattr(mc, "_TILE", 1)
+    powers = db_to_linear(np.arange(0.0, 51.0, 10.0)).tolist()
+    expected = _per_trial_outages(cfg, HALF_SPLIT, powers, 5000, 13)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        value, _ = estimate_outage(cfg, HALF_SPLIT, powers, 5000, 13, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [tuple(pair) for pair in value.T.tolist()] == expected
+
+
 @pytest.mark.parametrize("sigma2_c", [1.0, 1e300])
 @pytest.mark.parametrize("chunk", [1 << 20, 1000])
 @pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
@@ -517,8 +536,7 @@ def test_estimate_ecr_equals_whole_block_rates(monkeypatch, workers, tile, chunk
 
 
 _BLOCK_BYTES = 8 << 20  # one float64 array of 2**20 trials
-_TILE_BYTES = 8 * mc._TILE  # one float64 array of a rate leaf
-_NODE_BYTES = 8 * mc._NODE  # one float64 array of an outage leaf
+_TILE_BYTES = 8 * mc._TILE  # one float64 array of a leaf
 
 
 def _traced_peak(call) -> int:
@@ -534,7 +552,7 @@ def _traced_peak(call) -> int:
     "call,bound",
     [
         (lambda n: gain_samples(CFG, 1, 0, n), 2 * _BLOCK_BYTES + (2 << 20)),
-        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 3 * _NODE_BYTES),
+        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 12 * _TILE_BYTES),
         (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 12 * _TILE_BYTES),
         (
             lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2),
@@ -542,7 +560,7 @@ def _traced_peak(call) -> int:
         ),
         (
             lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1, workers=2),
-            3 * _NODE_BYTES,
+            12 * _TILE_BYTES,
         ),
         (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1), 12 * _TILE_BYTES),
     ],
@@ -550,13 +568,15 @@ def _traced_peak(call) -> int:
 )
 def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, bound):
     # gain_samples returns two arrays of the trials asked for and holds at
-    # most 2 MiB of tiles while it draws them.  The estimators hold one leaf
-    # at a time, so their bounds are the same at 2**20 and 3 * 2**20 trials:
-    # an outage leaf's two gain arrays and at most one leaf array more; a
-    # rate leaf's draw (eight leaf arrays), plus per power in flight a rate
-    # buffer and up to three temporaries of the leaf.  The first, small call
-    # leaves out allocations that numpy makes once per process.
-    call(100)
+    # most 2 MiB of tiles while it draws them.  The estimators hold the leaf
+    # being drawn and one per task in flight, so their bounds are the same at
+    # 2**20 and 3 * 2**20 trials: a leaf's draw (eight leaf arrays), plus per
+    # task in flight its leaf's two gain arrays and its temporaries.  An
+    # outage task evaluates _PIECE trials at a time; a rate task holds a rate
+    # buffer and up to three temporaries of the leaf.  The first call, of
+    # more than one leaf, leaves out allocations made once per process: numpy's
+    # and the thread pool's import.
+    call(2 * mc._TILE)
     assert _traced_peak(lambda: call(1 << 20)) < bound
 
 

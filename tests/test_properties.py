@@ -9,6 +9,7 @@ import re
 import tempfile
 import warnings
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -26,10 +27,12 @@ from noma_isac.analytic import (
     sum_rate,
     thresholds,
 )
+import noma_isac.montecarlo as mc
 from noma_isac.cli import dump_config, load_config_file, main
 from noma_isac.config import ISAC, SystemConfig, baseline_config, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr, estimate_outage
 from noma_isac.region import containment_check, fdsac_frontier, isac_corner
+from test_montecarlo import _per_trial_outages, _reference_sinrs
 
 _FAST = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 _BASELINE = baseline_config()
@@ -233,6 +236,80 @@ def test_monte_carlo_agrees_with_the_closed_forms(cfg, mode, grid_db, seed):
     closed_rates = np.ravel(ergodic_rates(cfg, mode, powers)).tolist()
     for value, est, se in zip(closed_rates, rates.ravel().tolist(), rate_errors.ravel().tolist()):
         assert abs(est - value) <= max(_Z_BOUND * se, 1e-2)
+
+
+# The carried cuts of estimate_outage against every trial's SINRs, in blocks
+# of _BLOCK trials walked down to leaves of at most 128 (montecarlo._TILE
+# patched to 1) whose trials between the cuts are evaluated 7 at a time.
+_BLOCK = 1000
+_DESIGN_DB = 10.0
+
+
+def _designed_gains(case):
+    # _BLOCK gains, one block, for the baseline config in ISAC at
+    # _DESIGN_DB, laid out around the far and near users' transitions
+    # t_f < t_n.  The first leaf holds the first 120; the later ones follow.
+    p = db_to_linear(_DESIGN_DB)
+    th = thresholds(_BASELINE, ISAC)
+    t_f, t_n = th.vartheta * _BASELINE.sigma2_c / p, th.theta * _BASELINE.sigma2_c / p
+    rng = np.random.default_rng(5)
+    first = {
+        "holding": rng.uniform(2.0 * t_n, 4.0 * t_n, 120),  # every trial holds
+        "failing": rng.uniform(0.0, 0.5 * t_f, 120),  # every trial fails
+        "straddling": np.linspace(0.5 * t_f, 2.0 * t_n, 120),
+        "beyond": rng.uniform(0.9 * t_f, 1.1 * t_n, 120),
+    }[case]
+    second = []
+    if case == "straddling":
+        # Each cut the first leaf leaves to the second, and 8 ulp each way.
+        sic, snr_n, sinr_f = _reference_sinrs(_BASELINE, ISAC, p, first, first)
+        window = mc._formulas(_BASELINE, ISAC, p)[2]
+        for ok in ((sic > th.gamma_bar_f) & (snr_n > th.gamma_bar_n), sinr_f >= th.gamma_bar_f):
+            for g, sign in ((first[ok].min(), 1.0), (first[~ok].max(), -1.0)):
+                cut = g * (1.0 + sign * window(float(g)))
+                second.append(cut)
+                for toward in (0.0, np.inf):
+                    g = cut
+                    for _ in range(8):
+                        g = np.nextafter(g, toward)
+                        second.append(g)
+    if case == "beyond":
+        # Below and above every gain of the first leaf; the largest is a new peak.
+        second = [1e-3 * t_f, 1e3 * t_n, 2e-3 * t_f, 2e3 * t_n]
+    rest = rng.uniform(0.0, 3.0 * t_n, _BLOCK - first.size - len(second))
+    return tuple(np.concatenate([first, second, rest]).tolist())
+
+
+@_FAST
+@given(
+    configs(),
+    _MC_MODES,
+    st.lists(st.floats(-20.0, 300.0), min_size=1, max_size=6),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**32),
+    st.none(),
+)
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("holding"))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("failing"))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("straddling"))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("beyond"))
+def test_outage_counts_equal_per_trial_over_many_leaves(cfg, mode, grid_db, workers, seed, gains):
+    powers = db_to_linear(np.array(grid_db)).tolist()
+    trials = 2 * _BLOCK + 500 if gains is None else len(gains)
+    with contextlib.ExitStack() as patches:
+        for name, value in (("_CHUNK", _BLOCK), ("_TILE", 1), ("_PIECE", 7)):
+            patches.enter_context(mock.patch.object(mc, name, value))
+        if gains is not None:
+            drawn = np.array(gains)
+
+            def draw(cfg, seed, start, count):
+                # Both users see the same gains.
+                return drawn[start : start + count].copy(), drawn[start : start + count].copy()
+
+            patches.enter_context(mock.patch.object(mc, "gain_samples", draw))
+        value, _ = estimate_outage(cfg, mode, powers, trials, seed, workers=workers)
+        expected = _per_trial_outages(cfg, mode, powers, trials, seed)
+    assert [tuple(pair) for pair in value.T.tolist()] == expected
 
 
 # Every subcommand at toy sizes on extreme valid inputs: each exits 0, 1 or 2
