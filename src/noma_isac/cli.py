@@ -10,13 +10,10 @@ Exit codes: 0 success, 1 usage/config/numerical error, 2 selftest failure.
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
-import json
 import math
 import sys
 from dataclasses import asdict, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +39,8 @@ from .config import (
     fdsac,
 )
 from .montecarlo import estimate_ecr, estimate_outage
-from .region import containment_check, fdsac_frontier, isac_corner
+from .region import FrontierSweep, containment_check, isac_corner
+from .table import _write_table
 
 def load_config_file(path: str) -> SystemConfig:
     """Parse a key=value config file into a validated SystemConfig.
@@ -147,216 +145,6 @@ def dump_config(cfg: SystemConfig) -> str:
     lines = [f"{key} = {getattr(cfg, key)!r}" for key in (*FLOAT_FIELDS, *INT_FIELDS)]
     lines.append("sensing_eigenvalues = " + ", ".join(map(repr, cfg.sensing_eigenvalues)))
     return "\n".join(lines) + "\n"
-
-
-#: Rows of a table formatted per block: enough to amortise the numpy and
-#: json.dumps calls, few enough that a block's buffers stay small.
-_BLOCK_ROWS = 4096
-
-#: 10**k for k in [0, 15], exact floats.
-_POW10 = np.array([float(10**k) for k in range(16)])
-
-
-@functools.cache
-def _quad_table() -> np.ndarray:
-    # Each of 0..9999 as four ASCII digits, little-endian in one uint32: as
-    # they are, with the leading zeros padded, and with the trailing zeros
-    # padded; the pad byte is 0xFF.  No UTF-8 text holds 0xFF, so a block of
-    # CSV rows is laid out in fixed-width cells filled with pads, and the
-    # pads deleted at once.  Built at the first CSV table, not at import.
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
-    lead, trail = digits == 0, digits == 0
-    for j in range(1, 4):
-        lead[j] &= lead[j - 1]
-        trail[3 - j] &= trail[4 - j]
-    pads = np.stack([np.zeros_like(lead), lead, trail], axis=1).reshape(4, -1)
-    places = np.where(pads, 0xFF, np.tile(digits + ord("0"), 3)).astype("<u4")
-    table = (places << np.array([[0], [8], [16], [24]], "<u4")).sum(axis=0, dtype="<u4")
-    table.flags.writeable = False
-    return table
-
-
-#: Offsets into _quad_table() of the tables with leading and with trailing zeros
-#: padded; either holds four pads at 0.
-_LEAD, _TRAIL = 10000, 20000
-
-
-def _g12_cells(v: np.ndarray) -> np.ndarray:
-    """Cells of '%.12g' % v for a 1-D float array, as pad-filled uint8 rows.
-
-    A cell in fixed notation, 0 or -0 is formatted in numpy.  With X the
-    decimal exponent, |v| * 10**(11 - X) is formed exactly as hi + lo
-    (Dekker's TwoProduct) and rounded half to even to the 12-digit integer
-    N, or N = 0 at X = 0 for 0.  X is estimated by log10 and checked against
-    hi.  The integer part of N / 10**(11 - X) fills 12 digit columns and
-    its fraction, times 1e15, the 15 columns after the point, which
-    therefore has a fixed column; the integer part's leading zeros and the
-    fraction's trailing zeros are pads.  Every other cell (nan, +-inf,
-    0 < |v| < 1e-4, exponential notation, a wrong estimate) is Python's
-    '%.12g', the reference.
-    """
-    a = np.abs(v)
-    candidate = (a >= 1e-4) & (a < 1e12)
-    a = np.where(candidate, a, 1.0)
-    x = np.clip(np.floor(np.log10(a)), -4, 11).astype(np.intp)
-    hi, lo = _two_product(a, _POW10[11 - x])
-    # X is right where 1e11 <= hi + lo < 1e12.  Where hi is 1e11 or 1e12 but
-    # hi + lo is not, |v| is within half an ulp of a power of ten, which it
-    # rounds to under X as under the true exponent.
-    fast = candidate & (hi >= 1e11) & (hi <= 1e12)
-    n = np.floor(hi)
-    f = hi - n
-    # hi is a multiple of its ulp (< 1/2) and |lo| <= ulp/2, so only f == 0.5
-    # needs lo, and only lo == 0 is a tie.
-    half = 0.5 * n
-    n += (f > 0.5) | ((f == 0.5) & ((lo > 0.0) | ((lo == 0.0) & (half != np.floor(half)))))
-    # Rounding up to 1e12 adds a digit: 1e11 at exponent X + 1.
-    carry = n == 1e12
-    x += carry
-    fast &= x <= 11
-    n = np.where(fast & ~carry, n, 1e11)
-    zero = v == 0.0
-    n[zero] = 0.0
-    fast |= zero
-    x[~fast] = 0
-    scale = _POW10[11 - x]
-    whole = np.floor(n / scale)
-    frac = (n - whole * scale) * _POW10[4 + x]
-    # Columns: 4 pads, 12 integer digits, then the fraction's 16 digits, of
-    # which the first, always 0, is the point's.  The integer part's groups
-    # drop leading zeros up to its first nonzero one, the fraction's drop
-    # trailing zeros from its last nonzero one.
-    groups = [*_quad_split(whole, 3), *_quad_split(frac, 4)]
-    index = np.empty((8, v.size), np.intp)
-    index[0] = _LEAD
-    for places, offset in ((range(1, 4), _LEAD), (range(7, 3, -1), _TRAIL)):
-        seen = np.zeros(v.size, bool)
-        for k in places:
-            group = groups[k - 1].astype(np.intp)
-            index[k] = np.where(seen, group, group + offset)
-            seen |= group != 0
-    cells = np.ascontiguousarray(_quad_table()[index.T]).view(np.uint8)
-    cells[whole == 0, 15] = ord("0")
-    cells[frac != 0, 16] = ord(".")
-    negative = np.flatnonzero(np.signbit(v))
-    cells[negative, 14 - np.maximum(x[negative], 0)] = ord("-")
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        # '%.12g' of a float takes at most 19 bytes, within a cell's 32 columns.
-        text = _text_cells(["%.12g" % cell for cell in v[slow].tolist()])
-        cells[slow] = 0xFF
-        cells[slow, : text.shape[1]] = text
-    return cells
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # hi + lo == a * b exactly, with hi = fl(a * b) (Dekker), for products
-    # that neither overflow nor underflow.
-    hi = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Veltkamp's split of a into two 26-bit halves.
-    c = 134217729.0 * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
-    # The count 4-digit groups of integer-valued floats below 1e4**count
-    # (at most 1e16), most significant first; every step is exact.
-    groups = []
-    for _ in range(count - 1):
-        quotient = np.floor(value / 1e4)
-        groups.append(value - quotient * 1e4)
-        value = quotient
-    return [value, *groups[::-1]]
-
-
-def _text_cells(text: list[str]) -> np.ndarray:
-    # Each str's UTF-8 bytes as a pad-filled uint8 row as wide as the widest.
-    # A str ends where the next one's first character starts, at a byte that
-    # is not 0b10xxxxxx.
-    data = np.frombuffer("".join(text).encode("utf-8"), np.uint8)
-    starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
-    sizes = np.diff(starts[np.cumsum(np.fromiter(map(len, text), np.intp, len(text)))], prepend=0)
-    cells = np.full((len(text), sizes.max()), 0xFF, np.uint8)
-    cells[np.arange(cells.shape[1]) < sizes[:, None]] = data
-    return cells
-
-
-def _repr_cells(v: np.ndarray) -> np.ndarray:
-    # The json module's cells of a nonempty float array: repr, NaN or
-    # +-Infinity, from the C encoder with "\0", which no cell holds, between them.
-    return _text_cells(json.dumps(v.tolist(), separators=("\0", ":"))[1:-1].split("\0"))
-
-
-def _write_table(
-    output: str,
-    fmt: str,
-    columns: dict[str, Sequence | np.ndarray],
-    metadata: dict,
-    trailer: Optional[str] = None,
-    labels: Optional[dict[str, Sequence]] = None,
-) -> None:
-    """Write equal-length named columns as a CSV or JSON table, in key order.
-
-    A column holds floats or, where labels has its key, integer codes into
-    that short sequence of str, float or None labels.  A CSV cell is written
-    as '%.12g' % cell, a str as it is and None as empty.  The JSON document
-    is the one json.dumps writes with indent=2 and sorted keys, each code
-    replaced by its label.  Either is written a block of rows at a time.
-    """
-    labels = labels or {}
-    if fmt == "csv":
-        head = ",".join(columns) + "\n"
-        fragments = ["", *[","] * (len(columns) - 1), "\n"]
-        text = {
-            key: ["" if v is None else v if isinstance(v, str) else "%.12g" % v for v in values]
-            for key, values in labels.items()
-        }
-        blocks = _table_lines(columns, text, _g12_cells, fragments)
-        end = "# " + trailer + "\n" if trailer else ""
-    else:
-        # Each row starts with ",", its separator from the row before; the first drops it.
-        columns = dict(sorted(columns.items()))
-        head = json.dumps({"metadata": metadata}, indent=2, sort_keys=True)[:-2] + ',\n  "rows": ['
-        fragments = [",\n      " + json.dumps(key) + ": " for key in columns] + ["\n    }"]
-        fragments[0] = ",\n    {" + fragments[0][1:]
-        text = {key: [json.dumps(v) for v in values] for key, values in labels.items()}
-        blocks = _table_lines(columns, text, _repr_cells, fragments)
-        first = next(blocks, "")
-        blocks = itertools.chain([first[1:]], blocks)
-        end = "\n  ]\n}\n" if first else "]\n}\n"
-    lines = itertools.chain([head], blocks, [end])
-    if output == "-":
-        sys.stdout.writelines(lines)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-
-
-def _table_lines(
-    columns: dict, label_text: dict[str, list[str]], float_cells: Callable, fragments: list[str]
-) -> Iterator[str]:
-    # A block's rows go into one uint8 array, fragments[j] before cell j and
-    # the last after the last cell, and its pad bytes are deleted.  The block's
-    # floats are formatted in one call; a label column gathers cells by code.
-    coded = {key: _text_cells(text) for key, text in label_text.items()}
-    numbers = [np.asarray(c, float) for key, c in columns.items() if key not in coded]
-    marks = [np.frombuffer(f.encode("utf-8"), np.uint8) for f in fragments]
-    rows = len(next(iter(columns.values()), ()))
-    for first in range(0, rows, _BLOCK_ROWS):
-        block = slice(first, first + _BLOCK_ROWS)
-        values = [c[block] for c in numbers]
-        floats = iter(np.split(float_cells(np.concatenate(values)), len(values)) if values else ())
-        cells = [coded[k][c[block]] if k in coded else next(floats) for k, c in columns.items()]
-        parts = [np.broadcast_to(mark, (len(cells[0]), mark.size)) for mark in marks]
-        line = np.concatenate([*itertools.chain(*zip(parts, cells)), parts[-1]], axis=1)
-        yield line.tobytes().translate(None, b"\xff").decode()
 
 
 def _metadata(command: str, cfg: SystemConfig, **extra: object) -> dict:
@@ -480,35 +268,44 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise ValueError(f"--grid-n {args.grid_n} must be at least 2")
     if args.grid_n**2 > _MAX_ELEMENTS:
         raise ValueError(f"--grid-n {args.grid_n} gives more points than an array holds")
+    grid_n = args.grid_n
     corner = isac_corner(cfg, p)
-    frontier = fdsac_frontier(cfg, p, args.grid_n)
-    report = containment_check(corner, frontier)
-    verdict = "contained" if report.holds else "not contained"
-    # The corner row, every grid point, then the Pareto points again.  The
-    # grid's kappa varies slowest and mu fastest over the same grid_n
-    # fractions, which label both split columns; code 0 is the corner's
-    # empty cell.
-    grid_n, grid_size, pareto = args.grid_n, frontier.rate_s.size, frontier.pareto
-    fractions = (None, *frontier.fractions.tolist())
+    # Every float fault is raised here, before the output is opened.
+    sweep = FrontierSweep(cfg, p, grid_n)
+    # CSV rows are written as each block of the grid is formed; the JSON
+    # head carries the containment verdict, so its blocks are formed first.
+    blocks = sweep if args.format == "csv" else list(sweep)
+    # The corner row, every grid point, then the Pareto points again, as
+    # label codes and rates.  The grid's kappa varies slowest and mu fastest
+    # over the same grid_n fractions, which label both split columns; code 0
+    # is the corner's empty cell.
     steps = np.arange(grid_n + 1, dtype=np.min_scalar_type(grid_n))
-    columns = {
-        "kind": np.repeat(np.arange(3, dtype=np.uint8), [1, grid_size, pareto.size]),
-        "kappa": np.concatenate((steps[:1], np.repeat(steps[1:], grid_n), steps[pareto // grid_n + 1])),
-        "mu": np.concatenate((steps[:1], np.tile(steps[1:], grid_n), steps[pareto % grid_n + 1])),
-        "rate_s": np.concatenate(([corner.rate_s], frontier.rate_s, frontier.rate_s[pareto])),
-        "rate_c": np.concatenate(([corner.rate_c], frontier.rate_c, frontier.rate_c[pareto])),
-    }
-    del frontier  # so that no second copy of the rates is alive while rows are written
+
+    def run(kind: int, kappa: np.ndarray, mu: np.ndarray, rate_s, rate_c) -> dict:
+        kinds = np.full(len(kappa), kind, np.uint8)
+        return {"kind": kinds, "kappa": kappa, "mu": mu, "rate_s": rate_s, "rate_c": rate_c}
+
+    def runs() -> Iterator[dict]:
+        yield run(0, steps[:1], steps[:1], [corner.rate_s], [corner.rate_c])
+        for row, rate_s, rate_c in blocks:
+            rows = rate_s.size // grid_n
+            kappa, mu = np.repeat(steps[row + 1 : row + 1 + rows], grid_n), np.tile(steps[1:], rows)
+            yield run(1, kappa, mu, rate_s, rate_c)
+        pareto, rate_s, rate_c = sweep.pareto()
+        yield run(2, steps[pareto // grid_n + 1], steps[pareto % grid_n + 1], rate_s, rate_c)
+
+    def containment() -> dict:
+        report = containment_check(corner, sweep)
+        verdict = "contained" if report.holds else "not contained"
+        return {"verdict": verdict, "max_violation": report.max_violation}
+
+    fractions = (None, *sweep.fractions.tolist())
     labels = {"kind": ("corner", "grid", "pareto"), "kappa": fractions, "mu": fractions}
-    meta = _metadata(
-        "region",
-        cfg,
-        p_db=args.p_db,
-        grid_n=args.grid_n,
-        containment={"verdict": verdict, "max_violation": report.max_violation},
-    )
-    trailer = f"containment: {verdict}, max_violation = {report.max_violation:.12g}"
-    _write_table(args.output, args.format, columns, meta, trailer, labels)
+    meta = {}
+    if args.format == "json":
+        meta = _metadata("region", cfg, p_db=args.p_db, grid_n=grid_n, containment=containment())
+    trailer = "containment: {verdict}, max_violation = {max_violation:.12g}".format
+    _write_table(args.output, args.format, runs(), meta, lambda: trailer(**containment()), labels)
     return 0
 
 

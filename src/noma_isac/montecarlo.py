@@ -155,12 +155,15 @@ def _walk(
 def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
     # Per power k, the number of the ascending `gains` at which the event
     # holds[k] holds: those above cuts[k, 1] hold and those below cuts[k, 0]
-    # fail (see estimate_outage).  The event is evaluated at the rest,
+    # fail (see estimate_outage).  Cuts that are still infinite are first
+    # set by bisecting the gains.  The event is evaluated at the rest,
     # _PIECE at a time, and the smallest gain where it holds and the largest
     # where it fails tighten the cuts, by their windows window[k].  Threads
     # share `cuts` without a lock: each cut is one float, and an update that
     # a race loses leaves a looser cut, which is as valid, so no count
     # depends on the race.
+    for k in np.flatnonzero(np.isinf(cuts).all(axis=1)):
+        _tighten(cuts[k], *_bisect(holds[k], gains), window[k])
     lo = np.searchsorted(gains, cuts[:, 0])
     hi = np.searchsorted(gains, cuts[:, 1], side="right")
     held = gains.size - hi
@@ -168,13 +171,37 @@ def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
         between = gains[lo[k] : hi[k]]
         ok = np.concatenate([holds[k](between[i : i + _PIECE]) for i in range(0, between.size, _PIECE)])
         held[k] += np.count_nonzero(ok)
-        g = float(np.min(between, where=ok, initial=math.inf))
-        if g < math.inf and (w := window[k](g)) < 1.0:
-            cuts[k, 1] = min(cuts[k, 1], g * (1.0 + w))
-        g = float(np.max(between, where=~ok, initial=-math.inf))
-        if g > -math.inf and (w := window[k](g)) < 1.0:
-            cuts[k, 0] = max(cuts[k, 0], g * (1.0 - w))
+        failing = float(np.max(between, where=~ok, initial=-math.inf))
+        holding = float(np.min(between, where=ok, initial=math.inf))
+        _tighten(cuts[k], failing, holding, window[k])
     return held
+
+
+def _bisect(holds, gains: np.ndarray) -> tuple[float, float]:
+    # A gain of the ascending `gains` where the event fails and one where it
+    # holds, adjacent unless they are the ends, or -inf and inf where there
+    # is none.  Each is evaluated alone, after the leaf's largest gain: an
+    # overflow would have been raised there first.
+    fails, holds_at = -1, gains.size
+    while holds_at - fails > 1:
+        mid = (fails + holds_at) // 2
+        if holds(gains[mid]):
+            holds_at = mid
+        else:
+            fails = mid
+    return (
+        float(gains[fails]) if fails >= 0 else -math.inf,
+        float(gains[holds_at]) if holds_at < gains.size else math.inf,
+    )
+
+
+def _tighten(cut: np.ndarray, failing: float, holding: float, window) -> None:
+    # The cuts (lo, hi) tightened by a gain where the event fails and one
+    # where it holds, each by its window, where it has one below 1.
+    if failing > -math.inf and (w := window(failing)) < 1.0:
+        cut[0] = max(cut[0], failing * (1.0 - w))
+    if holding < math.inf and (w := window(holding)) < 1.0:
+        cut[1] = min(cut[1], holding * (1.0 + w))
 
 
 def estimate_outage(
@@ -223,16 +250,18 @@ def estimate_outage(
       infeasible allocation) or an operand is subnormal, a gain gives no
       cut on that side.
 
-    The cuts start at -inf and +inf, so the first leaf is evaluated whole.
-    The trials of a leaf between the cuts are evaluated per trial, and the
-    smallest holding and the largest failing gain among them tighten the
-    cuts for later leaves.  Every cut ever set is valid, so a cut read while
-    another leaf tightens it gives the same counts.  The evaluations use the
-    per-trial formulas only, never the closed form's thresholds, so the
-    estimate stays an independent check of them.  A leaf whose largest gain
-    of a user is the largest drawn so far is first evaluated there, at every
-    power: a received power that overflows on any trial overflows there, on
-    the first such leaf, and raises FloatingPointError.
+    The cuts start at -inf and +inf, and a leaf that finds them so first
+    bisects its sorted gains for a failing and a holding one, evaluating
+    each alone.  The trials of a leaf between the cuts are evaluated per
+    trial, and the smallest holding and the largest failing gain among them
+    tighten the cuts for later leaves.  Every cut ever set is valid, so a
+    cut read while another leaf tightens it gives the same counts.  The
+    evaluations use the per-trial formulas only, never the closed form's
+    thresholds, so the estimate stays an independent check of them.  A leaf
+    whose largest gain of a user is the largest drawn so far is first
+    evaluated there, at every power: a received power that overflows on any
+    trial overflows there, on the first such leaf, and raises
+    FloatingPointError.
     """
     th = thresholds(cfg, mode)
 

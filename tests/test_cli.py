@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noma_isac
-from noma_isac import cli, montecarlo
+from noma_isac import cli, montecarlo, region, table
 from noma_isac.cli import dump_config, load_config_file, main
 from noma_isac.config import baseline_config, db_to_linear
 from noma_isac.region import containment_check, fdsac_frontier, isac_corner
@@ -404,7 +404,7 @@ def test_out_of_memory_exits_one_with_one_line(cfg_file, tmp_path, capsys, monke
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "fdsac_frontier", fail)
+    monkeypatch.setattr(cli, "FrontierSweep", fail)
     out = tmp_path / "region.csv"
     rc = main(["region", "--config", cfg_file, "--grid-n", "50000", "--output", str(out)])
     assert rc == 1
@@ -657,6 +657,72 @@ def test_region_json_document(cfg_file, tmp_path):
     assert len(doc["rows"]) == 1 + 121 + len([r for r in doc["rows"] if r["kind"] == "pareto"])
 
 
+
+@pytest.mark.parametrize("p_db,fault", [
+    ("3045", "overflow encountered in divide"),
+    ("3050", "overflow encountered in multiply"),
+    ("3060", "overflow encountered in multiply"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_region_sensing_overflow_writes_nothing(cfg_file, tmp_path, capfd, p_db, fault, fmt, to_file):
+    # The sensing SNR overflows only in the last blocks of kappa rows, after
+    # the CSV rows of the first ones could have been written: at 3045 dB in
+    # its division by (1 - kappa)*sigma2_s, from 3050 dB in its product with
+    # an eigenvalue.  The run fails before the output is opened, with the
+    # error of the first block that overflows.
+    out = tmp_path / f"region.{fmt}"
+    argv = ["region", "--config", cfg_file, "--grid-n", "401", "--format", fmt, "--p-db", p_db]
+    argv += ["--output", str(out) if to_file else "-"]
+    expected = f"error: --p-db {float(p_db)!r} dB, --config {cfg_file}: out of range: {fault}\n"
+    for existing in (None, b"kept\n") if to_file else (None,):
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err == expected
+        assert out.read_bytes() == existing if existing is not None else not out.exists()
+
+
+def _region_bytes(capsys, argv, output):
+    # The bytes main writes for argv to the file `output` or, at None, to stdout.
+    if output is None:
+        assert main([*argv, "--output", "-"]) == 0
+        return capsys.readouterr().out.encode()
+    assert main([*argv, "--output", str(output)]) == 0
+    return output.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("p_db", ["-60", "5", "40"])
+@pytest.mark.parametrize("grid_n", [2, 3, 67, 101])
+def test_region_bytes_do_not_depend_on_the_blocks(
+    cfg_file, tmp_path, capsys, monkeypatch, grid_n, p_db, fmt
+):
+    # The frontier's blocks of kappa rows (one row at tile 7, 14 or 9 rows at
+    # tile 1000, which grids 67 and 101 do not fill evenly) and the writer's
+    # blocks of table rows, which end at each frontier block, against the
+    # defaults.  One-row writer blocks run at grids 2 and 3, where they are
+    # cheap; at grids 67 and 101, 300 rows do not fill the frontier's blocks,
+    # and at tile 7, whose psi table takes a second at grid 101, they end at
+    # each one-row block as 4096 rows would.  The settings take turns at
+    # writing to a file and to stdout, and the formats start on either.
+    argv = ["region", "--config", cfg_file, "--grid-n", str(grid_n), "--p-db", p_db, "--format", fmt]
+    out = tmp_path / f"region.{fmt}"
+    expected = _region_bytes(capsys, argv, out)
+    settings = [
+        (tile, block_rows)
+        for tile in (7, 1000, region._TILE)
+        for block_rows in (1 if grid_n <= 3 else 300, 4096)
+        if not (tile == 7 and grid_n > 3 and block_rows == 4096)
+    ]
+    for turn, (tile, block_rows) in enumerate(settings, start=int(fmt == "json")):
+        with monkeypatch.context() as patch:
+            patch.setattr(region, "_TILE", tile)
+            patch.setattr(table, "_BLOCK_ROWS", block_rows)
+            assert _region_bytes(capsys, argv, out if turn % 2 else None) == expected
+
+
 # -------------------------------------------------------------- determinism
 
 def test_outputs_are_byte_deterministic(cfg_file, tmp_path):
@@ -702,7 +768,7 @@ def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, bloc
     # whose encodings hold separators, quotes, escapes and "%", in one block
     # of rows or several.  The labelled columns hold str labels, and None,
     # nan and the int 3, whose codes come out of order and skip one.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(table, "_BLOCK_ROWS", block_rows)
     columns = {
         "z%s key": np.array([1.5, -0.0, 1e-320, math.nan, 5e-324, -1e300, 1e16])[:rows],
         'a, "b"': np.array([3, 0, 2, 3, 0, 2, 3])[:rows],
@@ -712,7 +778,7 @@ def test_json_table_is_the_json_dumps_document(tmp_path, monkeypatch, rows, bloc
     labels = {'a, "b"': ["x, y", "unused", "\u00e9", "\0%s\n"], "m": [None, math.nan, 3]}
     metadata = {"command": "t", "grid": [1.0, 2.5], "nested": {"b": None, "a": "q"}}
     out = tmp_path / "t.json"
-    cli._write_table(str(out), "json", columns, metadata, None, labels)
+    table._write_table(str(out), "json", columns, metadata, None, labels)
     assert out.read_text(encoding="utf-8") == _json_document(columns, metadata, labels)
 
 
@@ -750,13 +816,13 @@ def _hard_cells():
     return np.array(cells)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, cli._BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 3, table._BLOCK_ROWS])
 def test_csv_table_is_the_row_template_output(tmp_path, monkeypatch, block_rows):
     # The column writer against the per-row template, on float arrays, lists
     # mixing Python ints and floats, and labelled columns whose labels are
     # ASCII, non-ASCII, with NULs inside, holding ",", "%" and "\0", or
     # mixing None, floats, nan and the int 3.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(table, "_BLOCK_ROWS", block_rows)
     floats = _hard_cells()
     n = floats.size
     texts = ["x, y", "100%", "%s", "\u00e9\u4e2d", "\0", "a\0b", "", "grid"]
@@ -774,11 +840,11 @@ def test_csv_table_is_the_row_template_output(tmp_path, monkeypatch, block_rows)
         "neg": -floats[::-1],
     }
     out = tmp_path / "t.csv"
-    cli._write_table(str(out), "csv", columns, {}, "containment: contained, x = 1", labels)
+    table._write_table(str(out), "csv", columns, {}, lambda: "containment: contained, x = 1", labels)
     expected = _row_template_csv(columns, "containment: contained, x = 1", labels)
     assert out.read_bytes() == expected.encode()
     empty = {key: col[:0] for key, col in columns.items()}
-    cli._write_table(str(out), "csv", empty, {}, None, labels)
+    table._write_table(str(out), "csv", empty, {}, None, labels)
     assert out.read_bytes() == _row_template_csv(empty).encode()
 
 
@@ -834,14 +900,8 @@ def test_region_table_is_the_unique_sorted_construction(cfg_file, tmp_path, fmt,
     assert out.read_text(encoding="utf-8") == expected
 
 
-def test_region_command_traced_peak_per_grid_point(cfg_file, tmp_path):
-    # The frontier's peak (the two rates and the Pareto sweep's three
-    # full-grid arrays) sets the command's; the table's columns are built
-    # after it and the frontier is dropped before rows are written, so no
-    # second copy of the rates is alive then.  The bound is 6 float64 arrays
-    # of the grid's length; with the frontier kept alive next to the table
-    # and a full-grid gather in the frontier, it peaks at 84 bytes a point.
-    grid_n = 401
+def _region_traced_peak(cfg_file, tmp_path, grid_n):
+    # Traced bytes per grid point of a CSV region, after a warm-up run.
     argv = ["region", "--config", cfg_file, "--grid-n", str(grid_n), "--output", str(tmp_path / "r.csv")]
     assert main(argv) == 0
     tracemalloc.start()
@@ -850,7 +910,36 @@ def test_region_command_traced_peak_per_grid_point(cfg_file, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / grid_n**2 <= 6 * 8
+    return peak / grid_n**2
+
+
+def test_region_command_traced_peak_per_grid_point(cfg_file, tmp_path):
+    # CSV rows are written a block of kappa rows at a time, which keeps only
+    # its Pareto survivors, so the peak is the psi brackets' table (about 24
+    # bytes per distinct ratio, some 0.65 of the points) and one block's
+    # temporaries: 30 bytes a point at grid 401.  With the full grid's rates
+    # and Pareto sweep it peaks at 42 bytes a point.
+    assert _region_traced_peak(cfg_file, tmp_path, 401) <= 4 * 8
+
+
+def test_region_command_traced_peak_at_grid_801(cfg_file, tmp_path):
+    # The block's share shrinks as the grid grows: 20 bytes a point.
+    assert _region_traced_peak(cfg_file, tmp_path, 801) <= 3 * 8
+
+
+def test_float_cells_traced_peak_per_cell():
+    # A block's cells: 32 bytes each, the digit groups as uint16 and one
+    # column of gather indices at a time, about 92 bytes a cell in all.  With
+    # a full intp gather index and the digit groups as floats it is 277.
+    values = np.random.default_rng(5).uniform(0.0, 3.0, 8192)
+    table._g12_cells(values)
+    tracemalloc.start()
+    try:
+        table._g12_cells(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values.size <= 128
 
 
 def test_outage_command_traced_peak_is_a_few_leaves(cfg_file, tmp_path):
@@ -873,7 +962,7 @@ def _table_text(fmt, columns, metadata=None):
     # The table _write_table writes to stdout.
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write_table("-", fmt, columns, metadata or {})
+        table._write_table("-", fmt, columns, metadata or {})
     return out.getvalue()
 
 
@@ -914,15 +1003,15 @@ _TIES = st.builds(
 @example([0.5, 1e-05, 2.5])  # one slow cell between fast ones
 def test_csv_float_cells_are_python_percent_g(values):
     # Over blocks of three rows.
-    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+    with mock.patch.object(table, "_BLOCK_ROWS", 3):
         lines = _table_text("csv", {"v": np.array(values, dtype=float)}).splitlines()
     assert lines == ["v", *("%.12g" % v for v in values)]
 
 
 def test_zero_cells_take_the_fast_path(monkeypatch):
     slow = []
-    text_cells = cli._text_cells
-    monkeypatch.setattr(cli, "_text_cells", lambda text: slow.append(text) or text_cells(text))
+    text_cells = table._text_cells
+    monkeypatch.setattr(table, "_text_cells", lambda text: slow.append(text) or text_cells(text))
     assert _table_text("csv", {"v": np.array([0.0, -0.0, 0.5])}) == "v\n0\n-0\n0.5\n"
     assert slow == []
 
@@ -932,7 +1021,7 @@ def test_zero_cells_take_the_fast_path(monkeypatch):
 def test_json_float_cells_are_json_dumps(values):
     # Any floats, the empty table included, over blocks of three rows.
     metadata = {"command": "t"}
-    with mock.patch.object(cli, "_BLOCK_ROWS", 3):
+    with mock.patch.object(table, "_BLOCK_ROWS", 3):
         text = _table_text("json", {"v": np.array(values, dtype=float)}, metadata)
     assert text == _json_document({"v": values}, metadata)
 

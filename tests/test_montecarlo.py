@@ -434,6 +434,36 @@ def test_outage_counts_equal_per_trial_at_full_size(trials, mode):
     assert _estimated_fractions(CFG, mode, powers, trials, 2) == expected
 
 
+def test_first_leaf_bisects_its_gains(monkeypatch):
+    # Each user's first leaf finds its cuts infinite at every power; it
+    # bisects its gains for them instead of evaluating all 12,496.  The
+    # counts stay the per-trial ones.
+    evaluated = []
+    held = mc._held
+
+    def spy(holds, gains, cuts, window):
+        counts = [0] * len(holds)
+
+        def counting(k):
+            def event(g):
+                counts[k] += np.size(g)
+                return holds[k](g)
+
+            return event
+
+        evaluated.append((gains.size, counts))
+        return held([counting(k) for k in range(len(holds))], gains, cuts, window)
+
+    monkeypatch.setattr(mc, "_held", spy)
+    powers = db_to_linear(np.arange(0.0, 41.0, 5.0)).tolist()
+    expected = _per_trial_outages(CFG, ISAC, powers, 100_000, 1)
+    assert _estimated_fractions(CFG, ISAC, powers, 100_000, 1) == expected
+    assert len(evaluated) == 2 * 8
+    for size, counts in evaluated[:2]:  # the near and the far user's first leaf
+        assert size == 12_496 and len(counts) == len(powers)
+        assert max(counts) < 0.05 * size
+
+
 @pytest.mark.parametrize("cfg", [CFG, ROUNDING_CFG], ids=["baseline", "rounding"])
 def test_racing_threads_keep_outage_counts_exact(monkeypatch, cfg):
     # Eight threads on fewer cores, switching every microsecond, share the

@@ -15,7 +15,7 @@ import noma_isac
 MODULES = ("analytic", "channel", "config", "montecarlo", "region", "specfun")
 
 PUBLIC = sorted([
-    "ContainmentReport", "CorrelationMatrix", "EULER_GAMMA", "ISAC", "Mode",
+    "ContainmentReport", "CorrelationMatrix", "EULER_GAMMA", "FrontierSweep", "ISAC", "Mode",
     "RatePoint", "ReferenceEntry", "RegionFrontier", "ResourceSplit", "SystemConfig",
     "Target", "TargetScene", "Thresholds", "baseline_config", "build_correlation",
     "comm_factors", "containment_check", "db_to_linear", "dual_function_signal",
@@ -30,7 +30,7 @@ PUBLIC = sorted([
 
 
 def test_package_exports_the_public_names():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 46
     assert sorted(noma_isac.__all__) == PUBLIC
 
 

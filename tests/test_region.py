@@ -4,6 +4,7 @@ behind the containment argument."""
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -18,8 +19,10 @@ from noma_isac.analytic import sensing_rate, split_ergodic_rates, split_sensing_
 from noma_isac.config import ISAC, baseline_config, db_to_linear, fdsac
 from noma_isac.montecarlo import estimate_ecr
 from noma_isac.region import (
+    FrontierSweep,
     RatePoint,
     _pareto_subset,
+    _Survivors,
     containment_check,
     fdsac_frontier,
     isac_corner,
@@ -143,6 +146,53 @@ def test_pareto_subset_equals_brute_force(rate_s, rate_c, copies):
     assert got.tolist() == _brute_force_pareto(rate_s, rate_c)
 
 
+
+def _split_at(sizes, n):
+    # Block bounds of n points, the sizes taken in turn, down to one point.
+    bounds = [0]
+    for size in itertools.cycle(sizes):
+        if bounds[-1] >= n:
+            return bounds
+        bounds.append(min(n, bounds[-1] + size))
+
+
+_BLOCK_RATES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _BLOCK_RATES, _BLOCK_RATES, st.lists(st.integers(0, 39), max_size=10),
+    st.lists(st.integers(1, 9), min_size=1, max_size=8),
+)
+@example([0.5, 0.5], [1.0, 1.0], [], [1])  # one point per block, a duplicate in the next
+@example([0.0, -0.0, 1.0], [1.0, 1.0, 0.0], [0, 1], [2])  # signed zeros tie across blocks
+def test_pareto_survivors_of_blocks_equal_the_whole_sweep(rate_s, rate_c, copies, sizes):
+    # Points split into blocks of random sizes, with ties and exact
+    # duplicates of earlier points at later positions, often in later blocks.
+    n = min(len(rate_s), len(rate_c))
+    rate_s, rate_c = rate_s[:n], rate_c[:n]
+    for j in copies:
+        rate_s.append(rate_s[j % n])
+        rate_c.append(rate_c[j % n])
+    rate_s, rate_c = np.array(rate_s), np.array(rate_c)
+    whole = _pareto_subset(rate_s, rate_c)
+    bounds = _split_at(sizes, rate_s.size)
+    # The union of each block's survivors, swept again in index order.
+    blocks = list(zip(bounds, bounds[1:]))
+    union = np.concatenate([a + _pareto_subset(rate_s[a:b], rate_c[a:b]) for a, b in blocks])
+    union.sort()
+    assert union[_pareto_subset(rate_s[union], rate_c[union])].tolist() == whole.tolist()
+    # The blocks added one at a time, as FrontierSweep adds them.
+    survivors = _Survivors()
+    for a, b in blocks:
+        survivors.add(a, rate_s[a:b], rate_c[a:b])
+    index, kept_s, kept_c = survivors.merged()
+    assert index.tolist() == whole.tolist()
+    assert kept_s.tobytes() == rate_s[whole].tobytes() and kept_c.tobytes() == rate_c[whole].tobytes()
+
+
 def _full_sweep(rate_s, rate_c):
     # The Pareto sweep over every point, as _pareto_subset ran it before it
     # swept only its candidates.
@@ -187,12 +237,11 @@ def test_grid_rates_never_exceed_corner():
 
 
 def test_frontier_traced_peak_per_grid_point():
-    # Full-grid arrays are only the two rates and, in the Pareto sweep, its
-    # order, swept copy and running maximum, about 42 bytes a point at grid
-    # 401; the psi brackets are held per distinct kappa*sigma2_c/mu and the
-    # rest per block of kappa rows.  Gathering the brackets back to the whole
-    # grid, with a full-grid kappa, mu and gather index, peaks at 84 bytes a
-    # point.  The bound is 6 float64 arrays of the grid's length.
+    # Full-grid arrays are only the two collected rates; the psi brackets are
+    # held per distinct kappa*sigma2_c/mu (about 24 bytes a ratio, some 0.65
+    # of the points), and the rest, the Pareto survivors included, per block
+    # of kappa rows: 41 bytes a point at grid 401.  The full grid's Pareto
+    # sweep, its order, swept copy and running maximum, takes it to 48.
     grid_n = 401
     fdsac_frontier(CFG, P5, 5)
     tracemalloc.start()
@@ -201,7 +250,22 @@ def test_frontier_traced_peak_per_grid_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / grid_n**2 <= 6 * 8
+    assert peak / grid_n**2 <= 5.5 * 8
+
+
+@pytest.mark.parametrize("snr_db", [-60.0, 5.0, 40.0])
+def test_sweep_containment_is_the_largest_excess_of_every_point(snr_db):
+    # Rounding is monotone, so the excess of the largest rates is the largest
+    # excess, bit for bit; the sweep keeps the largest rates of its blocks.
+    p = db_to_linear(snr_db)
+    corner, frontier = isac_corner(CFG, p), fdsac_frontier(CFG, p, 21)
+    excess_s, excess_c = frontier.rate_s - corner.rate_s, frontier.rate_c - corner.rate_c
+    worst = max(float(np.max(excess_s)), float(np.max(excess_c)))
+    sweep = FrontierSweep(CFG, p, 21)
+    for _ in sweep:
+        pass
+    assert containment_check(corner, frontier).max_violation == worst
+    assert containment_check(corner, sweep) == containment_check(corner, frontier)
 
 
 @pytest.mark.parametrize("tile", [7, 1000, region._TILE])
