@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import Iterator, Optional, Sequence
@@ -398,7 +399,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Every float fault but underflow raises where it happens, so no numpy
         # warning reaches stderr; worker threads set their own error state.
         with np.errstate(all="raise", under="ignore"):
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: exit 1 without a line, so a
+        # cut table never reads as whole; with fd 1 on devnull the last flush passes.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
-#: Trials an outage task evaluates at a time, so that its temporaries stay small.
-_PIECE = 1 << 11
 _LN2 = math.log(2.0)
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -109,15 +107,14 @@ def _walk(
     kernel,
     no_resources,
 ) -> list:
-    # kernel(powers), for the powers of p flattened, returns the function
-    # that the calling thread applies to each leaf's gains (gain_n, gain_f)
-    # as it draws them, in trial order.  That gives the leaf's task, whose
-    # result is an array indexed [power, field].  At most `workers` tasks,
-    # and no more than there are leaves, run at a time, each on a thread of
-    # its own, so a leaf is held from its draw until its task ends.  Each
-    # block gives its leaves' results added up the tree.  Without powers, or
-    # without communication resources, nothing is drawn: one block gives
-    # each power the all-trials result `no_resources`.
+    # kernel(powers), for the powers of p flattened, returns the leaf
+    # function: of a leaf's gains (gain_n, gain_f), an array indexed [power,
+    # field].  A leaf's task is that function bound to its gains, drawn on
+    # the calling thread in trial order.  At most `workers` tasks, no more
+    # than there are leaves, run at a time, each on a thread of its own, so a
+    # leaf is held from its draw until its task ends.  Each block gives its
+    # leaves' results added up the tree.  Without powers or communication
+    # resources, nothing is drawn: one block gives each power `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
@@ -126,11 +123,10 @@ def _walk(
     if not (powers and has_comm_resources(*comm_factors(mode))):
         return [[no_resources] * len(powers)]
 
-    prepare = kernel(powers)
     # An overflowing received power, or a noise power rounded to 0, raises
     # FloatingPointError rather than passing on inf or nan.  As a decorator,
     # errstate sets numpy's error state, per thread, in the thread of each task.
-    raising = np.errstate(over="raise", divide="raise", invalid="raise")
+    leaf_result = np.errstate(over="raise", divide="raise", invalid="raise")(kernel(powers))
     blocks = [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
     # Lists add up by joining: the leaves (offset, count) of a block of n
     # trials in walk order, for the one or two sizes the blocks have.
@@ -138,7 +134,7 @@ def _walk(
     leaves = ((start + offset, count) for start, n in blocks for offset, count in spans[n])
 
     def task(leaf: tuple):
-        return raising(prepare(*gain_samples(cfg, seed, *leaf)))
+        return partial(leaf_result, *gain_samples(cfg, seed, *leaf))
 
     def added_up(results) -> list:
         return [_pairwise(n, _TILE, lambda *_: next(results), start) for start, n in blocks]
@@ -156,12 +152,11 @@ def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
     # Per power k, the number of the ascending `gains` at which the event
     # holds[k] holds: those above cuts[k, 1] hold and those below cuts[k, 0]
     # fail (see estimate_outage).  Cuts that are still infinite are first
-    # set by bisecting the gains.  The event is evaluated at the rest,
-    # _PIECE at a time, and the smallest gain where it holds and the largest
-    # where it fails tighten the cuts, by their windows window[k].  Threads
-    # share `cuts` without a lock: each cut is one float, and an update that
-    # a race loses leaves a looser cut, which is as valid, so no count
-    # depends on the race.
+    # set by bisecting the gains.  The event is evaluated at the rest, and
+    # the smallest gain where it holds and the largest where it fails
+    # tighten the cuts, by their windows window[k].  Threads share `cuts`
+    # without a lock: each cut is one float, and an update that a race loses
+    # leaves a looser cut, which is as valid, so no count depends on the race.
     for k in np.flatnonzero(np.isinf(cuts).all(axis=1)):
         _tighten(cuts[k], *_bisect(holds[k], gains), window[k])
     lo = np.searchsorted(gains, cuts[:, 0])
@@ -169,7 +164,7 @@ def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
     held = gains.size - hi
     for k in np.flatnonzero(lo < hi):
         between = gains[lo[k] : hi[k]]
-        ok = np.concatenate([holds[k](between[i : i + _PIECE]) for i in range(0, between.size, _PIECE)])
+        ok = holds[k](between)
         held[k] += np.count_nonzero(ok)
         failing = float(np.max(between, where=~ok, initial=-math.inf))
         holding = float(np.min(between, where=ok, initial=math.inf))
@@ -180,8 +175,8 @@ def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
 def _bisect(holds, gains: np.ndarray) -> tuple[float, float]:
     # A gain of the ascending `gains` where the event fails and one where it
     # holds, adjacent unless they are the ends, or -inf and inf where there
-    # is none.  Each is evaluated alone, after the leaf's largest gain: an
-    # overflow would have been raised there first.
+    # is none.  Each is evaluated alone, after the leaf's largest near gain:
+    # an overflow would have been raised there first.
     fails, holds_at = -1, gains.size
     while holds_at - fails > 1:
         mid = (fails + holds_at) // 2
@@ -257,11 +252,12 @@ def estimate_outage(
     tighten the cuts for later leaves.  Every cut ever set is valid, so a
     cut read while another leaf tightens it gives the same counts.  The
     evaluations use the per-trial formulas only, never the closed form's
-    thresholds, so the estimate stays an independent check of them.  A leaf
-    whose largest gain of a user is the largest drawn so far is first
-    evaluated there, at every power: a received power that overflows on any
-    trial overflows there, on the first such leaf, and raises
-    FloatingPointError.
+    thresholds, so the estimate stays an independent check of them.  Each
+    leaf is first evaluated at its largest near gain, at every power in
+    order: a float fault recurs at every larger gain, and the far user's
+    event, at the smaller gain of each pair, runs a prefix of the near
+    user's operations, so an overflow on any trial of the leaf raises
+    FloatingPointError there first, in the same operation.
     """
     th = thresholds(cfg, mode)
 
@@ -280,32 +276,18 @@ def estimate_outage(
         near, far, window = zip(*map(events, powers))
         # Per user and power, the cuts (lo, hi), which worker threads tighten.
         cuts = np.tile([-math.inf, math.inf], (2, len(powers), 1))
-        peaks = [-math.inf, -math.inf]  # each user's largest gain drawn so far
 
-        def count(gains: tuple, new_peaks: tuple) -> np.ndarray:
-            for g in gains:
-                g.sort()
-            for k in range(len(powers)):
-                for holds, g, new in zip((near, far), gains, new_peaks):
-                    if new:
-                        holds[k](g[-1:])
+        def count(gain_n: np.ndarray, gain_f: np.ndarray) -> np.ndarray:
+            gain_n.sort()
+            gain_f.sort()
+            for near_ok in near:
+                near_ok(gain_n[-1:])
             return np.stack([
                 g.size - _held(holds, g, user_cuts, window)
-                for holds, g, user_cuts in zip((near, far), gains, cuts)
+                for holds, g, user_cuts in zip((near, far), (gain_n, gain_f), cuts)
             ], axis=-1)
 
-        def prepare(gain_n: np.ndarray, gain_f: np.ndarray):
-            # Each user's gains are evaluated at their largest first if it is
-            # the largest drawn so far.  That is found here, on the calling
-            # thread in trial order, so the threads do not change which.
-            new_peaks = []
-            for user, g in enumerate((gain_n, gain_f)):
-                top = float(g.max())
-                new_peaks.append(top > peaks[user])
-                peaks[user] = max(peaks[user], top)
-            return partial(count, (gain_n, gain_f), tuple(new_peaks))
-
-        return prepare
+        return count
 
     # Counts are exact, so any partition of the trials gives the same ones.
     blocks = _walk(cfg, mode, p, trials, seed, workers, outages, (trials, trials))
@@ -343,7 +325,7 @@ def estimate_ecr(
                 rows.append(sums)
             return np.array(rows)
 
-        return lambda gain_n, gain_f: partial(rate_sums, gain_n, gain_f)
+        return rate_sums
 
     # Each (power, field) adds up its blocks in block order, exactly rounded.
     blocks = _walk(cfg, mode, p, trials, seed, workers, leaf_sums, (0.0,) * 4)

@@ -91,7 +91,8 @@ class FrontierSweep:
     Each ratio looks its brackets up in the sorted table, an exact float
     match, so each point equals split_ergodic_rates and split_sensing_rate
     at it.  Each block's Pareto survivors and the largest rates are kept for
-    pareto() and largest_rates once every block was yielded.
+    pareto() and largest_rates, which raise RuntimeError until every block
+    was yielded.
     """
 
     def __init__(self, cfg: SystemConfig, p: float, grid_n: int) -> None:
@@ -117,12 +118,12 @@ class FrontierSweep:
             for first in range(0, grid_n, rows):  # the first block's fault
                 split_sensing_rate(cfg, fractions[first : first + rows, None], (0.0, 1.0), self._p)
             raise
-        self.largest_rates = (-math.inf, -math.inf)
-        self._survivors = _Survivors()
+        self._walked = None  # the largest rates and survivors of the last walk
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         cfg, p, fractions, rows = self._cfg, self._p, self.fractions, self._rows
         grid_n = fractions.size
+        top, survivors = (-math.inf, -math.inf), _Survivors()
         for first in range(0, grid_n, rows):
             kappa = fractions[first : first + rows, None]
             rate_s = split_sensing_rate(cfg, kappa, fractions, p)
@@ -133,17 +134,25 @@ class FrontierSweep:
             factor = kappa / _LN2
             rate_c[on, 1:] = factor * self._near[cells] + factor * self._far[cells]
             rate_s, rate_c = rate_s.ravel(), rate_c.ravel()
-            top_s, top_c = self.largest_rates  # np.maximum keeps a nan, as np.max does
-            top_s, top_c = np.maximum(top_s, rate_s.max()), np.maximum(top_c, rate_c.max())
-            self.largest_rates = float(top_s), float(top_c)
-            self._survivors.add(first * grid_n, rate_s, rate_c)
+            top = np.maximum(top, (rate_s.max(), rate_c.max()))  # keeps a nan, as np.max does
+            survivors.add(first * grid_n, rate_s, rate_c)
             yield first, rate_s, rate_c
+        self._walked = tuple(top.tolist()), survivors
+
+    def _result(self) -> tuple:
+        if self._walked is None:
+            raise RuntimeError("the sweep has not yielded every block")
+        return self._walked
+
+    @property
+    def largest_rates(self) -> tuple[float, float]:
+        """The largest rate_s and rate_c over the grid."""
+        return self._result()[0]
 
     def pareto(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid indices, rate_s and rate_c of the Pareto-maximal points,
-        highest rate_s first, as _pareto_subset of the whole grid gives them;
-        once every block was yielded."""
-        return self._survivors.merged()
+        highest rate_s first, as _pareto_subset of the whole grid gives them."""
+        return self._result()[1].merged()
 
 
 class _Survivors:

@@ -1086,6 +1086,22 @@ def test_importing_the_cli_loads_no_executor():
     assert run.returncode == 0 and run.stdout == b"False\n"
 
 
+@pytest.mark.parametrize("argv", [["region", "--grid-n", "201"], ["outage", "--snr-db-step", "0.001"]])
+def test_closed_stdout_stops_the_command_quietly(cfg_file, argv):
+    # Each table is larger than a pipe buffer, so the command is still writing
+    # when the reader closes stdout after one line, as `| head -1` does.
+    env = {**os.environ, "PYTHONPATH": str(Path(noma_isac.__file__).resolve().parents[1])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "noma_isac", *argv, "--config", cfg_file],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        assert child.stdout.readline().startswith(b"kind," if argv[0] == "region" else b"snr_db,")
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def test_csv_uses_twelve_significant_digits(cfg_file, tmp_path):
     out = tmp_path / "ecr.csv"
     main(["ecr", "--config", cfg_file, "--output", str(out), "--snr-db-max", "5"])

@@ -601,11 +601,10 @@ def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, bound):
     # most 2 MiB of tiles while it draws them.  The estimators hold the leaf
     # being drawn and one per task in flight, so their bounds are the same at
     # 2**20 and 3 * 2**20 trials: a leaf's draw (eight leaf arrays), plus per
-    # task in flight its leaf's two gain arrays and its temporaries.  An
-    # outage task evaluates _PIECE trials at a time; a rate task holds a rate
-    # buffer and up to three temporaries of the leaf.  The first call, of
-    # more than one leaf, leaves out allocations made once per process: numpy's
-    # and the thread pool's import.
+    # task in flight its leaf's two gain arrays and its temporaries: a rate
+    # task holds a rate buffer and up to three temporaries of the leaf.  The
+    # first call, of more than one leaf, leaves out allocations made once per
+    # process: numpy's and the thread pool's import.
     call(2 * mc._TILE)
     assert _traced_peak(lambda: call(1 << 20)) < bound
 

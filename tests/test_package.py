@@ -1,6 +1,8 @@
 """The package's public surface: each module's `__all__`, re-exported once,
-and the OpenBLAS thread count that importing it sets."""
+the OpenBLAS thread count that importing it sets, the attributes the
+benchmark's tracer wraps, and README's library quick start."""
 
+import importlib.util
 import itertools
 import json
 import os
@@ -82,3 +84,29 @@ def test_importing_the_package_keeps_openblas_single_threaded():
     code = "import numpy\nbefore = dict(os.environ)\nimport noma_isac.cli\nassert dict(os.environ) == before"
     threads, value = _child(code)
     assert threads > 1 and value is None
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_tracer_finds_every_boundary(monkeypatch):
+    # perfbench/tracer.py wraps package attributes by name, private ones
+    # among them; each must exist, be wrapped while installed and be
+    # restored afterwards.
+    spec = importlib.util.spec_from_file_location("tracer", _ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    spec.loader.exec_module(tracer)
+    modules = {b.module: importlib.import_module(f"noma_isac.{b.module}") for b in tracer.BOUNDARIES}
+    originals = {b: getattr(modules[b.module], b.attr) for b in tracer.BOUNDARIES}
+    with tracer.Tracer().installed():
+        for b, fn in originals.items():
+            assert getattr(modules[b.module], b.attr) is not fn, b.span
+    for b, fn in originals.items():
+        assert getattr(modules[b.module], b.attr) is fn, b.span
+
+
+def test_readme_library_quick_start_runs():
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -297,7 +297,7 @@ def test_outage_counts_equal_per_trial_over_many_leaves(cfg, mode, grid_db, work
     powers = db_to_linear(np.array(grid_db)).tolist()
     trials = 2 * _BLOCK + 500 if gains is None else len(gains)
     with contextlib.ExitStack() as patches:
-        for name, value in (("_CHUNK", _BLOCK), ("_TILE", 1), ("_PIECE", 7)):
+        for name, value in (("_CHUNK", _BLOCK), ("_TILE", 1)):
             patches.enter_context(mock.patch.object(mc, name, value))
         if gains is not None:
             drawn = np.array(gains)

@@ -268,6 +268,26 @@ def test_sweep_containment_is_the_largest_excess_of_every_point(snr_db):
     assert containment_check(corner, sweep) == containment_check(corner, frontier)
 
 
+def test_sweep_gives_no_verdict_until_every_block_was_yielded(monkeypatch):
+    # Grid 11 in blocks of two kappa rows: six blocks.
+    monkeypatch.setattr(region, "_TILE", 22)
+    corner, whole = isac_corner(CFG, P5), fdsac_frontier(CFG, P5, 11)
+    fresh, half = FrontierSweep(CFG, P5, 11), FrontierSweep(CFG, P5, 11)
+    blocks = iter(half)
+    for _ in range(3):
+        next(blocks)
+    for sweep in (fresh, half):
+        with pytest.raises(RuntimeError, match="every block"):
+            containment_check(corner, sweep)
+        with pytest.raises(RuntimeError, match="every block"):
+            sweep.pareto()
+    for _ in blocks:
+        pass
+    assert half.largest_rates == whole.largest_rates
+    assert containment_check(corner, half) == containment_check(corner, whole)
+    assert half.pareto()[0].tolist() == whole.pareto.tolist()
+
+
 @pytest.mark.parametrize("tile", [7, 1000, region._TILE])
 @pytest.mark.parametrize("snr_db", [-60.0, 5.0, 40.0])
 @pytest.mark.parametrize("grid_n", [2, 3, 67, 101])
