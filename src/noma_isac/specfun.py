@@ -21,19 +21,20 @@ EULER_GAMMA = float(np.euler_gamma)
 # Branch switches for Ei(-z): ascending series up to _SERIES_CUTOFF,
 # continued fraction above it, asymptotic expansion from _ASYMPTOTIC_CUTOFF.
 # The series and the continued fraction agree to better than 1e-12 relative
-# at their crossover; the asymptotic expansion's first omitted term is below
-# 6/z**3 relative there, so it matches the continued fraction to rounding.
+# at their crossover.  Against mpmath the three terms are within 1.02 ulp from
+# 1e6 up (36 ulp below), where the fraction is off by up to 7.5 ulp on [1e6,
+# 1e7), 52 on [1e9, 1e10), 484 on [1e11, 1e12) and 290 on [1e13, 1e14).
 _SERIES_CUTOFF = 5.0
-_ASYMPTOTIC_CUTOFF = 1e16
+_ASYMPTOTIC_CUTOFF = 1e6
 _MAX_ITER = 500
 
 
 def exp_int_ei(x: float | np.ndarray) -> float | np.ndarray:
     """Exponential integral Ei(x) on the negative real axis.
 
-    Ei(x) = -int_{-x}^{inf} e^{-t}/t dt for x < 0; strictly negative,
-    vanishing as x -> -inf and diverging to -inf as x -> 0-.  Broadcasts
-    over an array of x; a scalar x gives a float.
+    Ei(x) = -int_{-x}^{inf} e^{-t}/t dt for x < 0; negative (-0.0 where it
+    underflows, from about x = -745 down) and diverging to -inf as x -> 0-.
+    Broadcasts over an array of x; a scalar x gives a float.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x < 0.0):
@@ -47,7 +48,7 @@ def psi_term(chi: float | np.ndarray, scale: float | np.ndarray) -> float | np.n
     Strictly negative for all positive inputs. Large ratios are evaluated in
     pre-scaled form so the product never overflows.  Broadcasts over arrays
     of chi and scale; scalar inputs give a float.  The kernel sees only the
-    normal ratios chi/scale; fdsac_frontier passes each distinct one once.
+    normal ratios chi/scale; region.FrontierSweep passes each distinct one once.
     """
     chi = np.asarray(chi, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -164,8 +165,8 @@ def _float_or_array(x: np.ndarray) -> float | np.ndarray:
 def _ei_neg(z: np.ndarray, scaled: bool) -> np.ndarray:
     # Ei(-z) for a 1-D array of z > 0, times e^z when scaled.  Above the
     # series branch the pieces are e^z * E1(z) = -e^z * Ei(-z): by continued
-    # fraction, or, where Lentz's iteration stalls because z + 2i rounds to
-    # z, by Abramowitz & Stegun 5.1.51, 1/z * sum_k (-1)^k k!/z^k.
+    # fraction, or, where three terms are the more accurate, by Abramowitz &
+    # Stegun 5.1.51, 1/z * sum_k (-1)^k k!/z^k.
     low = z <= _SERIES_CUTOFF
     big = z >= _ASYMPTOTIC_CUTOFF
     mid = ~low & ~big
@@ -201,17 +202,14 @@ def _ei_neg_series(z: np.ndarray) -> np.ndarray:
     raise ArithmeticError(f"Ei series did not converge at z={z[live][0]!r}")
 
 
-def _e1_scaled_cf(z: np.ndarray, stuck: bool = False) -> np.ndarray:
+def _e1_scaled_cf(z: np.ndarray) -> np.ndarray:
     # e^z * E1(z) by modified Lentz continued fraction: h at the first step
     # whose update factor delta is 1 (the floats next to 1 lie more than
-    # 1e-16 from it), captured, as h is not shown to stay put after it.  For
-    # a few z above 1e8 delta sticks at 1 - 2**-53 instead; only elements
-    # that miss 1 for _MAX_ITER - 1 steps run again, stuck, to take the first
-    # step with delta at either.  Once at most half the stepped elements are
-    # live, the live ones move to the front and only they step on, with
-    # their places in `at` (None before the first move): each element's
-    # recurrence is its own, so no bit changes.
-    out, at, live = np.empty_like(z), None, np.ones(z.size, bool)
+    # 1e-16 from it), captured, as h is not shown to stay put after it.
+    # Once at most half the stepped elements are live, the live ones move to
+    # the front and only they step on, with their places in `at`: each
+    # element's recurrence is its own, so no bit changes.
+    out, at, live = np.empty_like(z), np.arange(z.size), np.ones(z.size, bool)
     b = z + 1.0
     c = np.full_like(b, 1.0 / 1e-300)
     d = 1.0 / b
@@ -228,24 +226,18 @@ def _e1_scaled_cf(z: np.ndarray, stuck: bool = False) -> np.ndarray:
         np.multiply(c, d, out=delta)
         h *= delta
         np.equal(delta, 1.0, out=hit)
-        if stuck:
-            hit |= delta == 1.0 - 2.0**-53
         hit &= live
         got = np.flatnonzero(hit)
-        out[got if at is None else at[got]] = h[got]
+        out[at[got]] = h[got]
         live ^= hit
         left = np.count_nonzero(live)
         if not left:
             return out
         if 2 * left <= live.size:
             keep = np.flatnonzero(live)
-            at = keep if at is None else at[keep]
+            at = at[keep]
             for v in (b, c, d, h):
                 v[:left] = v[keep]
             b, c, d, h, delta, hit, live = (v[:left] for v in (b, c, d, h, delta, hit, live))
             live[:] = True
-    stalled = np.flatnonzero(live) if at is None else at[live]
-    if stuck:
-        raise ArithmeticError(f"E1 continued fraction did not converge at z={z[stalled][0]!r}")
-    out[stalled] = _e1_scaled_cf(z[stalled], stuck=True)
-    return out
+    raise ArithmeticError(f"E1 continued fraction did not converge at z={z[at[live]][0]!r}")

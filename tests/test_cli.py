@@ -466,7 +466,8 @@ def test_region_at_tiny_power_succeeds(cfg_file, tmp_path):
 ])
 def test_stalled_continued_fraction_inputs_succeed(cfg_file, tmp_path, argv):
     # Each command meets ratios where the continued fraction's update factor
-    # sticks next to 1 and never rounds to it.
+    # would stick next to 1 and never round to it; the asymptotic branch
+    # takes them.
     out = tmp_path / "table.csv"
     assert main([*argv, "--config", cfg_file, "--output", str(out)]) == 0
     text = out.read_text(encoding="utf-8")

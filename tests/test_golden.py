@@ -5,7 +5,10 @@ digest.  A refactor that keeps the numbers keeps these digests; a change
 that moves any output byte has to update the digest here on purpose.
 """
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -17,7 +20,8 @@ import noma_isac
 from noma_isac.cli import dump_config, main
 from noma_isac.config import baseline_config
 
-_DEMOS = Path(__file__).resolve().parents[1] / "demos"
+_ROOT = Path(__file__).resolve().parents[1]
+_DEMOS = _ROOT / "demos"
 _SPLIT = ("--mode", "fdsac", "--kappa", "0.5", "--mu", "0.5")
 
 
@@ -106,11 +110,6 @@ _TABLES = {
         ("region", "--format", "json", "--grid-n", "21"),
         "6478e22e90388c6a8cbbbfb280c01e98a360ba9770512a356a59ba4749e195df",
     ),
-    # The benchmarked region_grid output (perfbench/digests.json).
-    "region-csv-401": (
-        ("region", "--format", "csv", "--p-db", "5", "--grid-n", "401"),
-        "0c93e38331244904d726194618ca2f7f53b206c22a61080c047f34f31d1e8ed5",
-    ),
     # The largest powers whose squares, in the outage asymptote, stay finite.
     "outage-csv-1540db-0": (
         ("outage", "--snr-db-min", "1540", "--snr-db-max", "1540"),
@@ -156,3 +155,36 @@ def test_demo_stdout_is_pinned(demo):
     assert run.returncode == 0
     assert run.stderr == b""
     assert _sha256(run.stdout) == _DEMO_STDOUT[demo]
+
+
+def _benchmark_checks():
+    spec = importlib.util.spec_from_file_location("checks", _ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+def test_benchmark_recorded_outputs_are_reproduced(tmp_path):
+    # Every perfbench/digests.json entry at seed 1 or without a seed, run in
+    # process as the benchmark runs it, the 1e6-trial outage once more at two
+    # workers; a selftest is digested by its stdout.
+    checks = _benchmark_checks()
+    digests = checks.load_digests()
+    keys = [k for k in digests if "--seed" not in k or k.endswith("--seed 1")]
+    assert len(keys) == 8
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(dump_config(baseline_config()), encoding="utf-8")
+    out = tmp_path / "table"
+    runs = [key.split() for key in keys]
+    runs.append([*next(a for a in runs if a[0] == "outage" and "1000000" in a), "--workers", "2"])
+    for args in runs:
+        argv = [args[0], "--config", str(cfg), *args[1:]]
+        if args[0] != "selftest":
+            argv += ["--output", str(out)]
+        out.unlink(missing_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        data = stdout.getvalue().encode() if args[0] == "selftest" else out.read_bytes()
+        key = checks.digest_key(argv)
+        assert key in keys and _sha256(data) == digests[key], key

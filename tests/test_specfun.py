@@ -108,7 +108,7 @@ def test_psi_term_pinned_at_series_cutoff_neighbours():
 
 
 def test_ei_array_matches_scalar_calls():
-    # Every branch, the cutoffs 5 and 1e16 and their float neighbours, in
+    # Every branch, the cutoffs 5 and 1e6 and their float neighbours, in
     # one array call against one call per element, bit for bit.
     cutoffs = np.array([specfun._SERIES_CUTOFF, specfun._ASYMPTOTIC_CUTOFF])
     z = np.concatenate(
@@ -137,15 +137,16 @@ def test_psi_term_array_matches_scalar_calls():
     assert got.tolist() == [[psi_term(float(c), float(s)) for c, s in zip(row, scale)] for row in chi]
 
 
-def test_psi_term_pinned_below_asymptotic_cutoff():
-    # Recorded from the scalar per-call kernel; the asymptotic branch must
-    # leave every continued-fraction value below its cutoff unchanged.
+def test_psi_term_pinned_on_both_sides_of_the_asymptotic_cutoff():
+    # 7.5 and 1e3, on the continued fraction, recorded from the scalar
+    # per-call kernel; the three ratios on the asymptotic branch are the
+    # correctly rounded values from mpmath, which the expansion gives there.
     pinned = {
         7.5: -0.11902504720841102,
         1e3: -0.0009990019940238808,
         1e10: -9.999999999e-11,
-        1e15: -9.999999999999989e-16,
-        9.9e15: -1.0101010101010101e-16,
+        1e15: -9.99999999999999e-16,
+        9.9e15: -1.01010101010101e-16,
     }
     assert psi_term(np.array(list(pinned)), 1.0).tolist() == list(pinned.values())
 
@@ -157,6 +158,39 @@ def test_psi_term_asymptotic_branch_continues_the_fraction():
     assert psi_term(z, 1.0) == pytest.approx(-_e1_scaled_cf(z), rel=1e-15)
     below = np.nextafter(_ASYMPTOTIC_CUTOFF, 0.0)
     assert psi_term(_ASYMPTOTIC_CUTOFF, 1.0) == pytest.approx(psi_term(below, 1.0), rel=1e-15)
+
+
+def test_ei_above_the_series_is_within_stated_ulps_of_mpmath():
+    # Against mpmath at 50 digits, in units in the last place of the
+    # correctly rounded value, on a dense log grid over (5, 1e16] with the
+    # cutoffs and their float neighbours.  Bounds fixed before the first run:
+    # the expansion rounds its inner 1 - t by at most 2**-54 relative and its
+    # last division by half an ulp, and omits 6/z**3 relative, so it stays
+    # within 1.06 ulp; the fraction's largest error that scans of up to
+    # 300,000 log-uniform z found on (5, 1e6) is below 22.6 ulp; unscaled
+    # Ei(-z) adds libm's exp(-z) and one product, each within an ulp.
+    mpmath = pytest.importorskip("mpmath")
+    cuts = [specfun._SERIES_CUTOFF, specfun._ASYMPTOTIC_CUTOFF]
+    steps = (float, lambda v: np.nextafter(v, 0.0), lambda v: np.nextafter(v, math.inf))
+    edges = [f(c) for c in cuts for f in steps]
+    z = np.unique(np.concatenate([np.geomspace(5.0, 1e16, 6001), edges]))
+    z = z[z > specfun._SERIES_CUTOFF]
+    big = z >= specfun._ASYMPTOTIC_CUTOFF
+    scaled, unscaled = specfun._ei_neg(z, scaled=True), specfun._ei_neg(z, scaled=False)
+    errors = {"expansion": [], "fraction": [], "unscaled": []}
+    with mpmath.workdps(50):
+        for v, s, u, on_big in zip(z.tolist(), scaled.tolist(), unscaled.tolist(), big):
+            e1 = mpmath.e1(v)
+            exact = -e1 * mpmath.exp(v)
+            errors["expansion" if on_big else "fraction"].append(
+                float(abs(s - exact)) / math.ulp(float(exact))
+            )
+            if v <= 700.0:
+                errors["unscaled"].append(float(abs(u + e1)) / math.ulp(float(e1)))
+    assert len(errors["expansion"]) > 2000 and len(errors["unscaled"]) > 500
+    assert max(errors["expansion"]) <= 1.06
+    assert max(errors["fraction"]) <= 22.6
+    assert max(errors["unscaled"]) <= 24.6
 
 
 def test_psi_term_large_ratio_limit():
@@ -432,42 +466,45 @@ def test_unconverged_ei_names_the_first_element(monkeypatch, branch, max_iter):
 
 #: Ratios where the continued fraction's update factor sticks at 1 - 2**-53
 #: and never rounds to 1; region --p-db -100 --grid-n 401 meets the second,
-#: ecr from -160 to -100 dB in steps of 0.01 dB the fifth.
+#: ecr from -160 to -100 dB in steps of 0.01 dB the fifth.  All lie above
+#: _ASYMPTOTIC_CUTOFF, so the fraction never sees them.
 _STALLED = [
     132635296487.60532, 273446327683.6158, 509744481149.20807, 922794379097.4957,
     7229199075650.937, 459644486579275.6, 3677011876713244.0,
 ]
 
 
-def test_e1_fraction_takes_delta_next_to_one_where_it_stalls():
+def test_psi_term_is_within_an_ulp_where_the_fraction_stalls():
     mpmath = pytest.importorskip("mpmath")
     z = np.array(_STALLED)
     for v in _STALLED:
         with pytest.raises(ArithmeticError, match="did not converge"):
             _compacting_fraction(np.array([v]))
-    got = specfun._e1_scaled_cf(z).tolist()
+    got = psi_term(z, 1.0).tolist()
     with mpmath.workdps(40):
         for v, value in zip(_STALLED, got):
-            exact = mpmath.exp(v) * mpmath.e1(v)
-            assert abs(value - exact) <= 3.5e-16 * exact
-    # Converging elements keep their bits next to them, in one call.
+            exact = -mpmath.exp(v) * mpmath.e1(v)
+            assert abs(value - exact) <= math.ulp(float(exact))
+    # Continued-fraction elements keep their bits next to them, in one call.
     _, branches, _ = _kernel_arguments()
     mid, old = branches[1]
-    at = np.searchsorted(mid, z[0])
-    mixed = specfun._e1_scaled_cf(np.concatenate([mid[:at], z, mid[at:]]))
-    assert np.delete(mixed, np.arange(at, at + z.size)).tobytes() == old(mid).tobytes()
+    at = mid.size // 2
+    mixed = specfun._ei_neg(np.concatenate([mid[:at], z, mid[at:]]), scaled=True)
+    assert np.delete(mixed, np.arange(at, at + z.size)).tobytes() == (-old(mid)).tobytes()
     assert mixed[at : at + z.size].tolist() == got
 
 
 def test_stalled_ratios_leave_a_call_equal_to_per_element_calls():
     # The fraction steps on with the live elements only once at most half
-    # are live, so a call that holds every stalled ratio among 1000 others
-    # gives each ratio the bits of its own call.
+    # are live, so a call of 1000 ratios in (5, 1e6), slow and fast ones
+    # mixed, gives each ratio the bits of its own call; and psi_term does
+    # so over ratios up to 1e15 with the stalled ones among them.
     rng = np.random.default_rng(6)
     z = rng.permutation(np.concatenate([np.geomspace(5.5, 1e15, 1000), _STALLED]))
     assert psi_term(z, 1.0).tolist() == [psi_term(v, 1.0) for v in z.tolist()]
-    assert specfun._e1_scaled_cf(z).tolist() == [
-        specfun._e1_scaled_cf(np.array([v]))[0] for v in z.tolist()
+    mid = rng.permutation(np.geomspace(5.5, 9.9e5, 1000))
+    assert specfun._e1_scaled_cf(mid).tolist() == [
+        specfun._e1_scaled_cf(np.array([v]))[0] for v in mid.tolist()
     ]
 
 
