@@ -2,9 +2,9 @@
 """Counter-based substreams make every Monte Carlo result reproducible.
 
 Trial i always draws from block i of a Philox stream keyed by the seed, so
-estimates do not depend on chunking or execution order.  Each block is drawn
-once per call and shared by every power, so they do not depend either on how
-many threads (`workers`) evaluate a block's powers.
+estimates do not depend on chunking or execution order.  Each leaf of trials
+is drawn once per call and shared by every power, so they do not depend
+either on how many threads (`workers`) evaluate whole leaves.
 """
 
 import numpy as np

@@ -152,51 +152,33 @@ def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
     # Per power k, the number of the ascending `gains` at which the event
     # holds[k] holds: those above cuts[k, 1] hold and those below cuts[k, 0]
     # fail (see estimate_outage).  Cuts that are still infinite are first
-    # set by bisecting the gains.  The event is evaluated at the rest, and
-    # the smallest gain where it holds and the largest where it fails
-    # tighten the cuts, by their windows window[k].  Threads share `cuts`
-    # without a lock: each cut is one float, and an update that a race loses
-    # leaves a looser cut, which is as valid, so no count depends on the race.
+    # tightened from every isqrt(n)-th of the n gains, and the event is then
+    # evaluated at the gains between the cuts, which tighten them again.
+    # Threads share `cuts` without a lock: each cut is one float, and an
+    # update that a race loses leaves a looser cut, which is as valid, so no
+    # count depends on the race.
     for k in np.flatnonzero(np.isinf(cuts).all(axis=1)):
-        _tighten(cuts[k], *_bisect(holds[k], gains), window[k])
+        _tighten(holds[k], gains[:: math.isqrt(gains.size)], cuts[k], window[k])
     lo = np.searchsorted(gains, cuts[:, 0])
     hi = np.searchsorted(gains, cuts[:, 1], side="right")
     held = gains.size - hi
     for k in np.flatnonzero(lo < hi):
-        between = gains[lo[k] : hi[k]]
-        ok = holds[k](between)
-        held[k] += np.count_nonzero(ok)
-        failing = float(np.max(between, where=~ok, initial=-math.inf))
-        holding = float(np.min(between, where=ok, initial=math.inf))
-        _tighten(cuts[k], failing, holding, window[k])
+        held[k] += _tighten(holds[k], gains[lo[k] : hi[k]], cuts[k], window[k])
     return held
 
 
-def _bisect(holds, gains: np.ndarray) -> tuple[float, float]:
-    # A gain of the ascending `gains` where the event fails and one where it
-    # holds, adjacent unless they are the ends, or -inf and inf where there
-    # is none.  Each is evaluated alone, after the leaf's largest near gain:
-    # an overflow would have been raised there first.
-    fails, holds_at = -1, gains.size
-    while holds_at - fails > 1:
-        mid = (fails + holds_at) // 2
-        if holds(gains[mid]):
-            holds_at = mid
-        else:
-            fails = mid
-    return (
-        float(gains[fails]) if fails >= 0 else -math.inf,
-        float(gains[holds_at]) if holds_at < gains.size else math.inf,
-    )
-
-
-def _tighten(cut: np.ndarray, failing: float, holding: float, window) -> None:
-    # The cuts (lo, hi) tightened by a gain where the event fails and one
-    # where it holds, each by its window, where it has one below 1.
+def _tighten(holds, gains: np.ndarray, cut: np.ndarray, window) -> int:
+    # The number of `gains` at which the event holds.  The largest where it
+    # fails and the smallest where it holds tighten the cuts (lo, hi), each
+    # by its window, where it has one below 1.
+    ok = holds(gains)
+    failing = float(np.max(gains, where=~ok, initial=-math.inf))
+    holding = float(np.min(gains, where=ok, initial=math.inf))
     if failing > -math.inf and (w := window(failing)) < 1.0:
         cut[0] = max(cut[0], failing * (1.0 - w))
     if holding < math.inf and (w := window(holding)) < 1.0:
         cut[1] = min(cut[1], holding * (1.0 + w))
+    return np.count_nonzero(ok)
 
 
 def estimate_outage(
@@ -245,11 +227,11 @@ def estimate_outage(
       infeasible allocation) or an operand is subnormal, a gain gives no
       cut on that side.
 
-    The cuts start at -inf and +inf, and a leaf that finds them so first
-    bisects its sorted gains for a failing and a holding one, evaluating
-    each alone.  The trials of a leaf between the cuts are evaluated per
-    trial, and the smallest holding and the largest failing gain among them
-    tighten the cuts for later leaves.  Every cut ever set is valid, so a
+    The cuts start at -inf and +inf, and a leaf of n trials that finds them
+    so first evaluates the event at every isqrt(n)-th of its sorted gains,
+    in one call.  Then, as at every later leaf, the trials between the cuts
+    are evaluated per trial.  Each time, the smallest holding and the
+    largest failing gain tighten the cuts.  Every cut ever set is valid, so a
     cut read while another leaf tightens it gives the same counts.  The
     evaluations use the per-trial formulas only, never the closed form's
     thresholds, so the estimate stays an independent check of them.  Each

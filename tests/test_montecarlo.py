@@ -434,24 +434,27 @@ def test_outage_counts_equal_per_trial_at_full_size(trials, mode):
     assert _estimated_fractions(CFG, mode, powers, trials, 2) == expected
 
 
-def test_first_leaf_bisects_its_gains(monkeypatch):
+def test_first_leaf_seeds_its_cuts_from_a_sample(monkeypatch):
     # Each user's first leaf finds its cuts infinite at every power; it
-    # bisects its gains for them instead of evaluating all 12,496.  The
-    # counts stay the per-trial ones.
+    # evaluates every isqrt(n)-th gain in one call, and then only the gains
+    # between the cuts so set, instead of all 12,496.  The counts stay the
+    # per-trial ones.
     evaluated = []
     held = mc._held
 
     def spy(holds, gains, cuts, window):
         counts = [0] * len(holds)
+        calls = [0] * len(holds)
 
         def counting(k):
             def event(g):
                 counts[k] += np.size(g)
+                calls[k] += 1
                 return holds[k](g)
 
             return event
 
-        evaluated.append((gains.size, counts))
+        evaluated.append((gains.size, counts, calls))
         return held([counting(k) for k in range(len(holds))], gains, cuts, window)
 
     monkeypatch.setattr(mc, "_held", spy)
@@ -459,9 +462,10 @@ def test_first_leaf_bisects_its_gains(monkeypatch):
     expected = _per_trial_outages(CFG, ISAC, powers, 100_000, 1)
     assert _estimated_fractions(CFG, ISAC, powers, 100_000, 1) == expected
     assert len(evaluated) == 2 * 8
-    for size, counts in evaluated[:2]:  # the near and the far user's first leaf
+    for size, counts, calls in evaluated[:2]:  # the near and the far user's first leaf
         assert size == 12_496 and len(counts) == len(powers)
         assert max(counts) < 0.05 * size
+        assert max(calls) <= 2
 
 
 @pytest.mark.parametrize("cfg", [CFG, ROUNDING_CFG], ids=["baseline", "rounding"])

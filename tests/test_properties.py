@@ -248,16 +248,25 @@ _DESIGN_DB = 10.0
 def _designed_gains(case):
     # _BLOCK gains, one block, for the baseline config in ISAC at
     # _DESIGN_DB, laid out around the far and near users' transitions
-    # t_f < t_n.  The first leaf holds the first 120; the later ones follow.
+    # t_f < t_n.  The first leaf holds the first 120, and seeds its cuts from
+    # every isqrt(120) = 10th of them sorted; the later leaves follow.  A
+    # case of 1, 2 or 3 is a single leaf of that many trials, all sampled.
     p = db_to_linear(_DESIGN_DB)
     th = thresholds(_BASELINE, ISAC)
     t_f, t_n = th.vartheta * _BASELINE.sigma2_c / p, th.theta * _BASELINE.sigma2_c / p
+    if case in (1, 2, 3):
+        # Both users' events fail, both hold, only the far user's holds.
+        return (0.5 * t_f, 2.0 * t_n, float(np.sqrt(t_f * t_n)))[:case]
     rng = np.random.default_rng(5)
     first = {
         "holding": rng.uniform(2.0 * t_n, 4.0 * t_n, 120),  # every trial holds
         "failing": rng.uniform(0.0, 0.5 * t_f, 120),  # every trial fails
         "straddling": np.linspace(0.5 * t_f, 2.0 * t_n, 120),
         "beyond": rng.uniform(0.9 * t_f, 1.1 * t_n, 120),
+        # Every sampled gain fails, and the 9 above the last of them hold.
+        "sampled_failing": np.concatenate(
+            [np.linspace(0.1 * t_f, 0.5 * t_f, 111), np.linspace(2.0 * t_n, 4.0 * t_n, 9)]
+        ),
     }[case]
     second = []
     if case == "straddling":
@@ -293,6 +302,10 @@ def _designed_gains(case):
 @example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("failing"))
 @example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("straddling"))
 @example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("beyond"))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains("sampled_failing"))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains(1))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains(2))
+@example(_BASELINE, ISAC, [_DESIGN_DB], 1, 0, _designed_gains(3))
 def test_outage_counts_equal_per_trial_over_many_leaves(cfg, mode, grid_db, workers, seed, gains):
     powers = db_to_linear(np.array(grid_db)).tolist()
     trials = 2 * _BLOCK + 500 if gains is None else len(gains)

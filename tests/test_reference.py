@@ -30,11 +30,14 @@ forms may tighten them, never loosen them.  tests/table_diff.py reads the
 *_columns functions to judge changed table cells.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
 from noma_isac import (
     ISAC,
+    SystemConfig,
     baseline_config,
     db_to_linear,
     ergodic_rates,
@@ -73,6 +76,29 @@ SWEEP_BOUNDS = {
     "sr_isac_asym": (1.3e-16, 0),
     "sr_fdsac": (1.9e-16, 0),
     "sr_fdsac_asym": (1.3e-16, 0),
+}
+RANDOM_SEED = 4
+RANDOM_CONFIGS = 60
+RANDOM_DB = np.array([-30.0, 0.0, 20.0, 60.0])
+RANDOM_REGION_DB = 0.0
+RANDOM_GRID_N = 5
+#: column: (largest relative error over the random configs, cells whose '%.12g' differs)
+RANDOM_BOUNDS = {
+    "pout_n_analytic": (3.4e-14, 0),
+    "pout_f_analytic": (1.7e-14, 0),
+    "pout_n_asym": (3.4e-14, 0),
+    "pout_f_asym": (1.7e-14, 0),
+    "ecr_n_analytic": (2.6e-13, 0),
+    "ecr_f_analytic": (5.6e-13, 2),
+    "ecr_sum_analytic": (2.5e-13, 0),
+    "ecr_n_asym": (1.8e-15, 0),
+    "ecr_f_asym": (1.1e-16, 0),
+    "sr_isac": (3.2e-16, 0),
+    "sr_isac_asym": (6.2e-16, 0),
+    "sr_fdsac": (3.2e-16, 0),
+    "sr_fdsac_asym": (6.2e-16, 0),
+    "rate_s": (3.3e-16, 0),
+    "rate_c": (6.4e-13, 2),
 }
 
 
@@ -180,11 +206,9 @@ def test_region_columns_against_the_exact_reference():
                 assert cells <= max_cells, (p_db, column)
 
 
-@pytest.mark.parametrize("split", [None, (0.5, 0.5)], ids=["isac", "fdsac"])
-def test_sweep_columns_against_the_exact_reference(split):
-    cfg, powers = baseline_config(), db_to_linear(SWEEP_DB)
+def _sweep_cells(cfg, split, powers):
+    # The package's outage, ecr and (with a split) sensing cells at powers.
     mode = ISAC if split is None else fdsac(*split)
-    kappa, mu = split or (1.0, 1.0)
     ecr_n, ecr_f = ergodic_rates(cfg, mode, powers)
     got = dict(
         zip(("pout_n_analytic", "pout_f_analytic"), outage_probability(cfg, mode, powers)),
@@ -201,6 +225,14 @@ def test_sweep_columns_against_the_exact_reference(split):
             sr_fdsac=sensing_rate(cfg, mode, powers),
             sr_fdsac_asym=sensing_rate_asymptotic(cfg, mode, powers),
         )
+    return {column: values.tolist() for column, values in got.items()}
+
+
+@pytest.mark.parametrize("split", [None, (0.5, 0.5)], ids=["isac", "fdsac"])
+def test_sweep_columns_against_the_exact_reference(split):
+    cfg, powers = baseline_config(), db_to_linear(SWEEP_DB)
+    kappa, mu = split or (1.0, 1.0)
+    got = _sweep_cells(cfg, split, powers)
     with mpmath.workdps(50):
         reference = [
             {**outage_columns(cfg, kappa, mu, p), **ecr_columns(cfg, kappa, mu, p),
@@ -208,7 +240,67 @@ def test_sweep_columns_against_the_exact_reference(split):
             for p in powers.tolist()
         ]
         for column, values in got.items():
-            rel, cells = _errors(values.tolist(), [r[column] for r in reference])
+            rel, cells = _errors(values, [r[column] for r in reference])
             max_rel, max_cells = SWEEP_BOUNDS[column]
             assert rel <= max_rel, (split, column)
             assert cells <= max_cells, (split, column)
+
+
+def _random_configs(count):
+    # Configs drawn uniformly from the ranges of test_properties.configs(),
+    # without its extremes, from a generator whose seed never changes.
+    rng = np.random.default_rng(RANDOM_SEED)
+    for _ in range(count):
+        alpha_n = rng.uniform(0.05, 0.45)
+        antennas = int(rng.integers(1, 9))
+        yield SystemConfig(
+            rho1=rng.uniform(0.05, 5.0),
+            rho2=rng.uniform(0.05, 5.0),
+            alpha_n=alpha_n,
+            alpha_f=1.0 - alpha_n,
+            sigma2_c=rng.uniform(0.1, 10.0),
+            sigma2_s=rng.uniform(0.1, 10.0),
+            num_rx_antennas=antennas,
+            frame_length=int(rng.integers(1, 41)),
+            target_rate_n=rng.uniform(0.0, 3.0),
+            target_rate_f=rng.uniform(0.0, 3.0),
+            sensing_eigenvalues=tuple(rng.uniform(0.0, 10.0, int(rng.integers(1, antennas + 1)))),
+        )
+
+
+def _outage_reference(cfg, kappa, mu, p):
+    # outage_columns on the feasible branch; certain outage off it.
+    gbar_f = 2 ** (mpf(cfg.target_rate_f) / mpf(kappa)) - 1
+    if mpf(cfg.alpha_f) > gbar_f * mpf(cfg.alpha_n):
+        return outage_columns(cfg, kappa, mu, p)
+    return dict.fromkeys(("pout_n_analytic", "pout_f_analytic", "pout_n_asym", "pout_f_asym"), mpf(1))
+
+
+def test_random_configs_against_the_exact_reference():
+    # The sweep columns at RANDOM_DB, ISAC and fdsac 0.5/0.5, and the region
+    # on a RANDOM_GRID_N grid at RANDOM_REGION_DB, over RANDOM_CONFIGS
+    # configs; bounds over all of them.
+    powers, p_region = db_to_linear(RANDOM_DB), db_to_linear(RANDOM_REGION_DB)
+    fractions = np.linspace(0.0, 1.0, RANDOM_GRID_N).tolist()
+    got, exact = collections.defaultdict(list), collections.defaultdict(list)
+    with mpmath.workdps(50):
+        for cfg in _random_configs(RANDOM_CONFIGS):
+            for split in (None, (0.5, 0.5)):
+                kappa, mu = split or (1.0, 1.0)
+                for column, values in _sweep_cells(cfg, split, powers).items():
+                    got[column] += values
+                for p in powers.tolist():
+                    reference = {**_outage_reference(cfg, kappa, mu, p), **ecr_columns(cfg, kappa, mu, p),
+                                 **sensing_columns(cfg, kappa, mu, p)}
+                    for column in SWEEP_BOUNDS:
+                        if split is not None or not column.startswith("sr_"):
+                            exact[column].append(reference[column])
+            frontier = fdsac_frontier(cfg, p_region, RANDOM_GRID_N)
+            for column in ("rate_s", "rate_c"):
+                got[column] += getattr(frontier, column).tolist()
+                exact[column] += [region_columns(cfg, k, m, p_region)[column] for k in fractions for m in fractions]
+        for column, values in got.items():
+            rel, cells = _errors(values, exact[column])
+            max_rel, max_cells = RANDOM_BOUNDS[column]
+            assert rel <= max_rel, column
+            assert cells <= max_cells, column
