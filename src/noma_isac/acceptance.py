@@ -204,24 +204,18 @@ def check_sensing_identities(cfg: SystemConfig, seed: int) -> CheckResult:
 
 def check_sensing_slopes(cfg: SystemConfig) -> CheckResult:
     """Asymptote power-step slopes equal the slope table's; 40 dB gap < 1e-3."""
-    isac_row, fdsac_row = reference_table(cfg, SPLIT_KAPPA)
-    p = db_to_linear(34.0)
-    split = fdsac(SPLIT_KAPPA, SPLIT_MU)
-    slope_i = (sensing_rate_asymptotic(cfg, ISAC, 4.0 * p) - sensing_rate_asymptotic(cfg, ISAC, p)) / 2.0
-    slope_f = (sensing_rate_asymptotic(cfg, split, 4.0 * p) - sensing_rate_asymptotic(cfg, split, p)) / 2.0
-    p40 = db_to_linear(40.0)
-    gap_i = abs(sensing_rate(cfg, ISAC, p40) - sensing_rate_asymptotic(cfg, ISAC, p40))
-    gap_f = abs(sensing_rate(cfg, split, p40) - sensing_rate_asymptotic(cfg, split, p40))
-    ok = (
-        abs(slope_i - isac_row.slope_sensing) <= 1e-12
-        and abs(slope_f - fdsac_row.slope_sensing) <= 1e-12
-        and gap_i < 1e-3
-        and gap_f < 1e-3
-    )
+    p, p40 = db_to_linear(34.0), db_to_linear(40.0)
+    slopes, gaps = [], []
+    for _, mode in _MODES:
+        low, high, top = (sensing_rate_asymptotic(cfg, mode, x) for x in (p, 4.0 * p, p40))
+        slopes.append((high - low) / 2.0)
+        gaps.append(abs(sensing_rate(cfg, mode, p40) - top))
+    rows = reference_table(cfg, SPLIT_KAPPA)
+    ok = all(abs(s - row.slope_sensing) <= 1e-12 and g < 1e-3 for s, g, row in zip(slopes, gaps, rows))
     return CheckResult(
         name="sensing rate slopes",
         passed=ok,
-        detail=f"slopes = ({slope_i:.6f}, {slope_f:.6f}); 40 dB gaps = ({gap_i:.2e}, {gap_f:.2e})",
+        detail="slopes = ({:.6f}, {:.6f}); 40 dB gaps = ({:.2e}, {:.2e})".format(*slopes, *gaps),
     )
 
 

@@ -213,10 +213,9 @@ def _closed_form_columns(command: str, cfg: SystemConfig, mode: Mode, powers: np
     return dict(zip(names, (ecr_n, ecr_f, ecr_n + ecr_f, *asym)))
 
 
-def _sweep_command(args: argparse.Namespace) -> int:
+def _sweep_command(cfg: SystemConfig, args: argparse.Namespace) -> int:
     # outage or ecr, by the subcommand's name.
     command = args.command
-    cfg = load_config_file(args.config)
     split = _split_from_args(args)
     mode = ISAC if args.mode == "isac" else split
     grid = _snr_grid(args)
@@ -245,8 +244,7 @@ def _sweep_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sensing(args: argparse.Namespace) -> int:
-    cfg = load_config_file(args.config)
+def cmd_sensing(cfg: SystemConfig, args: argparse.Namespace) -> int:
     split = _split_from_args(args)
     grid = _snr_grid(args)
     powers = db_to_linear(grid)
@@ -262,8 +260,7 @@ def cmd_sensing(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_region(args: argparse.Namespace) -> int:
-    cfg = load_config_file(args.config)
+def cmd_region(cfg: SystemConfig, args: argparse.Namespace) -> int:
     p = _linear_power("--p-db", args.p_db)
     if args.grid_n < 2:
         raise ValueError(f"--grid-n {args.grid_n} must be at least 2")
@@ -310,10 +307,9 @@ def cmd_region(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(cfg: SystemConfig, args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
-    cfg = load_config_file(args.config)
     if args.trials < 1:
         raise ValueError(f"--trials {args.trials} must be at least 1")
     _check_seed(args.seed)
@@ -399,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Every float fault but underflow raises where it happens, so no numpy
         # warning reaches stderr; worker threads set their own error state.
         with np.errstate(all="raise", under="ignore"):
-            status = args.func(args)
+            status = args.func(load_config_file(args.config), args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

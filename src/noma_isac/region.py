@@ -83,8 +83,7 @@ class FrontierSweep:
     tiles, and raises the float fault of the first block whose sensing
     rates would raise one: the sensing SNR's operations are monotone in
     kappa and mu, so a block's faults are those of its rows at mu = 0 and
-    mu = 1, tried for all rows at once and, if that faults, block by block.
-    So iterating raises none.
+    mu = 1, tried block by block.  So iterating raises none.
 
     Iterating yields (row, rate_s, rate_c) per block of about a tile of
     points: its first kappa row and its points' rates, mu varying fastest.
@@ -112,12 +111,8 @@ class FrontierSweep:
             tile = slice(start, start + _TILE)
             self._near[tile], self._far[tile] = _psi_brackets(cfg, self._table[tile], self._p)
         self._rows = rows = max(1, _TILE // grid_n)  # a block of about one tile of points
-        try:
-            split_sensing_rate(cfg, fractions[:, None], (0.0, 1.0), self._p)
-        except FloatingPointError:
-            for first in range(0, grid_n, rows):  # the first block's fault
-                split_sensing_rate(cfg, fractions[first : first + rows, None], (0.0, 1.0), self._p)
-            raise
+        for first in range(0, grid_n, rows):  # the first block's fault
+            split_sensing_rate(cfg, fractions[first : first + rows, None], (0.0, 1.0), self._p)
         self._walked = None  # the largest rates and survivors of the last walk
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -26,8 +26,8 @@ _POW10 = np.array([float(10**k) for k in range(16)])
 def _quad_table() -> np.ndarray:
     # Each of 0..9999 as four ASCII digits, little-endian in one uint32: as
     # they are, with the leading zeros padded, and with the trailing zeros
-    # padded; the pad byte is 0xFF.  No UTF-8 text holds 0xFF, so a block of
-    # CSV rows is laid out in fixed-width cells filled with pads, and the
+    # padded; the pad byte is NUL, numpy's own.  No cell holds NUL, so a block
+    # of CSV rows is laid out in fixed-width cells filled with pads, and the
     # pads deleted at once.  Built at the first CSV table, not at import.
     digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
     lead, trail = digits == 0, digits == 0
@@ -35,7 +35,7 @@ def _quad_table() -> np.ndarray:
         lead[j] &= lead[j - 1]
         trail[3 - j] &= trail[4 - j]
     pads = np.stack([np.zeros_like(lead), lead, trail], axis=1).reshape(4, -1)
-    places = np.where(pads, 0xFF, np.tile(digits + ord("0"), 3)).astype("<u4")
+    places = np.where(pads, 0, np.tile(digits + ord("0"), 3)).astype("<u4")
     table = (places << np.array([[0], [8], [16], [24]], "<u4")).sum(axis=0, dtype="<u4")
     table.flags.writeable = False
     return table
@@ -118,7 +118,7 @@ def _g12_cells(v: np.ndarray) -> np.ndarray:
     if slow.size:
         # '%.12g' of a float takes at most 19 bytes, within a cell's 32 columns.
         text = _text_cells(["%.12g" % cell for cell in v[slow].tolist()])
-        cells[slow] = 0xFF
+        cells[slow] = 0
         cells[slow, : text.shape[1]] = text
     return cells
 
@@ -151,15 +151,9 @@ def _quad_split(value: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 def _text_cells(text: list[str]) -> np.ndarray:
-    # Each str's UTF-8 bytes as a pad-filled uint8 row as wide as the widest.
-    # A str ends where the next one's first character starts, at a byte that
-    # is not 0b10xxxxxx.
-    data = np.frombuffer("".join(text).encode("utf-8"), np.uint8)
-    starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
-    sizes = np.diff(starts[np.cumsum(np.fromiter(map(len, text), np.intp, len(text)))], prepend=0)
-    cells = np.full((len(text), sizes.max()), 0xFF, np.uint8)
-    cells[np.arange(cells.shape[1]) < sizes[:, None]] = data
-    return cells
+    # Each str's UTF-8 bytes as a uint8 row of numpy's NUL-padded fixed width.
+    cells = np.array("\0".join(text).encode("utf-8").split(b"\0"), "S")
+    return cells.view(np.uint8).reshape(len(text), -1)
 
 
 def _repr_cells(v: np.ndarray) -> np.ndarray:
@@ -186,6 +180,7 @@ def _write_table(
     once the rows are written ends it as a '# ' line.  The JSON document is
     the one json.dumps writes with indent=2 and sorted keys, each code
     replaced by its label.  Either is written a block of rows at a time.
+    No key, label or cell holds NUL: it is the pad byte of a block's cells.
     """
     labels = labels or {}
     runs = iter([columns] if isinstance(columns, dict) else columns)
@@ -243,4 +238,4 @@ def _table_lines(
             cells = [coded[k][c[block]] if k in coded else float_cells(c[block]) for k, c in columns]
             parts = [np.broadcast_to(mark, (len(cells[0]), mark.size)) for mark in marks]
             line = np.concatenate([*itertools.chain(*zip(parts, cells)), parts[-1]], axis=1)
-            yield line.tobytes().translate(None, b"\xff").decode()
+            yield line.tobytes().translate(None, b"\0").decode()

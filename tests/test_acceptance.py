@@ -6,7 +6,10 @@ pytest capture settings.
 """
 
 import dataclasses
+import math
 import time
+
+import pytest
 
 import noma_isac.acceptance as acceptance
 from noma_isac.acceptance import (
@@ -22,7 +25,7 @@ from noma_isac.acceptance import (
     check_split_inequality,
 )
 from noma_isac.analytic import outage_probability
-from noma_isac.config import ISAC, baseline_config
+from noma_isac.config import ISAC, baseline_config, db_to_linear
 
 TRIALS = 1_000_000
 DEFAULT_SEED = 20240801
@@ -132,6 +135,29 @@ def test_determinism_check_fails_when_a_run_fails(monkeypatch, capsys):
     result = check_determinism(CFG, 1)
     assert not result.passed and result.detail == "a run exited with an error"
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gap", [None, math.nan, 1e-3])
+@pytest.mark.parametrize("tag", ["isac", "fdsac"])
+def test_sensing_slopes_check_fails_on_either_mode(monkeypatch, tag, gap):
+    # One mode's asymptote is moved.  With gap None it is 2e-9 up at 4x the
+    # 34 dB power, a slope 1e-9 off the table's; else it is 0 at 40 dB, where
+    # the closed form reads gap.  A nan gap in the fdsac mode fails too, which
+    # a verdict on the largest gap would miss.
+    mode = dict(acceptance._MODES)[tag]
+    p4, p40 = 4.0 * db_to_linear(34.0), db_to_linear(40.0)
+    asymptote, rate = acceptance.sensing_rate_asymptotic, acceptance.sensing_rate
+
+    def moved_asymptote(cfg, m, p):
+        if m == mode and gap is None and p == p4:
+            return asymptote(cfg, m, p) + 2e-9
+        return 0.0 if m == mode and gap is not None and p == p40 else asymptote(cfg, m, p)
+
+    monkeypatch.setattr(acceptance, "sensing_rate_asymptotic", moved_asymptote)
+    if gap is not None:
+        monkeypatch.setattr(acceptance, "sensing_rate", lambda c, m, p: gap if m == mode else rate(c, m, p))
+    result = check_sensing_slopes(CFG)
+    assert not result.passed, result.detail
 
 
 def test_sensing_identities_pass_on_one_receive_antenna():

