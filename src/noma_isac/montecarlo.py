@@ -48,21 +48,29 @@ def _formulas(cfg: SystemConfig, mode: Mode, p: float):
     # of the far user's message with the near user's as interference, at the
     # SIC stage or at the far user; and the relative half-width of the window
     # around a transition of a far-message event (see estimate_outage).
+    # The SINRs of an array of gains take optional buffers, `out` for the
+    # result and `scratch` for the received power, so that a caller can form
+    # them without temporaries; the operations are the same either way.
     kappa_t, mu_t = comm_factors(mode)
     noise = kappa_t * cfg.sigma2_c
+    scale = mu_t * p
 
-    def received(gain):
-        return mu_t * p * gain
+    def own_snr(gain, out=None):
+        snr = np.multiply(scale, gain, out=out)
+        snr *= cfg.alpha_n
+        snr /= noise
+        return snr
 
-    def own_snr(gain):
-        return received(gain) * cfg.alpha_n / noise
-
-    def far_message_sinr(gain):
-        sig = received(gain)
-        return sig * cfg.alpha_f / (noise + sig * cfg.alpha_n)
+    def far_message_sinr(gain, out=None, scratch=None):
+        sig = np.multiply(scale, gain, out=scratch)
+        sinr = np.multiply(sig, cfg.alpha_f, out=out)
+        sig *= cfg.alpha_n
+        sig += noise
+        sinr /= sig
+        return sinr
 
     def window(gain: float) -> float:
-        sig = received(gain)
+        sig = scale * gain
         if 0.0 < min(noise, sig * cfg.alpha_n, sig * cfg.alpha_f) < sys.float_info.min:
             return math.inf
         e = noise / (noise + sig * cfg.alpha_n)
@@ -293,19 +301,20 @@ def estimate_ecr(
         sinrs = [_formulas(cfg, mode, p)[:2] for p in powers]
 
         def rate_sums(gain_n: np.ndarray, gain_f: np.ndarray) -> np.ndarray:
-            v = np.empty(gain_n.size)
-            rows = []
-            for own_snr, far_message_sinr in sinrs:
-                sums = []
-                for sinr, gains in ((own_snr, gain_n), (far_message_sinr, gain_f)):
-                    np.log1p(sinr(gains), out=v)
-                    np.multiply(kappa_t, v, out=v)
-                    np.divide(v, _LN2, out=v)
-                    sums.append(float(np.sum(v)))
-                    np.multiply(v, v, out=v)
-                    sums.append(float(np.sum(v)))
-                rows.append(sums)
-            return np.array(rows)
+            v, scratch = np.empty((2, gain_n.size))
+
+            def sums(sinr: np.ndarray) -> list:
+                np.log1p(sinr, out=v)
+                np.multiply(kappa_t, v, out=v)
+                np.divide(v, _LN2, out=v)
+                total = float(np.sum(v))
+                np.multiply(v, v, out=v)
+                return [total, float(np.sum(v))]
+
+            return np.array([
+                sums(own_snr(gain_n, v)) + sums(far_message_sinr(gain_f, v, scratch))
+                for own_snr, far_message_sinr in sinrs
+            ])
 
         return rate_sums
 
@@ -385,12 +394,22 @@ def dual_function_signal(p: float, alpha_n: float, alpha_f: float, streams: np.n
 
 
 def estimate_slope(points: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of y against x for a list of (x, y) points."""
+    """Least-squares slope of y against x for a list of finite (x, y)
+    points, in closed form: sum((x - mean x) * (y - mean y)) over
+    sum((x - mean x)**2)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
         raise ValueError("need at least two (x, y) points")
-    x = pts[:, 0]
-    y = pts[:, 1]
-    if float(np.ptp(x)) == 0.0:
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    if np.all(pts[:, 0] == pts[0, 0]):
         raise ValueError("degenerate abscissae")
-    return float(np.polyfit(x, y, 1)[0])
+    # Extreme spreads overflow or underflow the sums of squares; they are
+    # rejected below, whatever the caller's numpy error state.
+    with np.errstate(all="ignore"):
+        dx, dy = (col - col.mean() for col in pts.T)
+        sxx = np.dot(dx, dx)
+        slope = float(np.dot(dx, dy) / sxx)
+    if not (0.0 < sxx < math.inf and math.isfinite(slope)):
+        raise ValueError("points out of range for a float slope")
+    return slope

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import time
 
+import numpy as np
 import pytest
 
 import noma_isac.acceptance as acceptance
@@ -124,6 +125,17 @@ def test_diversity_check_takes_certain_outage_from_the_thresholds(monkeypatch):
     monkeypatch.setattr(acceptance, "outage_probability", lambda c, m, p: (0.5 + 0.0 * p, 0.5 + 0.0 * p))
     result = check_diversity_orders(infeasible)
     assert not result.passed and "(outage != 1 [infeasible], outage != 1 [infeasible])" in result.detail
+
+
+def test_selftest_checks_reach_no_least_squares_driver(monkeypatch):
+    # The slope fits are closed forms.  np.polyfit calls lstsq through its
+    # own import, so the gufunc behind it is refused as well as the function.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq reached")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg._umath_linalg, "lstsq", refuse)
+    assert len(acceptance.run_all(CFG, 2000, 1)) == 10
 
 
 def test_determinism_check_fails_when_a_run_fails(monkeypatch, capsys):

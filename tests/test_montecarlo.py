@@ -5,6 +5,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -590,7 +591,7 @@ def _traced_peak(call) -> int:
         (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 12 * _TILE_BYTES),
         (
             lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2),
-            16 * _TILE_BYTES,
+            13 * _TILE_BYTES,
         ),
         (
             lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1, workers=2),
@@ -605,10 +606,12 @@ def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, bound):
     # most 2 MiB of tiles while it draws them.  The estimators hold the leaf
     # being drawn and one per task in flight, so their bounds are the same at
     # 2**20 and 3 * 2**20 trials: a leaf's draw (eight leaf arrays), plus per
-    # task in flight its leaf's two gain arrays and its temporaries: a rate
-    # task holds a rate buffer and up to three temporaries of the leaf.  The
-    # first call, of more than one leaf, leaves out allocations made once per
-    # process: numpy's and the thread pool's import.
+    # task in flight its leaf's two gain arrays and its buffers: a rate task
+    # forms every SINR and rate in a rate buffer and one scratch buffer.
+    # With two workers, one task runs while the next leaf is drawn: twelve
+    # leaf arrays and the pool's small objects.  The first call, of more than
+    # one leaf, leaves out allocations made once per process: numpy's and the
+    # thread pool's import.
     call(2 * mc._TILE)
     assert _traced_peak(lambda: call(1 << 20)) < bound
 
@@ -726,6 +729,101 @@ def test_estimate_slope_errors():
         estimate_slope([(1.0, 2.0)])
     with pytest.raises(ValueError):
         estimate_slope([(1.0, 2.0), (1.0, 3.0)])
+
+
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([(0.0, 1.0), (1.0, math.nan)], "finite"),
+        ([(0.0, 1.0), (math.inf, 2.0)], "finite"),
+        ([(-math.inf, 1.0), (0.0, 2.0)], "finite"),
+        ([(0.0, -math.inf), (1.0, 2.0)], "finite"),
+        ([(0.0, 0.0), (1e-200, 1.0)], "out of range"),
+        ([(-1e200, 0.0), (1e200, 1.0)], "out of range"),
+        ([(0.0, -1e300), (1e-10, 1e300)], "out of range"),
+    ],
+    ids=["nan_y", "inf_x", "neg_inf_x", "neg_inf_y", "squares_underflow", "squares_overflow", "slope_overflows"],
+)
+def test_estimate_slope_rejects_points_it_cannot_fit(points, message):
+    # Under any numpy error state: the sums are formed with errors ignored.
+    for state in ("ignore", "raise"):
+        with np.errstate(all=state), pytest.raises(ValueError, match=message):
+            estimate_slope(points)
+
+
+def _exact_slope(points) -> tuple[Fraction, Fraction]:
+    # The least-squares slope of the float points in exact arithmetic, and
+    # the scale sum|dx*dy|/sum(dx**2) + |slope| of its rounding error, with
+    # dx, dy about the exact means.  Each float is an integer over a power
+    # of two, so over a column's largest denominator, n times the centred
+    # values are integers.
+    scaled = []
+    for column in zip(*points):
+        ratios = [v.as_integer_ratio() for v in column]
+        den = max(d for _, d in ratios)
+        ints = [num * (den // d) for num, d in ratios]
+        scaled.append((den, [len(ints) * v - sum(ints) for v in ints]))
+    (den_x, dx), (den_y, dy) = scaled
+    sxx = sum(a * a for a in dx)
+    slope = Fraction(sum(a * b for a, b in zip(dx, dy)) * den_x, sxx * den_y)
+    return slope, Fraction(sum(abs(a * b) for a, b in zip(dx, dy)) * den_x, sxx * den_y) + abs(slope)
+
+
+def _random_point_sets(count: int):
+    # Lines with noise from none to all, over spreads of 1e-3 to 1e3 whose
+    # centres lie within 10 spreads of 0; 2 to 40 points each.
+    rng = np.random.default_rng(42)
+    for _ in range(count):
+        n = int(rng.integers(2, 41))
+        spread = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = spread * (rng.uniform(-10.0, 10.0) + rng.random(n))
+        slope = rng.choice([0.0, 1.0]) * rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0)
+        noise = 10.0 ** rng.uniform(-12.0, 0.0) * spread * max(abs(slope), 1.0)
+        y = rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0) + slope * x + noise * rng.normal(size=n)
+        yield np.column_stack((x, y))
+
+
+def _slope_fits():
+    # The selftest's four outage fits, 30-40 dB on the baseline config, and
+    # 2,000 random ones.
+    grid_db = 30.0 + np.arange(11.0)
+    for mode in (ISAC, HALF_SPLIT):
+        for pout in outage_probability(CFG, mode, db_to_linear(grid_db)):
+            yield np.column_stack((grid_db / 10.0, np.log10(pout)))
+    yield from _random_point_sets(2000)
+
+
+def _gamma(k: int) -> float:
+    return k * mc._U / (1.0 - k * mc._U)
+
+
+def test_estimate_slope_against_exact_rational_slope():
+    # Bound, from the closed form's roundings, with gamma(k) = k*u/(1 - k*u):
+    # each centred value and product carries one rounding and each dot
+    # product's sum gamma(n - 1), so about the float means the slope is off
+    # by at most gamma(n + 3) * (sum|dx*dy|/sum(dx**2) + |slope|) to first
+    # order.  Each float mean is off by up to gamma(n) times its column's
+    # mean |value|, dmx and dmy, which adds n*dmx*dmy/sum(dx**2) to the
+    # slope: it counts where y is constant to a few ulps.  Twice both covers
+    # the higher orders.
+    for points in _slope_fits():
+        n = len(points)
+        exact, scale = _exact_slope(points.tolist())
+        x_abs, y_abs = np.abs(points).mean(axis=0)
+        sxx = float(np.sum((points[:, 0] - points[:, 0].mean()) ** 2))
+        bound = 2.0 * (_gamma(n + 3) * float(scale) + n * _gamma(n) ** 2 * x_abs * y_abs / sxx)
+        assert abs(Fraction(estimate_slope(points)) - exact) <= bound, (n, float(exact))
+
+
+def test_estimate_slope_agrees_with_polyfit():
+    # np.polyfit solves the same least-squares problem by an SVD of the
+    # uncentred [x, 1], whose slope errs on the scale of
+    # (|y| + |slope|*|x|)/|dx| in 2-norms: the two agree to 1e-12 of that.
+    for points in _slope_fits():
+        x, y = points.T
+        fit = float(np.polyfit(x, y, 1)[0])
+        scale = (np.linalg.norm(y) + abs(fit) * np.linalg.norm(x)) / np.linalg.norm(x - x.mean())
+        assert abs(estimate_slope(points) - fit) <= 1e-12 * scale
 
 
 def test_estimate_slope_on_ecr_log2_axis():
