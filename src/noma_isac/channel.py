@@ -19,8 +19,8 @@ __all__ = [
     "scene_eigenvalues", "trial_uniforms",
 ]
 
-#: Trials drawn and transformed at a time: a 512 KiB tile of uniforms.
-_TILE = 1 << 14
+#: Trials drawn and transformed at a time: a 128 KiB tile of uniforms.
+_DRAW = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -73,43 +73,47 @@ class CorrelationMatrix:
         return np.clip(lam, 0.0, None)
 
 
-def trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+def trial_uniforms(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform variates for trials [start, start+count), shape (count, 4).
 
     Trial i always occupies counter block i of a Philox stream keyed by
     `seed`, so row i is a pure function of (seed, i): any chunking or
-    execution order reproduces the same variates bit for bit.
+    execution order reproduces the same variates bit for bit.  The stream
+    starts at counter `start`, as if advanced there from 0.  With `out`, a
+    C-contiguous (count, 4) float array, the variates are written there.
     """
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    if start:
-        bitgen.advance(int(start))
-    return np.random.Generator(bitgen).random((count, 4))
+    bitgen = np.random.Philox(key=np.uint64(seed), counter=start)
+    return np.random.Generator(bitgen).random((count, 4), out=out)
 
 
 def gain_samples(
-    cfg: SystemConfig, seed: int, start: int, count: int
+    cfg: SystemConfig, seed: int, start: int, count: int, out=None, tile: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ordered gain arrays (gain_n, gain_f) for trials [start, start+count).
 
     Exponential variates come from inverse-CDF transformation of the
     per-trial uniform blocks, keeping the stream reproducible.  The trials
-    are drawn and transformed in tiles of _TILE, so that no temporary is
-    larger than a tile: each tile's uniforms are rows of the same Philox
-    counter blocks, and every operation is elementwise, in the order of
-    -rho * log1p(-u), so each gain is the same to the bit as a whole-block
-    transform's.
+    are drawn and transformed in tiles of _DRAW: each tile's uniforms are
+    rows of the same Philox counter blocks, and every operation is
+    elementwise, in the order of -rho * log1p(-u), so each gain is the same
+    to the bit as a whole-block transform's.  The gains are written to
+    `out`, a pair of float rows of `count` trials, or to fresh arrays; the
+    tiles pass through `tile`, a float array of at least 6 * min(_DRAW,
+    count) elements, or through one allocated for the call.
     """
-    gain_n, gain_f = np.empty(count), np.empty(count)
-    e1, e2 = np.empty((2, min(_TILE, count)))
-    for lo in range(0, count, _TILE):
-        n = min(_TILE, count - lo)
-        u = trial_uniforms(seed, start + lo, n)
-        for e, column, rho in ((e1[:n], u[:, 0], cfg.rho1), (e2[:n], u[:, 1], cfg.rho2)):
+    gain_n, gain_f = (np.empty(count), np.empty(count)) if out is None else out
+    if tile is None:
+        tile = np.empty(6 * min(_DRAW, count))
+    for lo in range(0, count, _DRAW):
+        n = min(_DRAW, count - lo)
+        u = trial_uniforms(seed, start + lo, n, out=tile[: 4 * n].reshape(n, 4))
+        e1, e2 = tile[4 * n : 6 * n].reshape(2, n)
+        for e, column, rho in ((e1, u[:, 0], cfg.rho1), (e2, u[:, 1], cfg.rho2)):
             np.negative(column, out=e)
             np.log1p(e, out=e)
             np.multiply(-rho, e, out=e)
-        np.maximum(e1[:n], e2[:n], out=gain_n[lo : lo + n])
-        np.minimum(e1[:n], e2[:n], out=gain_f[lo : lo + n])
+        np.maximum(e1, e2, out=gain_n[lo : lo + n])
+        np.minimum(e1, e2, out=gain_f[lo : lo + n])
     return gain_n, gain_f
 
 

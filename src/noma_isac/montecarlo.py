@@ -6,7 +6,10 @@ are processed in fixed-size blocks, and each block is walked as numpy's
 pairwise-sum tree over its trials (see _pairwise) down to leaves of at most
 _TILE trials.  Each leaf is drawn once on the calling thread, in trial order,
 and shared by every power of the call; its evaluation at every power is one
-task, and up to `workers` threads run such tasks.  Sibling results are added
+task, and up to `workers` threads run such tasks.  The walk allocates its
+working set once, before the first leaf: per thread, a set of leaf-sized
+rows that a leaf is drawn into and its task works in, and the tile of
+channel._DRAW trials that every draw passes through.  Sibling results are added
 up the tree in order and blocks are combined in block order, so the
 estimate at one power depends neither on the other powers nor on scheduling
 or worker count.  The rate kernel sums each leaf's per-trial rates with
@@ -25,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import thresholds
-from .channel import _TILE, CorrelationMatrix, gain_samples
+from .channel import _DRAW, CorrelationMatrix, gain_samples
 from .config import Mode, SystemConfig, check_power, comm_factors, has_comm_resources
 
 __all__ = [
@@ -34,6 +37,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+#: Trials a leaf of the walk holds at most.
+_TILE = 1 << 14
 _LN2 = math.log(2.0)
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -114,15 +119,18 @@ def _walk(
     workers: int,
     kernel,
     no_resources,
+    rows: int = 0,
 ) -> list:
     # kernel(powers), for the powers of p flattened, returns the leaf
-    # function: of a leaf's gains (gain_n, gain_f), an array indexed [power,
-    # field].  A leaf's task is that function bound to its gains, drawn on
-    # the calling thread in trial order.  At most `workers` tasks, no more
-    # than there are leaves, run at a time, each on a thread of its own, so a
-    # leaf is held from its draw until its task ends.  Each block gives its
-    # leaves' results added up the tree.  Without powers or communication
-    # resources, nothing is drawn: one block gives each power `no_resources`.
+    # function: of a leaf's gains (gain_n, gain_f) and `rows` float rows of
+    # its size to work in, an array indexed [power, field] that shares no
+    # memory with them.  A leaf's task is that function bound to its gains,
+    # drawn on the calling thread in trial order.  At most `workers` tasks,
+    # no more than there are leaves, run at a time, each on a thread of its
+    # own, so a leaf is held from its draw until its task ends.  Each block
+    # gives its leaves' results added up the tree.  Without powers or
+    # communication resources, nothing is drawn: one block gives each power
+    # `no_resources`.
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
@@ -139,21 +147,34 @@ def _walk(
     # Lists add up by joining: the leaves (offset, count) of a block of n
     # trials in walk order, for the one or two sizes the blocks have.
     spans = {n: _pairwise(n, _TILE, lambda *leaf: [leaf]) for _, n in blocks}
-    leaves = ((start + offset, count) for start, n in blocks for offset, count in spans[n])
+    leaves = [(start + offset, count) for start, n in blocks for offset, count in spans[n]]
+    threads = min(workers, len(leaves))
+    # The walk's working set, allocated once: per thread, the gain rows and
+    # the kernel's rows of the largest leaf, and the tile that the calling
+    # thread draws every leaf through.
+    size = max(count for _, count in leaves)
+    sets = np.empty((threads, 2 + rows, size))
+    tile = np.empty(6 * min(_DRAW, size))
 
-    def task(leaf: tuple):
-        return partial(leaf_result, *gain_samples(cfg, seed, *leaf))
+    def task(k: int):
+        # Leaf k works in set k % threads.  _in_order holds at most `threads`
+        # tasks not yet taken and draws the next leaf only once the oldest
+        # result is taken, so leaf k - threads, the last to use the set, has
+        # ended by the time leaf k is drawn into it.
+        start, count = leaves[k]
+        buffers = sets[k % threads, :, :count]
+        gains = gain_samples(cfg, seed, start, count, out=buffers[:2], tile=tile)
+        return partial(leaf_result, *gains, *buffers[2:])
 
     def added_up(results) -> list:
         return [_pairwise(n, _TILE, lambda *_: next(results), start) for start, n in blocks]
 
-    threads = min(workers, sum(len(spans[n]) for _, n in blocks))
     if threads < 2:
-        return added_up(task(leaf)() for leaf in leaves)
+        return added_up(task(k)() for k in range(len(leaves)))
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads) as pool:
-        return added_up(_in_order(pool, map(task, leaves), threads))
+        return added_up(_in_order(pool, map(task, range(len(leaves))), threads))
 
 
 def _held(holds, gains: np.ndarray, cuts: np.ndarray, window) -> np.ndarray:
@@ -300,9 +321,7 @@ def estimate_ecr(
         # The SIC stage sets no rate: only the users' own SINRs are formed.
         sinrs = [_formulas(cfg, mode, p)[:2] for p in powers]
 
-        def rate_sums(gain_n: np.ndarray, gain_f: np.ndarray) -> np.ndarray:
-            v, scratch = np.empty((2, gain_n.size))
-
+        def rate_sums(gain_n, gain_f, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
             def sums(sinr: np.ndarray) -> list:
                 np.log1p(sinr, out=v)
                 np.multiply(kappa_t, v, out=v)
@@ -319,7 +338,7 @@ def estimate_ecr(
         return rate_sums
 
     # Each (power, field) adds up its blocks in block order, exactly rounded.
-    blocks = _walk(cfg, mode, p, trials, seed, workers, leaf_sums, (0.0,) * 4)
+    blocks = _walk(cfg, mode, p, trials, seed, workers, leaf_sums, (0.0,) * 4, rows=2)
     sums = np.array([[math.fsum(field) for field in zip(*at_power)] for at_power in zip(*blocks)])
     total, sq_total = sums.reshape(-1, 2, 2).T
     value = total / trials

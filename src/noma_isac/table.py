@@ -28,15 +28,18 @@ def _quad_table() -> np.ndarray:
     # they are, with the leading zeros padded, and with the trailing zeros
     # padded; the pad byte is NUL, numpy's own.  No cell holds NUL, so a block
     # of CSV rows is laid out in fixed-width cells filled with pads, and the
-    # pads deleted at once.  Built at the first CSV table, not at import.
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
-    lead, trail = digits == 0, digits == 0
-    for j in range(1, 4):
-        lead[j] &= lead[j - 1]
-        trail[3 - j] &= trail[4 - j]
-    pads = np.stack([np.zeros_like(lead), lead, trail], axis=1).reshape(4, -1)
-    places = np.where(pads, 0, np.tile(digits + ord("0"), 3)).astype("<u4")
-    table = (places << np.array([[0], [8], [16], [24]], "<u4")).sum(axis=0, dtype="<u4")
+    # pads deleted at once.  Built at the first CSV table, not at import, a
+    # digit at a time: digit j, of place 10**(3 - j), is byte j; it is a
+    # leading zero below its place, and a trailing zero where it and every
+    # lower digit are 0.
+    n = np.arange(10000, dtype="<u4")
+    table = np.zeros(30000, "<u4")
+    as_is, lead, trail = table.reshape(3, -1)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        char = (n // place % 10 + ord("0")) << 8 * j
+        as_is |= char
+        lead |= char * (n >= place)
+        trail |= char * (n % (10 * place) != 0)
     table.flags.writeable = False
     return table
 

@@ -96,24 +96,46 @@ def test_sampler_is_a_pure_function_of_seed_and_index():
     assert not np.array_equal(gn_c, gn)
 
 
+def _advanced_uniforms(seed, start, count):
+    # Trials [start, start + count) from a Philox stream advanced from 0.
+    bitgen = np.random.Philox(key=np.uint64(seed)).advance(start)
+    return np.random.Generator(bitgen).random((count, 4))
+
+
 def _whole_block_gains(cfg, seed, start, count):
     # The inverse-CDF transform of all of a block's uniforms at once, which
     # the sampler's tiles must reproduce to the bit.
-    u = trial_uniforms(seed, start, count)
+    u = _advanced_uniforms(seed, start, count)
     e1 = -cfg.rho1 * np.log1p(-u[:, 0])
     e2 = -cfg.rho2 * np.log1p(-u[:, 1])
     return np.maximum(e1, e2), np.minimum(e1, e2)
 
 
-@pytest.mark.parametrize("tile", [channel._TILE, 7])
+@pytest.mark.parametrize("tile", [channel._DRAW, 7])
 def test_tiled_gains_equal_the_whole_block_transform(monkeypatch, tile):
-    monkeypatch.setattr(channel, "_TILE", tile)
+    # Drawn into fresh arrays, or into given rows through a given tile, both
+    # filled with nan first: the same gains, returned and in the rows given.
+    monkeypatch.setattr(channel, "_DRAW", tile)
     cfg = dataclasses.replace(CFG, rho1=0.7, rho2=1.3)
-    for start in (0, 7, tile - 3):
+    for start in (0, 7, 2**32 + 3):
         for count in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
-            tiled = gain_samples(cfg, 11, start, count)
-            whole = _whole_block_gains(cfg, 11, start, count)
-            assert [a.tobytes() for a in tiled] == [a.tobytes() for a in whole]
+            whole = [a.tobytes() for a in _whole_block_gains(cfg, 11, start, count)]
+            assert [a.tobytes() for a in gain_samples(cfg, 11, start, count)] == whole
+            out = np.full((2, count), np.nan)
+            draw = np.full(6 * tile, np.nan)
+            gains = gain_samples(cfg, 11, start, count, out=out, tile=draw)
+            assert [a.tobytes() for a in (*gains, *out)] == whole * 2
+
+
+@pytest.mark.parametrize("start", [0, 1, 2**14 - 1, 2**40, 2**63])
+def test_trial_uniforms_start_at_the_advanced_counter(start):
+    # The stream begins at counter `start`, as if advanced there from 0, and
+    # filling a given array draws the same variates as allocating one.
+    expected = _advanced_uniforms(5, start, 37).tobytes()
+    assert trial_uniforms(5, start, 37).tobytes() == expected
+    out = np.full((37, 4), np.nan)
+    assert trial_uniforms(5, start, 37, out=out) is out
+    assert out.tobytes() == expected
 
 
 def test_trial_uniforms_shape_and_range():

@@ -960,11 +960,44 @@ def test_float_cells_traced_peak_per_cell():
     assert peak / values.size <= 128
 
 
+def _indices_quad_table():
+    # The digit table as built from np.indices over four digits, all at once.
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    lead, trail = digits == 0, digits == 0
+    for j in range(1, 4):
+        lead[j] &= lead[j - 1]
+        trail[3 - j] &= trail[4 - j]
+    pads = np.stack([np.zeros_like(lead), lead, trail], axis=1).reshape(4, -1)
+    places = np.where(pads, 0, np.tile(digits + ord("0"), 3)).astype("<u4")
+    return (places << np.array([[0], [8], [16], [24]], "<u4")).sum(axis=0, dtype="<u4")
+
+
+def test_quad_table_equals_the_indices_construction():
+    quads = table._quad_table()
+    assert quads.dtype == np.dtype("<u4") and not quads.flags.writeable
+    assert quads.tobytes() == _indices_quad_table().tobytes()
+    assert quads[[table._LEAD, table._TRAIL]].tolist() == [0, 0]
+
+
+def test_quad_table_build_traced_peak():
+    # Built a digit at a time, a fresh build holds the 117 KiB table and a
+    # few 39 KiB rows; through (4, 30000) temporaries it peaks at 1292 KiB.
+    table._quad_table()
+    table._quad_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table._quad_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 << 10
+
+
 def test_outage_command_traced_peak_is_a_few_leaves(cfg_file, tmp_path):
-    # The Monte Carlo oracle holds one leaf of montecarlo._TILE trials at a
-    # time, and a draw's uniforms are four such arrays: the command's peak is
-    # bounded by 16 float64 arrays of a leaf (2 MiB).  With leaves of 2**18
-    # trials it peaks near 5.1 MiB.
+    # The Monte Carlo oracle holds its walk's working set, a few float64
+    # arrays of a leaf of montecarlo._TILE trials: the command's peak is
+    # bounded by 16 of them (2 MiB).  With leaves of 2**18 trials it peaks
+    # near 5.1 MiB.
     argv = ["outage", "--config", cfg_file, "--trials", "1000000", "--output", str(tmp_path / "o.csv")]
     assert main(argv) == 0
     tracemalloc.start()
@@ -1086,9 +1119,9 @@ def test_workers_draw_each_block_once_in_process(cfg_file, tmp_path, monkeypatch
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
     draws, draw = [], montecarlo.gain_samples
 
-    def counting(cfg, seed, start, count):
+    def counting(cfg, seed, start, count, **kwargs):
         draws.append((start, count))
-        return draw(cfg, seed, start, count)
+        return draw(cfg, seed, start, count, **kwargs)
 
     monkeypatch.setattr(montecarlo, "gain_samples", counting)
     argv = [command, "--config", cfg_file, "--trials", "2500", "--workers", "4"]

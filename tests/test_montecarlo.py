@@ -223,9 +223,9 @@ def test_each_block_is_drawn_once_per_call(monkeypatch, estimator, mode, blocks)
     monkeypatch.setattr(mc, "_TILE", 300)
     draws = []
 
-    def counting(cfg, seed, start, count):
+    def counting(cfg, seed, start, count, **kwargs):
         draws.append((start, count))
-        return gain_samples(cfg, seed, start, count)
+        return gain_samples(cfg, seed, start, count, **kwargs)
 
     monkeypatch.setattr(mc, "gain_samples", counting)
     estimator(CFG, mode, [db_to_linear(snr_db) for snr_db in range(0, 45, 5)], trials=2500, seed=3)
@@ -356,7 +356,7 @@ def test_outage_counts_equal_per_trial_at_boundary_gains(monkeypatch, case, mode
         p = db_to_linear(snr_db)
         gains = _boundary_gains(cfg, mode, p)
 
-        def draw(cfg, seed, start, count):
+        def draw(cfg, seed, start, count, **kwargs):
             # gain_n and gain_f hold the same gains in different orders.
             return gains[start : start + count].copy(), gains[::-1][start : start + count].copy()
 
@@ -488,6 +488,25 @@ def test_racing_threads_keep_outage_counts_exact(monkeypatch, cfg):
     assert [tuple(pair) for pair in value.T.tolist()] == expected
 
 
+@pytest.mark.parametrize("tile", [1, 7])
+def test_racing_threads_keep_ecr_sums_exact(monkeypatch, tile):
+    # Eight threads on fewer cores, switching every microsecond, cycle
+    # through the walk's eight buffer sets while the calling thread draws
+    # each next leaf into the set whose task ended last: no task may see a
+    # set that another leaf is drawn into, so the sums are one worker's.
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    monkeypatch.setattr(mc, "_TILE", tile)
+    powers = db_to_linear(np.arange(0.0, 51.0, 10.0)).tolist()
+    serial = estimate_ecr(CFG, HALF_SPLIT, powers, 5000, 13)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = estimate_ecr(CFG, HALF_SPLIT, powers, 5000, 13, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array(threaded).tobytes() == np.array(serial).tobytes()
+
+
 @pytest.mark.parametrize("sigma2_c", [1.0, 1e300])
 @pytest.mark.parametrize("chunk", [1 << 20, 1000])
 @pytest.mark.parametrize("mode", [ISAC, HALF_SPLIT], ids=["isac", "split"])
@@ -524,7 +543,7 @@ def test_estimate_ecr_equals_per_trial_rates(monkeypatch, mode):
     _, snr_n, sinr_f = _reference_sinrs(cfg, mode, powers[:, None], gn, gf)
     rates = [kappa_t * np.log1p(sinr) / math.log(2.0) for sinr in (snr_n, sinr_f)]
 
-    def draw(cfg, seed, start, count):
+    def draw(cfg, seed, start, count, **kwargs):
         return gn[seed : seed + 1], gf[seed : seed + 1]
 
     monkeypatch.setattr(mc, "gain_samples", draw)
@@ -586,32 +605,32 @@ def _traced_peak(call) -> int:
 @pytest.mark.parametrize(
     "call,bound",
     [
-        (lambda n: gain_samples(CFG, 1, 0, n), 2 * _BLOCK_BYTES + (2 << 20)),
-        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 12 * _TILE_BYTES),
-        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 12 * _TILE_BYTES),
+        (lambda n: gain_samples(CFG, 1, 0, n), 2 * _BLOCK_BYTES + (1 << 18)),
+        (lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 5 * _TILE_BYTES),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1), 7 * _TILE_BYTES),
         (
             lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], n, 1, workers=2),
-            13 * _TILE_BYTES,
+            11 * _TILE_BYTES,
         ),
         (
             lambda n: estimate_outage(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1, workers=2),
-            12 * _TILE_BYTES,
+            7 * _TILE_BYTES,
         ),
-        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1), 12 * _TILE_BYTES),
+        (lambda n: estimate_ecr(CFG, ISAC, [1.0, 30.0, 1000.0], 3 * n, 1), 7 * _TILE_BYTES),
     ],
     ids=["gain_samples", "outage", "ecr", "ecr_2_workers", "outage_3_blocks", "ecr_3_blocks"],
 )
 def test_monte_carlo_memory_is_the_block_and_one_buffer_per_worker(call, bound):
-    # gain_samples returns two arrays of the trials asked for and holds at
-    # most 2 MiB of tiles while it draws them.  The estimators hold the leaf
-    # being drawn and one per task in flight, so their bounds are the same at
-    # 2**20 and 3 * 2**20 trials: a leaf's draw (eight leaf arrays), plus per
-    # task in flight its leaf's two gain arrays and its buffers: a rate task
-    # forms every SINR and rate in a rate buffer and one scratch buffer.
-    # With two workers, one task runs while the next leaf is drawn: twelve
-    # leaf arrays and the pool's small objects.  The first call, of more than
-    # one leaf, leaves out allocations made once per process: numpy's and the
-    # thread pool's import.
+    # gain_samples returns two arrays of the trials asked for and holds one
+    # draw tile of 6 * channel._DRAW floats (192 KiB) while it fills them.
+    # The estimators hold their walk's working set, the same at 2**20 and
+    # 3 * 2**20 trials: the draw tile (1.5 leaf arrays) and per thread a
+    # set of two gain rows, plus a rate and a scratch row for the rate
+    # kernel, which forms every SINR and rate in them.  Outage tasks add
+    # small arrays of the trials between their cuts; with two workers, the
+    # pool adds its small objects.  The first call, of more than one leaf,
+    # leaves out allocations made once per process: numpy's and the thread
+    # pool's import.
     call(2 * mc._TILE)
     assert _traced_peak(lambda: call(1 << 20)) < bound
 

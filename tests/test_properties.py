@@ -315,7 +315,7 @@ def test_outage_counts_equal_per_trial_over_many_leaves(cfg, mode, grid_db, work
         if gains is not None:
             drawn = np.array(gains)
 
-            def draw(cfg, seed, start, count):
+            def draw(cfg, seed, start, count, **kwargs):
                 # Both users see the same gains.
                 return drawn[start : start + count].copy(), drawn[start : start + count].copy()
 
